@@ -203,9 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--max-retries", type=int, default=1)
     serve.add_argument("--quarantine-after", type=int, default=3)
     serve.add_argument("--job-ttl-s", type=float, default=None,
-                       help="default queue TTL per job; jobs still "
-                            "queued after it expire (terminal state "
-                            "'expired')")
+                       help="default relative deadline per job, folded "
+                            "into the caller's deadline at admission; "
+                            "a job past it, queued or running, ends "
+                            "'deadline_exceeded'")
     serve.add_argument("--promote-after-s", type=float, default=None,
                        help="anti-starvation: serve any job queued "
                             "longer than this ahead of every "

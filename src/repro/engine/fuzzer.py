@@ -117,7 +117,6 @@ class WasaiFuzzer:
                  feedback: bool = True,
                  address_pool: bool = False,
                  trace_dir: "str | None" = None,
-                 trace_format: str = "jsonl",
                  max_feedback_failures: int = 3,
                  divergence_check: bool = True,
                  deadline_epoch_s: float | None = None,
@@ -145,7 +144,7 @@ class WasaiFuzzer:
         self._trace_store = None
         if trace_dir is not None:
             from ..instrument.tracefile import TraceStore
-            self._trace_store = TraceStore(trace_dir, fmt=trace_format)
+            self._trace_store = TraceStore(trace_dir)
         self._explored_flips: set[tuple] = set()
         self._payload_rotation = cycle(PAYLOAD_KINDS)
         self._action_rotation = None
@@ -353,14 +352,14 @@ class WasaiFuzzer:
             return None
         record = victim_records[0]
         if self._trace_store is not None:
-            from ..instrument.tracefile import load_trace_file
+            from ..instrument.tracefile import read_trace_ir
             from ..resilience.errors import TraceCorruption
             token = f"iter{self.report.iterations:06d}-{kind}"
             for hook_name, args in record.wasm_trace:
                 self._trace_store.append(token, hook_name, args)
             path = self._trace_store.finalize(token)
             try:
-                events = load_trace_file(path)
+                events = read_trace_ir(path)
             except TraceCorruption as exc:
                 # The offline file rotted between flush and readback
                 # (or an injected fault corrupted it).  The in-memory

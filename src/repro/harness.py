@@ -85,7 +85,6 @@ def run_wasai(module: Module, abi: Abi, account: str = "victim",
               divergence_check: bool = True,
               limits=None,
               trace_dir: "str | None" = None,
-              trace_format: str = "jsonl",
               timings: "dict[str, float] | None" = None,
               oracles=None,
               deadline_epoch_s: float | None = None) -> WasaiRun:
@@ -100,8 +99,8 @@ def run_wasai(module: Module, abi: Abi, account: str = "victim",
     concrete shadow state against the recorded trace); ``limits`` is
     an optional :class:`~repro.wasm.ExecutionLimits` for the chain's
     Wasm interpreter.  ``trace_dir`` redirects every observation's
-    trace to its own offline file (§3.3.1) in the given directory,
-    encoded per ``trace_format`` ("jsonl" or the columnar "ir").
+    trace to its own offline ``.tir`` file (§3.3.1) in the given
+    directory.
     ``oracles`` selects the enabled oracle families (any spec
     :func:`repro.semoracle.resolve_oracles` accepts; None = the
     paper's five).  ``deadline_epoch_s`` is the caller's absolute
@@ -120,7 +119,6 @@ def run_wasai(module: Module, abi: Abi, account: str = "victim",
                          address_pool=address_pool,
                          feedback=feedback,
                          trace_dir=trace_dir,
-                         trace_format=trace_format,
                          divergence_check=divergence_check,
                          deadline_epoch_s=deadline_epoch_s)
     try:

@@ -9,9 +9,8 @@ from .hooks import (BEGIN_FUNCTION, END_FUNCTION, HOOK_MODULE, HookEvent,
                     hook_func_type, parse_hook_name, post_hook_name,
                     trace_hook_name)
 from .instrumenter import Site, SiteTable, instrument_module
-from .tracefile import (TraceStore, decode_raw_trace, load_trace_file,
-                        read_trace_file, read_trace_ir, write_trace_file,
-                        write_trace_ir)
+from .tracefile import (TraceStore, decode_raw_trace, read_trace_file,
+                        read_trace_ir, write_trace_file, write_trace_ir)
 
 __all__ = [
     "BEGIN_FUNCTION", "END_FUNCTION", "HOOK_MODULE", "HookEvent",
@@ -19,5 +18,4 @@ __all__ = [
     "trace_hook_name", "Site", "SiteTable", "instrument_module",
     "TraceStore", "decode_raw_trace", "read_trace_file",
     "write_trace_file", "write_trace_ir", "read_trace_ir",
-    "load_trace_file",
 ]

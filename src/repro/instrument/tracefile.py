@@ -4,17 +4,19 @@ The paper redirects traces to offline files once an EOSVM thread
 finishes executing (``apply_context::finalize_trace``), so parallel
 contract executions never interleave.  :class:`TraceStore` reproduces
 that: per-execution buffers keyed by a thread/action token, flushed to
-per-token files on finalize, with a loader for Symback.
+per-token files on finalize, which Symback reads back with
+:func:`read_trace_ir`.
 
-Two on-disk formats are supported: the paper-faithful JSONL
-(one ``[hook_name, args]`` line per event) and the compact columnar
-trace IR of :mod:`repro.traceir` (``.tir``).  Both are written
-atomically — the bytes land in a temp file in the same directory and
-are published with ``os.replace`` — so a crash mid-flush can never
-leave a half-written trace that a later read parses as a
-short-but-valid stream.  Both loaders lift every defect to a typed
-:class:`~repro.resilience.errors.TraceCorruption` carrying the path
-(and, for JSONL, the 1-based line number).
+The on-disk format is the compact, CRC-guarded columnar trace IR of
+:mod:`repro.traceir` (``.tir``).  The paper's JSONL layout (one
+``[hook_name, args]`` line per event) remains as a human-readable
+debug rendering (:func:`write_trace_file` / :func:`read_trace_file`).
+Both are written atomically — the bytes land in a temp file in the
+same directory and are published with ``os.replace`` — so a crash
+mid-flush can never leave a half-written trace that a later read
+parses as a short-but-valid stream.  Both loaders lift every defect to
+a typed :class:`~repro.resilience.errors.TraceCorruption` carrying the
+path (and, for JSONL, the 1-based line number).
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from ..resilience.errors import TraceCorruption
 from .hooks import HookEvent
 
 __all__ = ["TraceStore", "decode_raw_trace", "write_trace_file",
-           "read_trace_file", "write_trace_ir", "read_trace_ir",
-           "load_trace_file"]
+           "read_trace_file", "write_trace_ir", "read_trace_ir"]
 
 
 def decode_raw_trace(raw: list[tuple]) -> list[HookEvent]:
@@ -56,7 +57,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def write_trace_file(path: "str | Path", raw: list[tuple]) -> None:
-    """Persist one execution's trace (one JSON line per event).
+    """Render one execution's trace as JSONL (one line per event), the
+    human-readable debug form of a ``.tir`` file.
 
     Atomic: a reader either sees the previous complete file or the new
     complete file, never a prefix.
@@ -111,27 +113,13 @@ def read_trace_ir(path: "str | Path") -> list[HookEvent]:
         raise
 
 
-def load_trace_file(path: "str | Path") -> list[HookEvent]:
-    """Load a trace file of either format, dispatching on extension."""
-    if str(path).endswith(".tir"):
-        return read_trace_ir(path)
-    return read_trace_file(path)
-
-
 class TraceStore:
-    """Per-thread trace buffers with offline redirect on finalize.
+    """Per-thread trace buffers with offline redirect on finalize:
+    each token's buffer becomes its own CRC-guarded ``.tir`` file."""
 
-    ``fmt`` picks the on-disk encoding: ``"jsonl"`` (default, the
-    paper's line-per-event layout) or ``"ir"`` (the columnar,
-    CRC-guarded trace IR).
-    """
-
-    def __init__(self, directory: "str | Path", fmt: str = "jsonl"):
-        if fmt not in ("jsonl", "ir"):
-            raise ValueError(f"unknown trace format {fmt!r}")
+    def __init__(self, directory: "str | Path"):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.fmt = fmt
         self._buffers: dict[str, list[tuple]] = {}
         self._sequence = 0
 
@@ -142,13 +130,8 @@ class TraceStore:
         """Flush one thread's buffer to its own offline file."""
         raw = self._buffers.pop(token, [])
         self._sequence += 1
-        suffix = "tir" if self.fmt == "ir" else "jsonl"
-        path = self.directory \
-            / f"trace-{self._sequence:06d}-{token}.{suffix}"
-        if self.fmt == "ir":
-            write_trace_ir(path, raw)
-        else:
-            write_trace_file(path, raw)
+        path = self.directory / f"trace-{self._sequence:06d}-{token}.tir"
+        write_trace_ir(path, raw)
         return path
 
     def pending_tokens(self) -> list[str]:

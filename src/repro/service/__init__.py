@@ -14,8 +14,8 @@ stages fail in a loop, or its own storage corrupts.
   (:class:`StoreCorruption`, :class:`StoreBudgetExceeded`) and the
   checksum primitive;
 * :mod:`repro.service.queue` — bounded priority queue with per-client
-  fair scheduling, anti-starvation promotion, per-job TTLs and typed
-  backpressure (:class:`QueueFull`);
+  fair scheduling, anti-starvation promotion, deadline expiry and
+  typed backpressure (:class:`QueueFull`);
 * :mod:`repro.service.supervisor` — the worker watchdog
   (heartbeats, hung/dead detection, restart-storm guard);
 * :mod:`repro.service.health` — per-stage circuit breakers

@@ -23,8 +23,9 @@ Endpoints
       ``retry_after_s`` hint the HTTP layer mirrors as a
       ``Retry-After`` header).
 
-    Optional body field ``ttl_s`` bounds how long the job may wait in
-    the queue before expiring with the terminal state ``expired``.
+    Optional body field ``ttl_s`` is a relative deadline: admission
+    turns it into ``min(caller deadline, now + ttl_s)``, so it ends in
+    ``deadline_exceeded`` like any other deadline.
 
     An ``X-Deadline-Ms`` header (or body field ``deadline_epoch_ms``)
     carries the caller's absolute wall-clock deadline in epoch
@@ -41,8 +42,8 @@ Endpoints
 
 ``GET /scans/{id}``
     Job lifecycle doc (``queued | running | done | failed |
-    quarantined | expired``); terminal jobs include the verdict /
-    error.
+    quarantined | deadline_exceeded | stolen``); terminal jobs include
+    the verdict / error.
 
 ``GET /healthz``
     Readiness + health: ``status`` is ``ok`` (accepting, breakers
@@ -84,7 +85,8 @@ tenant over its rate limit or absolute quota), and ``307
 wrong_shard`` with a ``Location`` header when a shard router says a
 different node owns this module's hash arc.  A partitioned minority
 node answers every write ``503 partitioned`` with ``stale: true``
-while reads keep flowing (stale-marked).
+while reads keep flowing (stale-marked).  A tenant is billed only for
+submissions answered ``200`` or ``202``: a refused one is refunded.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ from .scheduler import NodePartitioned, ScanService
 from .tenants import QuotaExceeded, TenantBook, UnknownApiKey
 
 __all__ = ["ServiceApi"]
+
+# Every typed way admission can refuse a request (see _refusal).
+_REFUSALS = (MalformedModule, UnknownApiKey, NodePartitioned, QueueFull)
 
 
 class ServiceApi:
@@ -189,81 +194,50 @@ class ServiceApi:
         except (binascii.Error, ValueError) as exc:
             return 400, {"error": "bad_request",
                          "detail": f"module_b64 is not base64: {exc}"}
-        if self.service.partitioned:
-            # A minority-side node refuses every write before it costs
-            # anyone quota or parsing; reads keep flowing stale-marked.
-            return 503, {"error": "partitioned", "stale": True,
-                         "detail": "node is on the minority side of "
-                                   "a network partition",
-                         "retry_after_s": 5.0}
-        tenant = None
-        api_key = self._api_key(doc, headers)
-        if self.tenants is not None:
-            # Identity gate BEFORE any module parsing: an unknown key
-            # costs the node nothing but this lookup.  The quota is
-            # charged only after routing, so a wrong-shard redirect
-            # never double-bills the tenant.
-            try:
-                self.tenants.validate(api_key)
-            except UnknownApiKey as exc:
-                return 401, {"error": "unauthorized",
-                             "detail": str(exc)}
-        if self.router is not None:
-            try:
-                from .backend import module_hash_of
-                location = self.router(module_hash_of(data))
-            except MalformedModule as exc:
-                return 400, {"error": "malformed_module",
-                             "detail": str(exc), "stage": "ingest"}
-            if location is not None:
-                # Wrong shard: this node does not own the module's
-                # hash arc.  The server layer mirrors ``location``
-                # into a Location header for the 307.
-                return 307, {"error": "wrong_shard",
-                             "location": location.rstrip("/")
-                             + "/scans"}
-        if self.tenants is not None:
-            try:
-                tenant = self.tenants.admit(api_key)
-            except QuotaExceeded as exc:
-                self.service.perf.record_shed("quota")
-                return 429, {"error": "queue_full",
-                             "detail": str(exc), "kind": exc.kind,
-                             "depth": exc.depth, "limit": exc.limit,
-                             "retry_after_s": exc.retry_after_s,
-                             "tenant": exc.tenant}
-            except UnknownApiKey as exc:
-                return 401, {"error": "unauthorized",
-                             "detail": str(exc)}
-        ttl_s = doc.get("ttl_s")
         try:
             deadline_epoch_s = self._deadline_epoch_s(doc, headers)
         except (TypeError, ValueError):
             return 400, {"error": "bad_request",
                          "detail": "X-Deadline-Ms / deadline_epoch_ms "
                                    "must be epoch milliseconds"}
+        api_key = self._api_key(doc, headers)
+        tenant = None
         try:
+            if self.service.partitioned:
+                # A minority-side node refuses every write before it
+                # costs any parsing; reads keep flowing stale-marked.
+                raise NodePartitioned("node is on the minority side of "
+                                      "a network partition")
+            if self.tenants is not None:
+                # Identity gate BEFORE any module parsing: an unknown
+                # key costs the node nothing but this lookup.
+                self.tenants.validate(api_key)
+            if self.router is not None:
+                from .backend import module_hash_of
+                location = self.router(module_hash_of(data))
+                if location is not None:
+                    # Wrong shard: this node does not own the module's
+                    # hash arc, and the owner is the one that bills.
+                    # The server layer mirrors ``location`` into a
+                    # Location header for the 307.
+                    return 307, {"error": "wrong_shard",
+                                 "location": location.rstrip("/")
+                                 + "/scans"}
+            if self.tenants is not None:
+                tenant = self.tenants.admit(api_key)
+            ttl_s = doc.get("ttl_s")
             submission = self.service.submit_bytes(
                 data, doc["abi"], config=doc.get("config"),
                 client=str(doc.get("client", "anon")),
                 priority=int(doc.get("priority", 0)),
                 ttl_s=float(ttl_s) if ttl_s is not None else None,
                 deadline_epoch_s=deadline_epoch_s)
-        except MalformedModule as exc:
-            # Hostile upload rejected at admission — it never reached
-            # a worker; the diagnostic names the offending byte range.
-            return 400, {"error": "malformed_module",
-                         "detail": str(exc),
-                         "stage": "ingest"}
-        except NodePartitioned as exc:
-            return 503, {"error": "partitioned", "stale": True,
-                         "detail": str(exc),
-                         "retry_after_s": exc.retry_after_s}
-        except QueueFull as exc:
-            return 429, {"error": "queue_full", "detail": str(exc),
-                         "kind": exc.kind, "depth": exc.depth,
-                         "limit": exc.limit,
-                         "retry_after_s": exc.retry_after_s}
+        except _REFUSALS as exc:
+            if tenant is not None:
+                # Only admitted work is billed: the charge was a
+                # reservation, returned now that the service refused.
+                self.tenants.refund(api_key)
+            return self._refusal(exc)
         job_doc = self._job_doc(submission.job)
         # The job's own outcome says how *it* was admitted; the reply
         # reflects how *this submission* was satisfied (a coalesced
@@ -278,6 +252,27 @@ class ServiceApi:
             # its typed terminal doc — nothing is pending either way.
             return 200, job_doc
         return 202, job_doc
+
+    def _refusal(self, exc: Exception) -> tuple[int, dict]:
+        """The one mapping from a typed admission refusal to HTTP."""
+        if isinstance(exc, MalformedModule):
+            # Hostile upload rejected at admission — it never reached
+            # a worker; the diagnostic names the offending byte range.
+            return 400, {"error": "malformed_module",
+                         "detail": str(exc), "stage": "ingest"}
+        if isinstance(exc, UnknownApiKey):
+            return 401, {"error": "unauthorized", "detail": str(exc)}
+        if isinstance(exc, NodePartitioned):
+            return 503, {"error": "partitioned", "stale": True,
+                         "detail": str(exc),
+                         "retry_after_s": exc.retry_after_s}
+        doc = {"error": "queue_full", "detail": str(exc),
+               "kind": exc.kind, "depth": exc.depth, "limit": exc.limit,
+               "retry_after_s": exc.retry_after_s}
+        if isinstance(exc, QuotaExceeded):
+            self.service.perf.record_shed("quota")
+            doc["tenant"] = exc.tenant
+        return 429, doc
 
     # -- POST /reverdict ---------------------------------------------------
     def _reverdict(self, body: bytes) -> tuple[int, dict]:
@@ -314,15 +309,8 @@ class ServiceApi:
                 client=str(doc.get("client", "reverdict")),
                 priority=int(doc.get("priority", 0)),
                 oracles=oracles)
-        except NodePartitioned as exc:
-            return 503, {"error": "partitioned", "stale": True,
-                         "detail": str(exc),
-                         "retry_after_s": exc.retry_after_s}
-        except QueueFull as exc:
-            return 429, {"error": "queue_full", "detail": str(exc),
-                         "kind": exc.kind, "depth": exc.depth,
-                         "limit": exc.limit,
-                         "retry_after_s": exc.retry_after_s}
+        except _REFUSALS as exc:
+            return self._refusal(exc)
         job_doc = self._job_doc(submission.job)
         job_doc["outcome"] = submission.outcome
         return 202, job_doc

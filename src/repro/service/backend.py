@@ -172,7 +172,6 @@ class CoordinatorBackend(ABC):
     def submit(self, data: bytes, abi_json: "str | dict",
                config: dict | None = None, client: str = "anon",
                priority: int = 0,
-               ttl_s: float | None = None,
                deadline_epoch_s: float | None = None) -> dict: ...
 
     @abstractmethod
@@ -232,12 +231,11 @@ class InProcessBackend(CoordinatorBackend):
 
     def submit(self, data: bytes, abi_json: "str | dict",
                config: dict | None = None, client: str = "anon",
-               priority: int = 0, ttl_s: float | None = None,
+               priority: int = 0,
                deadline_epoch_s: float | None = None) -> dict:
         submission = self._check().submit_bytes(
             data, abi_json, config=config, client=client,
-            priority=priority, ttl_s=ttl_s,
-            deadline_epoch_s=deadline_epoch_s)
+            priority=priority, deadline_epoch_s=deadline_epoch_s)
         doc = submission.job.to_doc()
         doc["outcome"] = submission.outcome
         if submission.job.result_doc is not None:
@@ -327,11 +325,11 @@ class RemoteBackend(CoordinatorBackend):
 
     def submit(self, data: bytes, abi_json: "str | dict",
                config: dict | None = None, client: str = "anon",
-               priority: int = 0, ttl_s: float | None = None,
+               priority: int = 0,
                deadline_epoch_s: float | None = None) -> dict:
         return self._call(self.client.submit, data, abi_json,
                           config=config, client=client,
-                          priority=priority, ttl_s=ttl_s,
+                          priority=priority,
                           deadline_epoch_s=deadline_epoch_s)
 
     def job(self, job_id: str) -> dict | None:

@@ -176,13 +176,14 @@ class _Drill:
         return encode_module(generated.module), generated.abi.to_json()
 
     def submit_and_wait(self, seed: int, client_name: str,
-                        expect_state: str = "done") -> dict:
+                        expect_state: str = "done",
+                        config: "dict | None" = None) -> dict:
         data, abi = self.contract(seed)
-        doc = self.client.submit(data, abi, client=client_name)
+        doc = self.client.submit(data, abi, client=client_name,
+                                 config=config)
         job_id = doc["id"]
         self.job_ids.append(job_id)
-        if doc.get("state") not in ("done", "failed", "quarantined",
-                                    "expired"):
+        if doc.get("state") not in ("done", "failed", "quarantined"):
             doc = self.client.wait(job_id, timeout_s=_WAIT_S,
                                    poll_s=0.02)
         _expect(doc.get("state") == expect_state,
@@ -393,6 +394,7 @@ class _Drill:
         except provenance, quarantine the corrupt trace (typed, never
         crashed on) and leave its module re-scannable."""
         from ..scanner.oracles import ORACLE_VERSION
+        from ..semoracle.registry import resolve_oracles
         from ..traceir.codec import TRACEIR_VERSION
         good = self.submit_and_wait(10, "reverdict-good")
         bad = self.submit_and_wait(11, "reverdict-bad")
@@ -434,6 +436,7 @@ class _Drill:
         prov = dict(replayed).pop("provenance", None)
         _expect(prov == {"oracle_version": bumped,
                          "traceir_version": TRACEIR_VERSION,
+                         "oracles": list(resolve_oracles(None)),
                          "source": "replay"},
                 f"rewritten verdict carries provenance {prov!r}")
         _expect(_sans_provenance(replayed)
@@ -546,10 +549,15 @@ class _OverloadDrill(_Drill):
         _expect("pressure" not in prov,
                 "a normal-pressure verdict carries a brownout tag: "
                 f"{prov}")
-        # The controller's only latency sample so far *is* one job's
-        # execution time; the burst phase sizes its SLO from it.
+        # The burst phase sizes its SLO and caller patience from one
+        # job's execution time.  A single sample moves with GC pauses
+        # and cold caches, so take the fastest of three fresh runs of
+        # the same module (distinct rng seeds, so none is a cache hit).
+        runs = [first] + [
+            self.submit_and_wait(0, "baseline", config={"rng_seed": seed})
+            for seed in (2, 3)]
         self.baseline_exec_s = max(
-            self.service.overload.observed_p95_s(), 0.02)
+            min(run.get("latency_s", 0.0) for run in runs), 0.02)
         stats = self.stats()
         _expect(stats["pressure"] == "normal",
                 f"idle daemon reports pressure {stats['pressure']!r}")

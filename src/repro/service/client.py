@@ -273,7 +273,6 @@ class ServiceClient:
     def submit(self, wasm_bytes: bytes, abi_json: "str | dict",
                config: dict | None = None, client: str = "cli",
                priority: int = 0,
-               ttl_s: float | None = None,
                deadline_s: float | None = None,
                deadline_epoch_s: float | None = None) -> dict:
         """Submit one module; returns the job doc (``outcome`` is
@@ -294,8 +293,6 @@ class ServiceClient:
         }
         if config:
             doc["config"] = config
-        if ttl_s is not None:
-            doc["ttl_s"] = ttl_s
         if deadline_epoch_s is None and deadline_s is not None:
             deadline_epoch_s = time.time() + float(deadline_s)
         extra_headers = None
@@ -327,8 +324,7 @@ class ServiceClient:
                               else list(oracles))
         job_doc = self._checked("POST", "/reverdict", doc)
         if wait and job_doc.get("state") not in (
-                "done", "failed", "quarantined", "expired",
-                "deadline_exceeded"):
+                "done", "failed", "quarantined", "deadline_exceeded"):
             return self.wait(job_doc["id"], timeout_s)
         return job_doc
 
@@ -339,8 +335,8 @@ class ServiceClient:
         while True:
             doc = self.status(job_id)
             if doc.get("state") in ("done", "failed", "quarantined",
-                                    "expired", "deadline_exceeded",
-                                    "rejected", "stolen"):
+                                    "deadline_exceeded", "rejected",
+                                    "stolen"):
                 return doc
             if time.monotonic() >= deadline:
                 raise TimeoutError(

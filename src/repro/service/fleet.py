@@ -57,8 +57,8 @@ from .tenants import TenantBook
 
 __all__ = ["FleetConfig", "FleetJob", "ScanFleet"]
 
-_TERMINAL = ("done", "failed", "quarantined", "expired",
-             "deadline_exceeded", "rejected")
+_TERMINAL = ("done", "failed", "quarantined", "deadline_exceeded",
+             "rejected")
 
 
 @dataclass
@@ -147,20 +147,20 @@ class ScanFleet:
     # -- submission --------------------------------------------------------
     def submit(self, data: bytes, abi_json: "str | dict",
                config: dict | None = None, client: str = "anon",
-               priority: int = 0, ttl_s: float | None = None,
-               api_key: str | None = None,
+               priority: int = 0, api_key: str | None = None,
                deadline_epoch_s: float | None = None) -> dict:
         """Admit (tenant quota), route (ring), place (with failover
         to the next live owner if the first choice is unreachable).
         ``deadline_epoch_s`` rides the recipe, so a failover or steal
-        re-places the job with its original caller deadline intact."""
+        re-places the job with its original caller deadline intact.
+        A submission no node accepts is refunded to its tenant."""
         tenant = None
         if self.tenants is not None:
             tenant = self.tenants.admit(api_key)
         key = module_hash_of(data)
         recipe = {"module": data, "abi": abi_json,
                   "config": dict(config or {}), "client": client,
-                  "priority": priority, "ttl_s": ttl_s,
+                  "priority": priority,
                   "deadline_epoch_s": deadline_epoch_s,
                   "module_hash": key}
         last_error: Exception | None = None
@@ -169,11 +169,15 @@ class ScanFleet:
             try:
                 doc = backend.submit(
                     data, abi_json, config=config, client=client,
-                    priority=priority, ttl_s=ttl_s,
+                    priority=priority,
                     deadline_epoch_s=deadline_epoch_s)
             except (BackendUnavailable, NodePartitioned) as exc:
                 last_error = exc
                 continue
+            except Exception:
+                if tenant is not None:
+                    self.tenants.refund(api_key)
+                raise
             with self._lock:
                 self._seq += 1
                 self.submissions += 1
@@ -191,6 +195,8 @@ class ScanFleet:
             if tenant is not None:
                 out["tenant"] = tenant
             return out
+        if tenant is not None:
+            self.tenants.refund(api_key)
         raise BackendUnavailable(
             f"no live node can take shard {key[:12]}: {last_error}")
 
@@ -290,7 +296,6 @@ class ScanFleet:
                 config=recipe.get("config") or None,
                 client=recipe.get("client", "anon"),
                 priority=int(recipe.get("priority", 0)),
-                ttl_s=recipe.get("ttl_s"),
                 deadline_epoch_s=(float(deadline)
                                   if deadline is not None else None))
         except (BackendUnavailable, NodePartitioned):

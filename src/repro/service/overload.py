@@ -30,15 +30,16 @@ Drain-rate Retry-After
 Pressure ladder
     Utilization, SLO breach and budget squeeze combine into one of
     :data:`~repro.service.health.PRESSURE_LEVELS`.  The scheduler maps
-    the level to brownout actions (shrink fuzz budgets, force
-    black-box-only, replay-serve, finally 429); the controller only
-    decides *how loaded* the service is, never *what to do about it*,
-    so the policy stays in one readable place in the scheduler.
+    the level to brownout actions at dispatch (shrink fuzz budgets,
+    force black-box-only, replay-serve); the controller decides *how
+    loaded* the service is and whether one more campaign is admitted.
 
 Cost-based shedding picks victims by estimated campaign cost (module
 size + enabled oracle families) against a priority-scaled allowance
 that shrinks with pressure: when something must be refused, it is the
-biggest, least-important work first.
+biggest, least-important work first.  :meth:`OverloadController.
+admission_refusal` folds the ladder, the cost check and both AIMD
+bounds into the single admission decision the scheduler asks.
 
 Like the circuit breakers next door, the controller is a pure state
 machine over an injectable monotonic clock — no threads, no sleeps —
@@ -227,6 +228,33 @@ class OverloadController:
         allowance = self.cost_allowance * (2.0 ** max(-8, min(8, priority))) \
             * factor
         return cost > allowance
+
+    # -- the admission decision --------------------------------------------
+    def admission_refusal(self, module_len: int, oracle_count: int,
+                          priority: int, *, depth: int, running: int
+                          ) -> "tuple[str, str, int, int] | None":
+        """The one capacity decision for a new campaign: None admits,
+        otherwise ``(kind, message, depth, limit)`` for the typed 429.
+        In order: the brownout ladder (campaign cost against the
+        priority-scaled allowance; nothing passes at ``shedding``),
+        the AIMD in-flight limit over queued + running jobs, then the
+        AIMD queue depth.  The static bounds stay the ceilings."""
+        cost = self.admission_cost(module_len, oracle_count)
+        if self.should_shed_cost(cost, priority):
+            return ("brownout",
+                    f"brownout: campaign cost {cost:.1f} exceeds the "
+                    f"priority-{priority} allowance at pressure level "
+                    f"'{self.pressure}'", depth, self.effective_depth())
+        inflight, budget = depth + running, self.effective_inflight()
+        if inflight >= budget:
+            return ("inflight", f"in-flight budget {budget} exhausted "
+                                f"({inflight} admitted)", inflight, budget)
+        bound = self.effective_depth()
+        if depth >= bound:
+            return ("queue", f"queue depth {depth} at effective bound "
+                             f"{bound} (pressure '{self.pressure}')",
+                    depth, bound)
+        return None
 
     def snapshot(self) -> dict:
         return {

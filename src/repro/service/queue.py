@@ -1,5 +1,5 @@
 """Bounded priority job queue with fair scheduling, anti-starvation
-promotion and per-job TTLs.
+promotion and deadline expiry.
 
 The queue is the service's only buffer, and it is *bounded by
 construction*: :meth:`JobQueue.put` raises the typed
@@ -15,29 +15,27 @@ client flooding the queue cannot starve another client's single job,
 because each ``get`` takes the head job of the *next* client in
 rotation.  Two aging rules temper strict priority:
 
-* **anti-starvation promotion** — a job whose queue age exceeds
+* **anti-starvation promotion** — a job whose queue age (on the
+  queue's *monotonic* clock, from its first enqueue) exceeds
   ``promote_after_s`` is served ahead of every band, oldest first, so
   a hot high-priority client can delay low-priority work but never
   park it forever;
-* **per-job TTL** — a job still queued after its ``ttl_s`` is expired
-  with the typed terminal state ``"expired"`` (reported through the
-  ``on_expired`` callback) instead of being scanned arbitrarily late;
-  a stale answer the submitter stopped waiting for is a wasted
+* **deadline expiry** — a job still queued past its
+  ``deadline_epoch_s`` (an absolute *wall-clock* instant: the
+  caller's deadline, tightened by any TTL at admission) is handed to
+  the ``on_expired`` callback instead of being scanned arbitrarily
+  late; a stale answer the submitter stopped waiting for is a wasted
   campaign.
 
-Two clocks govern staleness.  TTLs age on the queue's *monotonic*
-clock (relative budgets must not jump with NTP); caller deadlines
-(``Job.deadline_epoch_s``) are absolute *wall-clock* instants set by
-the client, compared against the injectable ``wall_clock``.  Both are
-policed by the same sweep, which runs on every ``get`` **and** via the
-public :meth:`JobQueue.sweep_expired` so an idle queue — no worker
-polling, daemon quiescent — still expires jobs promptly instead of
-discovering staleness only when demand returns.
+The expiry sweep runs on every ``get`` **and** via the public
+:meth:`JobQueue.sweep_expired` so an idle queue — no worker polling,
+daemon quiescent — still expires jobs promptly instead of discovering
+staleness only when demand returns.
 
 Job lifecycle: ``queued → running → done | failed | quarantined |
-expired | deadline_exceeded`` (plus terminal ``rejected`` for jobs
-shed at admission).  The :class:`Job` record itself is the single
-source of truth the HTTP layer renders for ``GET /scans/{id}``.
+deadline_exceeded`` (or ``stolen`` by a fleet peer while queued).
+The :class:`Job` record itself is the single source of truth the HTTP
+layer renders for ``GET /scans/{id}``.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import Any, Callable
 __all__ = ["Job", "JobQueue", "QueueFull", "JOB_STATES"]
 
 JOB_STATES = ("queued", "running", "done", "failed", "quarantined",
-              "expired", "deadline_exceeded", "rejected", "stolen")
+              "deadline_exceeded", "rejected", "stolen")
 
 
 class QueueFull(Exception):
@@ -96,8 +94,7 @@ class Job:
     outcome: str = "queued"   # queued | cached | coalesced
     waiters: int = 0          # coalesced submissions sharing this job
     queued_s: float = 0.0     # queue clock at first enqueue (for aging)
-    ttl_s: float | None = None  # max queue age before "expired"
-    deadline_epoch_s: float | None = None  # caller wall-clock deadline
+    deadline_epoch_s: float | None = None  # wall-clock deadline (+TTL)
     brownout: str | None = None  # pressure level the run degraded under
     claim: str | None = None  # worker token currently owning the run
     requeues: int = 0         # watchdog reap re-queues (exactly-once)
@@ -106,8 +103,7 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.state in ("done", "failed", "quarantined",
-                              "expired", "deadline_exceeded",
-                              "rejected", "stolen")
+                              "deadline_exceeded", "rejected", "stolen")
 
     def deadline_remaining_s(self,
                              now_epoch_s: float | None = None) -> float:
@@ -148,7 +144,7 @@ class Job:
 
 class JobQueue:
     """Thread-safe bounded queue: priority bands, fair within a band,
-    age-promoted across bands, TTL-expired when stale."""
+    age-promoted across bands, expired once past their deadline."""
 
     def __init__(self, max_depth: int = 64, *,
                  promote_after_s: float | None = None,
@@ -167,7 +163,6 @@ class JobQueue:
         self._depth = 0
         self.shed = 0
         self.expired = 0
-        self.deadline_expired = 0
         self.promoted = 0
         self.stolen = 0
 
@@ -201,8 +196,8 @@ class JobQueue:
 
     def get(self, timeout: float | None = None) -> Job | None:
         """The next job by (age promotion, priority, client rotation);
-        None on timeout.  TTL-expired jobs found on the way are
-        finalized through ``on_expired`` and never returned."""
+        None on timeout.  Expired jobs found on the way are finalized
+        through ``on_expired`` and never returned."""
         job: Job | None = None
         expired: list[Job] = []
         with self._lock:
@@ -225,7 +220,7 @@ class JobQueue:
         """Expire stale queued jobs *now*, without waiting for a
         ``get``: the scheduler's housekeeping tick calls this so an
         idle queue (workers busy or daemon quiescent) still emits
-        ``expired`` / ``deadline_exceeded`` terminal docs promptly.
+        ``deadline_exceeded`` terminal docs promptly.
         Returns the number of jobs expired by this call."""
         expired: list[Job] = []
         with self._lock:
@@ -237,7 +232,6 @@ class JobQueue:
 
     # -- internals (lock held) ---------------------------------------------
     def _sweep_expired_locked(self, out: list[Job]) -> None:
-        now = self._clock()
         wall_now = self._wall_clock()
         for priority in list(self._bands):
             band = self._bands[priority]
@@ -248,16 +242,12 @@ class JobQueue:
                 for job in jobs:
                     if job.deadline_remaining_s(wall_now) <= 0.0:
                         stale.append(job)
-                        self.deadline_expired += 1
-                    elif job.ttl_s is not None \
-                            and now - job.queued_s >= job.ttl_s:
-                        stale.append(job)
-                        self.expired += 1
                     else:
                         keep.append(job)
                 if stale:
                     out.extend(stale)
                     self._depth -= len(stale)
+                    self.expired += len(stale)
                     if keep:
                         band[client] = keep
                     else:

@@ -9,8 +9,14 @@ travels::
     bytes -> ingest (sandboxed, typed reject) -> scan_key
           -> store hit?        -> cached verdict, no job runs
           -> in-flight twin?   -> coalesce onto the running job
-          -> admission bounds  -> typed QueueFull shed
-          -> queued -> running -> done | failed | quarantined | expired
+          -> admission gate    -> typed QueueFull shed
+          -> queued -> running -> done | failed | quarantined
+                                  | deadline_exceeded | stolen
+
+A per-job ``ttl_s`` (or the ``job_ttl_s`` default) is a relative
+deadline: admission folds it into the absolute one, so a single clock
+is checked at every hand-off and travels with drain checkpoints and
+steal recipes.
 
 Dedup levels:
 
@@ -36,9 +42,10 @@ Self-healing (this PR's tentpole) has four pillars:
   counts consecutive per-stage failures across jobs.  While a breaker
   on a degradable stage (symbolic replay, solver) is open, new jobs
   are forced into black-box-only scanning; one probe job per half-open
-  window runs the full pipeline to test recovery.  Forced-black-box
-  verdicts are *not* persisted: the store must never serve a weaker
-  verdict for a scan key that promises the full pipeline.
+  window runs the full pipeline to test recovery.  Only a full answer
+  is persisted: a verdict that degraded for any reason (breaker-forced
+  or inside the fuzzer) or ran under brownout pressure answers its
+  caller but never becomes the cached verdict for its scan key.
 * **storage integrity** — every store access routes through a healing
   wrapper: a typed :class:`StoreCorruption` (checksum mismatch or a
   malformed SQLite image) quarantines the corrupt database file aside
@@ -64,6 +71,7 @@ journal so it cannot grow without bound across daemon generations.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -125,7 +133,7 @@ class ScanServiceConfig:
     poll_s: float = 0.2          # worker queue poll interval
     default_timeout_ms: float = 30_000.0
     # -- self-healing knobs ------------------------------------------------
-    job_ttl_s: float | None = None       # default per-job queue TTL
+    job_ttl_s: float | None = None       # default per-job relative deadline
     promote_after_s: float | None = None  # anti-starvation promotion age
     task_deadline_s: float = 300.0       # claim age before "hung"
     watchdog_poll_s: float = 0.25
@@ -148,8 +156,8 @@ class ScanServiceConfig:
     # queue depth shrink (and recover additively once it is met again).
     target_p95_s: float | None = None
     min_inflight: int = 1                # AIMD floor
-    # Housekeeping cadence: drives the idle-queue TTL/deadline sweep
-    # and the controller's AIMD tick.  None disables the thread (tests
+    # Housekeeping cadence: drives the idle-queue deadline sweep and
+    # the controller's AIMD tick.  None disables the thread (tests
     # call housekeeping_once() by hand).
     housekeeping_s: float | None = 0.25
     overload_window_s: float = 60.0      # latency-sample horizon
@@ -224,16 +232,11 @@ class ScanService:
         self._cache_hits = 0
         self._coalesce_hits = 0
         self._admission_rejected = 0
-        self._completed = 0
-        self._failed = 0
-        self._quarantined = 0
-        self._expired = 0
-        self._deadline_exceeded = 0
+        self._settled: dict[str, int] = {}  # terminal state -> jobs
         self._replay_served = 0       # brownout replay-serve hits
         self._browned_out = 0         # jobs run with a shrunk budget
         self._forced_blackbox = 0
         self._store_recoveries = 0
-        self._steals = 0              # jobs donated to fleet peers
         self._replica_applied = 0     # verdicts applied from peers
         self._storm = False
         self._accepting = True
@@ -298,20 +301,15 @@ class ScanService:
             self.supervisor.stop()
             self.supervisor.join(wait_s)
         checkpointed = 0
-        now = time.time()
         for job in self.queue.drain():
-            if job.terminal:
-                continue
-            if job.deadline_remaining_s(now) <= 0.0:
+            if job.deadline_remaining_s() <= 0.0:
                 # Checkpointing this job would resurrect work whose
-                # caller deadline already passed: finalize the typed
-                # terminal doc instead, so resume cannot re-run it.
-                with self._lock:
-                    if not job.terminal:
-                        self._deadline_locked(
-                            job, "caller deadline passed during drain")
-                continue
-            if self._checkpoint(job):
+                # deadline already passed: settle it instead, so
+                # resume cannot re-run it.
+                self._settle(job, None, "deadline_exceeded",
+                             error="deadline passed during drain")
+            elif not job.terminal and self._journal_record(
+                    job.scan_key, {"pending": self._recipe(job)}):
                 checkpointed += 1
         return checkpointed
 
@@ -406,33 +404,37 @@ class ScanService:
                     except OSError:
                         pass
             self.store = ArtifactStore(path, max_bytes=old.max_bytes)
-            return self._rebuild_store_from_journal()
+            if self.journal is None:
+                return 0
+            try:
+                return self._apply_verdicts(self.journal.load().values())
+            except (OSError, StoreCorruption):
+                return 0
 
-    def _rebuild_store_from_journal(self) -> int:
-        """Replay every journaled verdict into the (fresh) store."""
-        if self.journal is None:
-            return 0
-        try:
-            entries = self.journal.load()
-        except OSError:
-            return 0
-        restored = 0
-        for key, doc in entries.items():
-            inner = doc.get("result")
-            if not isinstance(inner, dict):
-                continue
-            verdict = inner.get("verdict")
-            if not isinstance(verdict, dict):
+    def _apply_verdicts(self, entries) -> int:
+        """The one journal-replay loop, shared by store rebuilds and
+        read replicas: write every verdict record among ``entries``
+        (journal lines) that the store does not hold yet.  Pending
+        checkpoints and claim tombstones are skipped.  Idempotent —
+        verdicts are deterministic in their scan key — so a replay
+        from zero costs reads, never wrong writes."""
+        applied = 0
+        for doc in entries:
+            key, inner = doc.get("key"), doc.get("result")
+            verdict = inner.get("verdict") \
+                if isinstance(inner, dict) else None
+            if not isinstance(key, str) or not isinstance(verdict, dict) \
+                    or self.store.has_verdict(key):
                 continue
             try:
                 self.store.put_verdict(
                     key, verdict.get("module_hash", ""),
                     verdict.get("config", {}),
                     verdict.get("result", {}))
-                restored += 1
-            except (StoreBudgetExceeded, StoreCorruption):
+            except StoreBudgetExceeded:
                 break
-        return restored
+            applied += 1
+        return applied
 
     def integrity_sweep(self, repair: bool = True) -> dict:
         """Recompute every stored row's checksum; with ``repair`` the
@@ -476,6 +478,37 @@ class ScanService:
         return removed
 
     # -- admission ---------------------------------------------------------
+    def _check_writable(self) -> None:
+        """The partition/drain gate every write passes first."""
+        with self._lock:
+            if self._partitioned:
+                raise NodePartitioned(
+                    "node is on the minority side of a network "
+                    f"partition ({self._partition_reason or 'unknown'});"
+                    " writes refused until the partition heals")
+            if not self._accepting:
+                raise self._refuse("draining", "service is draining",
+                                   floor=30.0)
+
+    def _refuse(self, kind: str, message: str, *,
+                depth: int | None = None, limit: int | None = None,
+                floor: float = 0.0) -> QueueFull:
+        """Count one refused submission and build its typed 429 (the
+        caller raises it), with a Retry-After measured from the
+        current backlog.  Every refusal but ``draining`` also counts
+        towards the ``shed`` aggregate in ``/stats``."""
+        with self._lock:
+            queued = self.queue.depth
+            if kind != "draining":
+                self.queue.shed += 1
+            self.perf.record_shed(kind)
+            return QueueFull(
+                message, kind=kind,
+                depth=queued if depth is None else depth,
+                limit=self.config.max_depth if limit is None else limit,
+                retry_after_s=max(floor,
+                                  self.overload.retry_after_s(queued)))
+
     def submit_bytes(self, data: bytes, abi_json: "str | dict",
                      config: dict | None = None, client: str = "anon",
                      priority: int = 0,
@@ -485,28 +518,18 @@ class ScanService:
 
         Raises :class:`~repro.resilience.MalformedModule` when the
         bytes fail sandboxed ingestion (the hostile upload never
-        reaches a worker) and :class:`QueueFull` when the queue depth,
-        the in-flight budget, the store's disk budget or the brownout
-        ladder refuses it.  ``deadline_epoch_s`` is the caller's
-        absolute wall-clock deadline: an already-expired one returns a
-        terminal ``deadline_exceeded`` job immediately (cache hits are
-        still served — they cost nothing), and a live one rides the
-        job end-to-end so every later hand-off re-checks it.
+        reaches a worker) and :class:`QueueFull` when draining, the
+        store's disk budget or the overload controller's admission
+        decision refuses it.  ``deadline_epoch_s`` is the caller's
+        absolute wall-clock deadline; ``ttl_s`` (default: the
+        ``job_ttl_s`` knob) is a relative one, folded in here as
+        ``min(deadline_epoch_s, now + ttl_s)``.  An already-passed
+        deadline returns a terminal ``deadline_exceeded`` job
+        immediately (cache hits are still served — they cost
+        nothing), and a live one rides the job end-to-end so every
+        later hand-off re-checks it.
         """
-        with self._lock:
-            if self._partitioned:
-                raise NodePartitioned(
-                    "node is on the minority side of a network "
-                    f"partition ({self._partition_reason or 'unknown'});"
-                    " writes refused until the partition heals")
-            if not self._accepting:
-                self.perf.record_shed("draining")
-                raise QueueFull("service is draining",
-                                depth=self.queue.depth,
-                                limit=self.config.max_depth,
-                                kind="draining",
-                                retry_after_s=self._retry_after(
-                                    floor=30.0))
+        self._check_writable()
         # Sandboxed ingestion *before* admission: a hostile module is
         # rejected here with a typed MalformedModule diagnostic.
         try:
@@ -517,8 +540,7 @@ class ScanService:
                 self._admission_rejected += 1
             raise
         if isinstance(abi_json, dict):
-            import json as _json
-            abi_json = _json.dumps(abi_json)
+            abi_json = json.dumps(abi_json)
         abi = Abi.from_json(abi_json)
         merged = dict(DEFAULT_SCAN_CONFIG,
                       timeout_ms=self.config.default_timeout_ms,
@@ -526,6 +548,12 @@ class ScanService:
         merged.update(config or {})
         from ..engine.deploy import module_content_hash
         module_hash = module_content_hash(module)
+        if ttl_s is None:
+            ttl_s = self.config.job_ttl_s
+        if ttl_s is not None:
+            deadline_epoch_s = min(
+                time.time() + ttl_s,
+                math.inf if deadline_epoch_s is None else deadline_epoch_s)
         task = CampaignTask(
             module, abi, tools=(merged["tool"],),
             timeout_ms=float(merged["timeout_ms"]),
@@ -551,135 +579,69 @@ class ScanService:
             self._healed(lambda: self.store.put_module(module_hash,
                                                        data))
         except StoreBudgetExceeded as exc:
-            with self._lock:
-                self.queue.shed += 1
-                self.perf.record_shed("disk")
-            raise QueueFull(
-                f"store disk budget exhausted: {exc}",
-                depth=self.queue.depth, limit=self.config.max_depth,
-                kind="disk",
-                retry_after_s=self._retry_after(floor=5.0)) from exc
+            raise self._refuse("disk",
+                               f"store disk budget exhausted: {exc}",
+                               floor=5.0) from exc
 
         with self._lock:
             self._submissions += 1
+            job = Job(job_id=uuid.uuid4().hex[:12], client=client,
+                      scan_key=scan_key, module_hash=module_hash,
+                      config=stored_config, priority=priority,
+                      submitted_s=time.time(),
+                      deadline_epoch_s=deadline_epoch_s)
             # Level 1: persistent store hit — serve the verdict now.
             result_doc = self._healed(
                 lambda: self.store.get_verdict(scan_key))
             if result_doc is not None:
                 self._cache_hits += 1
-                job = Job(job_id=uuid.uuid4().hex[:12], client=client,
-                          scan_key=scan_key, module_hash=module_hash,
-                          config=stored_config, priority=priority,
-                          state="done", outcome="cached",
-                          submitted_s=time.time(),
-                          result_doc=result_doc)
-                job.finished_s = job.submitted_s
-                self._jobs[job.job_id] = job
-                return Submission(job, "cached")
+                return self._answered(job, "cached", result_doc)
             # Level 2: single-flight — attach to the live twin.
             twin = self._inflight.get(scan_key)
             if twin is not None and not twin.terminal:
                 self._coalesce_hits += 1
                 twin.waiters += 1
                 return Submission(twin, "coalesced")
-            # Caller deadline already passed: a fresh campaign budget
-            # must never be spent on an answer nobody is waiting for.
+            # Deadline already passed: a fresh campaign budget must
+            # never be spent on an answer nobody is waiting for.
             # Terminal typed doc, not a 429 — there is nothing to
             # retry, the caller's own clock ran out.
-            now = time.time()
-            if deadline_epoch_s is not None and now >= deadline_epoch_s:
-                self.perf.record_shed("deadline")
-                self._deadline_exceeded += 1
-                job = Job(job_id=uuid.uuid4().hex[:12], client=client,
-                          scan_key=scan_key, module_hash=module_hash,
-                          config=stored_config, priority=priority,
-                          state="deadline_exceeded",
-                          outcome="deadline_exceeded",
-                          submitted_s=now,
-                          deadline_epoch_s=deadline_epoch_s,
-                          error="caller deadline passed before "
-                                "admission")
-                job.finished_s = now
-                self._jobs[job.job_id] = job
-                return Submission(job, "deadline_exceeded")
+            if job.deadline_remaining_s() <= 0.0:
+                self._settle(job, None, "deadline_exceeded",
+                             error="caller deadline passed before "
+                                   "admission")
+                return self._answered(job, "deadline_exceeded")
             # Brownout ladder: under saturation, a stored trace pack
             # can answer by pure oracle replay — zero fuzzing — before
             # we consider refusing outright.
-            level = self.overload.pressure
-            if level in ("saturated", "shedding"):
+            if self.overload.pressure in ("saturated", "shedding"):
                 replay_doc = self._serve_from_replay_locked(scan_key)
                 if replay_doc is not None:
                     self._replay_served += 1
-                    job = Job(job_id=uuid.uuid4().hex[:12],
-                              client=client, scan_key=scan_key,
-                              module_hash=module_hash,
-                              config=stored_config, priority=priority,
-                              state="done", outcome="replayed",
-                              submitted_s=now,
-                              deadline_epoch_s=deadline_epoch_s,
-                              result_doc=replay_doc)
-                    job.finished_s = now
-                    self._jobs[job.job_id] = job
-                    return Submission(job, "replayed")
-            if level == "shedding":
-                self.queue.shed += 1
-                self.perf.record_shed("brownout")
-                raise QueueFull(
-                    "brownout: pressure level 'shedding' — new "
-                    "campaigns refused until the backlog drains",
-                    depth=self.queue.depth,
-                    limit=self.overload.effective_depth(),
-                    kind="brownout",
-                    retry_after_s=self._retry_after())
-            cost = OverloadController.admission_cost(
-                len(data), len(stored_config["oracles"] or ()) or 5)
-            if self.overload.should_shed_cost(cost, priority):
-                self.queue.shed += 1
-                self.perf.record_shed("brownout")
-                raise QueueFull(
-                    f"brownout: campaign cost {cost:.1f} exceeds the "
-                    f"priority-{priority} allowance at pressure level "
-                    f"'{level}'",
-                    depth=self.queue.depth,
-                    limit=self.overload.effective_depth(),
-                    kind="brownout",
-                    retry_after_s=self._retry_after())
-            # Admission control: adaptive in-flight budget + adaptive
-            # queue depth (both AIMD-sized; never above the static
-            # bounds, which remain the hard backstop).
-            inflight = self.queue.depth + len(self._running_jobs)
-            budget = self.overload.effective_inflight()
-            if inflight >= budget:
-                self.queue.shed += 1
-                self.perf.record_shed("inflight")
-                raise QueueFull(
-                    f"in-flight budget {budget} "
-                    f"exhausted ({inflight} admitted)",
-                    depth=inflight,
-                    limit=budget,
-                    kind="inflight",
-                    retry_after_s=self._retry_after())
-            depth_bound = self.overload.effective_depth()
-            if self.queue.depth >= depth_bound:
-                self.queue.shed += 1
-                self.perf.record_shed("queue")
-                raise QueueFull(
-                    f"queue depth {self.queue.depth} at effective "
-                    f"bound {depth_bound} (pressure '{level}')",
-                    depth=self.queue.depth, limit=depth_bound,
-                    kind="queue",
-                    retry_after_s=self._retry_after())
-            job = Job(job_id=uuid.uuid4().hex[:12], client=client,
-                      scan_key=scan_key, module_hash=module_hash,
-                      config=stored_config, task=task,
-                      priority=priority, submitted_s=now,
-                      ttl_s=(ttl_s if ttl_s is not None
-                             else self.config.job_ttl_s),
-                      deadline_epoch_s=deadline_epoch_s)
+                    return self._answered(job, "replayed", replay_doc)
+            refusal = self.overload.admission_refusal(
+                len(data), len(stored_config["oracles"] or ()) or 5,
+                priority, depth=self.queue.depth,
+                running=len(self._running_jobs))
+            if refusal is not None:
+                kind, message, depth, limit = refusal
+                raise self._refuse(kind, message, depth=depth,
+                                   limit=limit)
+            job.task = task
             self.queue.put(job)          # may raise QueueFull (typed)
             self._jobs[job.job_id] = job
             self._inflight[scan_key] = job
         return Submission(job, "queued")
+
+    def _answered(self, job: Job, outcome: str,
+                  result_doc: "dict | None" = None) -> Submission:
+        """Register a job answered at admission (service lock held)."""
+        if result_doc is not None:
+            job.state, job.result_doc = "done", result_doc
+            job.finished_s = job.submitted_s
+        job.outcome = outcome
+        self._jobs[job.job_id] = job
+        return Submission(job, outcome)
 
     def _serve_from_replay_locked(self, scan_key: str) -> "dict | None":
         """Brownout replay-serve: when a stored trace pack exists for
@@ -730,17 +692,8 @@ class ScanService:
         ``source: "replay"`` provenance.  Runs under the same worker
         supervision, claim protocol and admission gates as scan jobs.
         """
+        self._check_writable()
         with self._lock:
-            if self._partitioned:
-                raise NodePartitioned(
-                    "node is on the minority side of a network "
-                    f"partition ({self._partition_reason or 'unknown'});"
-                    " writes refused until the partition heals")
-            if not self._accepting:
-                raise QueueFull("service is draining",
-                                depth=self.queue.depth,
-                                limit=self.config.max_depth,
-                                kind="draining", retry_after_s=30.0)
             self._submissions += 1
             job_id = uuid.uuid4().hex[:12]
             job = Job(job_id=job_id, client=client,
@@ -777,13 +730,11 @@ class ScanService:
                 if self._draining or record.abandoned:
                     self.queue.put(job, force=True)  # back for drain
                     return
-                if job.deadline_remaining_s() <= 0.0 \
-                        and not job.terminal:
+                if job.deadline_remaining_s() <= 0.0:
                     # Expired while queued (the sweep may not have
                     # seen it yet): terminal typed doc, no claim, no
                     # campaign budget spent.
-                    self._deadline_locked(
-                        job, "caller deadline passed while queued")
+                    self._job_expired(job)
                     continue
                 record.claim_job(job)
                 job.claim = record.token
@@ -829,8 +780,6 @@ class ScanService:
             self._run_reverdict_job(job, token)
             return
         tool = job.config["tool"]
-        forced_blackbox = bool(job.task is not None
-                               and job.task.blackbox)
         try:
             result = run_campaign_task(job.task)
         except WorkerKill:
@@ -842,21 +791,18 @@ class ScanService:
         with self._lock:
             self._record_stage_outcomes(
                 result, completed=tool in result.scans,
-                forced_blackbox=forced_blackbox)
-        doc_error = result.errors.get(tool)
+                forced_blackbox=job.task.blackbox)
         if tool not in result.scans:
-            if (doc_error or {}).get("stage") == "deadline":
-                # The caller's wall-clock budget ran out mid-campaign
-                # (or before the tool started): terminal typed doc,
-                # never the retry/quarantine path — there is nothing
-                # to heal and nobody left waiting.
-                self._job_deadline(
-                    job, token,
-                    (doc_error or {}).get("message",
-                                          "caller deadline passed"))
-                return
-            message = (doc_error or {}).get("message", "campaign failed")
-            self._job_failed(job, token, message)
+            doc_error = result.errors.get(tool) or {}
+            # A deadline that ran out mid-campaign (or before the tool
+            # started) is terminal, never the retry/quarantine path:
+            # there is nothing to heal and nobody left waiting.
+            self._settle(job, token,
+                         "deadline_exceeded"
+                         if doc_error.get("stage") == "deadline"
+                         else "failed",
+                         error=doc_error.get("message",
+                                             "campaign failed"))
             return
         from ..resilience.journal import campaign_result_to_doc
         result_doc = campaign_result_to_doc(result)
@@ -874,13 +820,11 @@ class ScanService:
         with self._lock:
             if job.claim != token or job.terminal:
                 return  # claim revoked: the requeued twin owns the job
-        # A browned-out run (shrunk budget and/or forced black-box) is
-        # ephemeral exactly like a breaker-forced one: it answers this
-        # caller but must never become the cached verdict for the key.
-        if not forced_blackbox and job.brownout is None:
-            # Persist (and journal, for store rebuilds) only full-
-            # pipeline verdicts: a breaker-degraded result must never
-            # become the cached answer for this scan key.
+        # Persist (and journal, for store rebuilds and replicas) only
+        # a full answer: a degraded campaign (breaker-forced or
+        # degraded inside the fuzzer) or a browned-out one answers
+        # this caller but must never become the cached verdict.
+        if not result.degraded and job.brownout is None:
             try:
                 self._healed(lambda: self.store.put_verdict(
                     job.scan_key, job.module_hash, job.config,
@@ -906,20 +850,8 @@ class ScanService:
             except OSError:
                 pass  # journal write failed; store still has it
         with self._lock:
-            if job.claim != token or job.terminal:
-                return
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            job.result_doc = result_doc
-            job.state = "done"
-            job.finished_s = time.time()
-            self._completed += 1
-            self._inflight.pop(job.scan_key, None)
-            self._record_latency(job, result)
-            self.overload.observe_completion()
-            if job.started_s:
-                self.overload.observe_latency(
-                    job.finished_s - job.started_s)
+            if self._settle(job, token, "done", result_doc=result_doc):
+                self._record_latency(job, result)
 
     def _run_reverdict_job(self, job: Job, token: str) -> None:
         """Worker-side execution of one queued re-verdict sweep."""
@@ -933,16 +865,7 @@ class ScanService:
             self._job_failed(job, token,
                              f"{type(exc).__name__}: {exc}")
             return
-        with self._lock:
-            if job.claim != token or job.terminal:
-                return  # claim revoked: the requeued twin owns the job
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            job.result_doc = report.to_doc()
-            job.state = "done"
-            job.finished_s = time.time()
-            self._completed += 1
-            self._inflight.pop(job.scan_key, None)
+        self._settle(job, token, "done", result_doc=report.to_doc())
 
     # -- trace IR: re-verdict + drift audit ---------------------------------
     def reverdict(self, oracle_version: int | None = None,
@@ -1019,9 +942,9 @@ class ScanService:
     # -- housekeeping: sweeps + adaptive admission --------------------------
     def housekeeping_once(self) -> dict:
         """One housekeeping tick: expire stale queued jobs even while
-        no worker is polling (the TTL sweep used to run only inside
-        ``get``), then feed current load to the overload controller's
-        AIMD step and publish the refreshed pressure level."""
+        no worker is polling, then feed current load to the overload
+        controller's AIMD step and publish the refreshed pressure
+        level."""
         swept = self.queue.sweep_expired()
         with self._lock:
             level = self.overload.update(self.queue.depth,
@@ -1037,74 +960,64 @@ class ScanService:
             except Exception:  # noqa: BLE001 - must outlive bad ticks
                 continue
 
-    def _retry_after(self, floor: float = 0.0) -> float:
-        """Measured Retry-After hint for a shed at current backlog."""
-        return max(floor, self.overload.retry_after_s(self.queue.depth))
+    # -- the terminal transition -------------------------------------------
+    def _settle(self, job: Job, token: "str | None", state: str, *,
+                error: str | None = None,
+                result_doc: dict | None = None) -> bool:
+        """Move ``job`` to the terminal ``state``: the one place that
+        checks and releases the claim, keeps the running and in-flight
+        books, counts the state and feeds the controller's drain
+        signal.  ``token`` is the claim that must still own the job
+        (None for an unclaimed one).  A revoked claim — a zombie
+        worker, or a job settled already — changes nothing and returns
+        False.  ``failed`` means retry-or-quarantine: while retries
+        remain the job goes back to the queue instead."""
+        with self._lock:
+            if job.terminal or (token is not None and job.claim != token):
+                return False
+            job.claim = None
+            self._running_jobs.discard(job.job_id)
+            if error is not None:
+                job.error = error
+            if result_doc is not None:
+                job.result_doc = result_doc
+            if state == "failed":
+                job.attempts += 1
+                self.quarantine.record_failure(job.scan_key, error)
+                if self.quarantine.is_quarantined(job.scan_key):
+                    state = "quarantined"
+                    try:
+                        self._healed(lambda: self.store.put_quarantine(
+                            job.scan_key, job.module_hash,
+                            self.quarantine.quarantined().get(
+                                job.scan_key, [])))
+                    except StoreBudgetExceeded:
+                        pass
+                elif job.attempts <= self.policy.max_retries \
+                        and not self._draining:
+                    job.state = "queued"
+                    self.queue.put(job, force=True)  # containment re-queue
+                    return True
+            if state in ("deadline_exceeded", "stolen"):
+                job.outcome = state
+            if state == "deadline_exceeded":
+                self.perf.record_shed("deadline")
+            job.state = state
+            job.finished_s = time.time()
+            self._settled[state] = self._settled.get(state, 0) + 1
+            if self._inflight.get(job.scan_key) is job:
+                del self._inflight[job.scan_key]
+            self.overload.observe_completion()
+            return True
 
     def _job_failed(self, job: Job, token: "str | None",
                     message: str) -> None:
-        with self._lock:
-            if token is not None and (job.claim != token
-                                      or job.terminal):
-                return  # claim revoked: failure already handled
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            self._fail_locked(job, message)
+        self._settle(job, token, "failed", error=message)
 
-    def _job_deadline(self, job: Job, token: "str | None",
-                      message: str) -> None:
-        """Claim-checked wrapper around :meth:`_deadline_locked`."""
-        with self._lock:
-            if token is not None and (job.claim != token
-                                      or job.terminal):
-                return  # claim revoked: outcome already settled
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            self._deadline_locked(job, message)
-
-    def _deadline_locked(self, job: Job, message: str) -> None:
-        """Finalize one job whose caller deadline ran out (service
-        lock held).  Terminal and typed — never the retry/quarantine
-        path: the failure is the *caller's* clock, not the sample."""
-        job.state = "deadline_exceeded"
-        job.outcome = "deadline_exceeded"
-        job.error = message
-        job.finished_s = time.time()
-        self._deadline_exceeded += 1
-        self.perf.record_shed("deadline")
-        if self._inflight.get(job.scan_key) is job:
-            self._inflight.pop(job.scan_key, None)
-        self.overload.observe_completion()
-
-    def _fail_locked(self, job: Job, message: str) -> None:
-        """Retry-or-quarantine one failed attempt (service lock held)."""
-        job.attempts += 1
-        job.error = message
-        self.quarantine.record_failure(job.scan_key, message)
-        if self.quarantine.is_quarantined(job.scan_key):
-            job.state = "quarantined"
-            job.finished_s = time.time()
-            self._quarantined += 1
-            self._inflight.pop(job.scan_key, None)
-            self.overload.observe_completion()
-            try:
-                self._healed(lambda: self.store.put_quarantine(
-                    job.scan_key, job.module_hash,
-                    self.quarantine.quarantined().get(job.scan_key,
-                                                      [])))
-            except StoreBudgetExceeded:
-                pass
-            return
-        if job.attempts <= self.policy.max_retries \
-                and not self._draining:
-            job.state = "queued"
-            self.queue.put(job, force=True)  # containment re-queue
-            return
-        job.state = "failed"
-        job.finished_s = time.time()
-        self._failed += 1
-        self._inflight.pop(job.scan_key, None)
-        self.overload.observe_completion()
+    def _job_expired(self, job: Job) -> None:
+        """Queue staleness callback (invoked outside the queue lock)."""
+        self._settle(job, None, "deadline_exceeded",
+                     error="deadline passed while queued")
 
     # -- supervision callbacks ---------------------------------------------
     def _on_reap(self, record: WorkerRecord, reason: str) -> None:
@@ -1116,13 +1029,10 @@ class ScanService:
         if job is None:
             return
         with self._lock:
-            if job.claim != record.token or job.terminal:
-                return  # completed (or already requeued) before the sweep
-            job.claim = None
-            self._running_jobs.discard(job.job_id)
-            job.requeues += 1
-            self._fail_locked(job, f"worker {record.token} {reason} "
-                                   f"mid-campaign; job requeued")
+            if self._settle(job, record.token, "failed",
+                            error=f"worker {record.token} {reason} "
+                                  f"mid-campaign; job requeued"):
+                job.requeues += 1
 
     def _on_storm(self) -> None:
         """Too many worker restarts per window: something is
@@ -1131,26 +1041,6 @@ class ScanService:
         with self._lock:
             self._storm = True
             self._accepting = False
-
-    def _job_expired(self, job: Job) -> None:
-        """Queue staleness callback (invoked outside the queue lock):
-        either the caller's wall-clock deadline passed or the job's
-        monotonic queue TTL ran out — the queue sweep polices both."""
-        with self._lock:
-            if job.terminal:
-                return
-            if job.deadline_remaining_s() <= 0.0:
-                self._deadline_locked(
-                    job, "caller deadline passed while queued")
-                return
-            job.state = "expired"
-            job.error = (f"job exceeded its {job.ttl_s:g}s queue TTL "
-                         "before a worker was free")
-            job.finished_s = time.time()
-            self._expired += 1
-            if self._inflight.get(job.scan_key) is job:
-                self._inflight.pop(job.scan_key, None)
-            self.overload.observe_completion()
 
     def _record_stage_outcomes(self, result, *, completed: bool,
                                forced_blackbox: bool) -> None:
@@ -1186,6 +1076,7 @@ class ScanService:
         if job.started_s and job.finished_s:
             self.perf.record_latency("job",
                                      job.finished_s - job.started_s)
+            self.overload.observe_latency(job.finished_s - job.started_s)
         for stage, seconds in result.stage_seconds.items():
             self.perf.record_latency(stage, seconds)
         self.perf.campaigns += len(result.scans)
@@ -1201,28 +1092,23 @@ class ScanService:
                                    result.solver_disk_misses,
                                    worker_id=result.worker_id or None)
 
-    # -- checkpoint / resume ----------------------------------------------
-    def _checkpoint(self, job: Job) -> bool:
-        """Journal one still-queued job so ``--resume`` can replay it.
-        The module bytes live in the store; the journal records the
-        recipe (module hash + ABI + config + client)."""
-        if self.journal is None:
-            return False
-        abi_json = job.task.abi.to_json() if job.task is not None else ""
-        pending = {
+    # -- checkpoint / resume / steal: one recipe -----------------------------
+    def _recipe(self, job: Job) -> dict:
+        """What re-running ``job`` elsewhere or later takes: drain
+        checkpoints journal it, work stealing ships it to a peer.  The
+        module bytes live in the store and are referenced by hash.
+        The deadline is absolute wall-clock, so it survives restarts
+        and hops unchanged and is re-checked wherever the job lands."""
+        recipe = {
             "module_hash": job.module_hash,
-            "abi": abi_json,
+            "abi": job.task.abi.to_json() if job.task is not None else "",
             "config": dict(job.config),
             "client": job.client,
             "priority": job.priority,
         }
         if job.deadline_epoch_s is not None:
-            # Absolute wall-clock survives the restart unchanged —
-            # resume re-checks it, so an expired checkpoint is
-            # tombstoned instead of resurrected.
-            pending["deadline_epoch_s"] = job.deadline_epoch_s
-        self._journal_record(job.scan_key, {"pending": pending})
-        return True
+            recipe["deadline_epoch_s"] = job.deadline_epoch_s
+        return recipe
 
     def resume_from_journal(self) -> int:
         """Resubmit every unclaimed pending job exactly once; returns
@@ -1237,54 +1123,48 @@ class ScanService:
         replayed = 0
         for key, doc in self.journal.load().items():
             inner = doc.get("result")
-            if not isinstance(inner, dict):
-                continue
-            pending = inner.get("pending")
+            pending = inner.get("pending") \
+                if isinstance(inner, dict) else None
             if not isinstance(pending, dict):
                 continue  # claim tombstone / verdict / campaign result
+            deadline = pending.get("deadline_epoch_s")
             data = self._healed(lambda: self.store.get_module(
                 pending.get("module_hash", "")))
             if data is None:
-                self._journal_record(key, {"claimed": "module lost"})
-                continue
-            deadline = pending.get("deadline_epoch_s")
-            if deadline is not None \
-                    and time.time() >= float(deadline):
-                # The caller's deadline passed while the daemon was
-                # down: resurrecting the job would spend a campaign on
-                # an answer nobody is waiting for.  Tombstone it.
-                self._journal_record(key,
-                                     {"claimed": "deadline_exceeded"})
-                continue
-            try:
-                submission = self.submit_bytes(
-                    data, pending.get("abi", "{}"),
-                    config=pending.get("config"),
-                    client=pending.get("client", "anon"),
-                    priority=int(pending.get("priority", 0)),
-                    deadline_epoch_s=(float(deadline)
-                                      if deadline is not None
-                                      else None))
-            except QueueFull:
-                continue  # stays pending for the next resume
-            except MalformedModule:
-                self._journal_record(key, {"claimed": "rejected"})
-                continue
-            self._journal_record(key,
-                                 {"claimed": submission.job.job_id})
-            replayed += 1
+                claimed = "module lost"
+            elif deadline is not None and time.time() >= float(deadline):
+                # The deadline passed while the daemon was down:
+                # resurrecting the job would spend a campaign on an
+                # answer nobody is waiting for.  Tombstone it.
+                claimed = "deadline_exceeded"
+            else:
+                try:
+                    claimed = self.submit_bytes(
+                        data, pending.get("abi", "{}"),
+                        config=pending.get("config"),
+                        client=pending.get("client", "anon"),
+                        priority=int(pending.get("priority", 0)),
+                        deadline_epoch_s=(float(deadline)
+                                          if deadline is not None
+                                          else None)).job.job_id
+                    replayed += 1
+                except QueueFull:
+                    continue  # stays pending for the next resume
+                except MalformedModule:
+                    claimed = "rejected"
+            self._journal_record(key, {"claimed": claimed})
         try:
             self.compact_journal()
         except OSError:
             pass  # compaction is best-effort; the journal still works
         return replayed
 
-    # -- fleet seam: work stealing -----------------------------------------
     def steal_unclaimed(self, max_jobs: int,
                         thief: str = "fleet") -> list[dict]:
         """Donate up to ``max_jobs`` *unclaimed* queue entries to a
         fleet peer; returns self-contained recipes the thief can
-        resubmit (module bytes + ABI + config + client + priority).
+        resubmit (module bytes + ABI + config + client + priority +
+        deadline).
 
         Only queued, unclaimed jobs are eligible — a claimed job left
         the queue when its worker took it, so stealing can never race
@@ -1300,45 +1180,24 @@ class ScanService:
         left with the donor — shipping them to a peer just to expire
         there wastes the transfer."""
         with self._lock:
-            jobs = self.queue.steal(
-                max_jobs,
-                min_headroom_s=self.overload.expected_job_s())
             recipes: list[dict] = []
-            for job in jobs:
-                self._steals += 1
-                token = f"{thief}#{self._steals}"
-                job.claim = token
-                job.stolen_by = token
-                job.state = "stolen"
-                job.outcome = "stolen"
-                job.finished_s = time.time()
-                if self._inflight.get(job.scan_key) is job:
-                    self._inflight.pop(job.scan_key, None)
-                abi_json = (job.task.abi.to_json()
-                            if job.task is not None else "")
+            for job in self.queue.steal(
+                    max_jobs,
+                    min_headroom_s=self.overload.expected_job_s()):
                 data = self._healed(
                     lambda h=job.module_hash: self.store.get_module(h))
                 if data is None:
-                    # Module bytes lost (store rebuild raced the
-                    # steal): fail the job locally instead of handing
-                    # the thief an unrunnable recipe.
-                    job.state = "failed"
-                    job.error = "module bytes lost before steal"
-                    self._failed += 1
+                    # No module bytes to ship (a store rebuild raced
+                    # the steal, or a re-verdict sweep): the donor
+                    # still holds the parsed task, so the job stays.
+                    self.queue.put(job, force=True)
                     continue
-                recipe = {
-                    "job_id": job.job_id,
-                    "scan_key": job.scan_key,
-                    "module_hash": job.module_hash,
-                    "module": data,
-                    "abi": abi_json,
-                    "config": dict(job.config),
-                    "client": job.client,
-                    "priority": job.priority,
-                }
-                if job.deadline_epoch_s is not None:
-                    recipe["deadline_epoch_s"] = job.deadline_epoch_s
-                recipes.append(recipe)
+                token = f"{thief}#{self._settled.get('stolen', 0) + 1}"
+                self._settle(job, None, "stolen")
+                job.claim = job.stolen_by = token
+                recipes.append(dict(self._recipe(job), module=data,
+                                    job_id=job.job_id,
+                                    scan_key=job.scan_key))
         return recipes
 
     # -- fleet seam: journal shipping / read replicas ----------------------
@@ -1381,32 +1240,11 @@ class ScanService:
 
     def apply_replica_verdicts(self, entries: list[dict]) -> int:
         """Apply a peer's shipped journal entries to this node's store
-        (read-replica ingestion).  Only verdict records are applied —
-        pending checkpoints and claim tombstones are the primary's
-        business.  Idempotent: a scan key this store already holds is
-        skipped, so replay-from-zero after a cursor reset costs reads,
-        never wrong writes."""
-        applied = 0
-        for doc in entries:
-            key = doc.get("key")
-            inner = doc.get("result")
-            if not isinstance(key, str) or not isinstance(inner, dict):
-                continue
-            verdict = inner.get("verdict")
-            if not isinstance(verdict, dict):
-                continue
-            if self._healed(lambda k=key: self.store.has_verdict(k),
-                            default=False):
-                continue
-            try:
-                self._healed(lambda k=key, v=verdict:
-                             self.store.put_verdict(
-                                 k, v.get("module_hash", ""),
-                                 v.get("config", {}),
-                                 v.get("result", {})))
-            except StoreBudgetExceeded:
-                break
-            applied += 1
+        (read-replica ingestion) through the same replay loop a store
+        rebuild uses; pending checkpoints and claim tombstones are the
+        primary's business."""
+        applied = self._healed(lambda: self._apply_verdicts(entries),
+                               default=0)
         if applied:
             with self._lock:
                 self._replica_applied += applied
@@ -1472,11 +1310,11 @@ class ScanService:
                            else "ok"),
                 "submissions": self._submissions,
                 "jobs": states,
-                "completed": self._completed,
-                "failed": self._failed,
-                "quarantined": self._quarantined,
-                "expired": self._expired,
-                "deadline_exceeded": self._deadline_exceeded,
+                "completed": self._settled.get("done", 0),
+                "failed": self._settled.get("failed", 0),
+                "quarantined": self._settled.get("quarantined", 0),
+                "deadline_exceeded":
+                    self._settled.get("deadline_exceeded", 0),
                 "promoted": self.queue.promoted,
                 "admission_rejected": self._admission_rejected,
                 "shed": self.queue.shed,
@@ -1486,7 +1324,7 @@ class ScanService:
                 "replay_served": self._replay_served,
                 "browned_out": self._browned_out,
                 "fleet": {
-                    "stolen_away": self._steals,
+                    "stolen_away": self._settled.get("stolen", 0),
                     "replica_applied": self._replica_applied,
                 },
                 "dedup": {

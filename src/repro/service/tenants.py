@@ -170,6 +170,20 @@ class TenantBook:
             tenant.admitted += 1
             return tenant.name
 
+    def refund(self, api_key: str | None) -> None:
+        """Return one :meth:`admit` charge for a submission the service
+        then refused, so only admitted work is billed.  ``admit`` is
+        the reservation and this the release, both under the book's
+        lock, so concurrent admissions can never overspend a quota."""
+        with self._lock:
+            tenant = self._by_key.get(api_key)
+            if tenant is None:
+                return
+            tenant.admitted -= 1
+            if tenant.rate_per_s is not None:
+                tenant.tokens = min(float(tenant.burst),
+                                    tenant.tokens + 1.0)
+
     def snapshot(self) -> dict:
         """Per-tenant admission counters for ``/stats``."""
         with self._lock:

@@ -16,7 +16,7 @@ def test_fuzzer_with_offline_traces(tmp_path):
     fuzzer = WasaiFuzzer(chain, target, rng=random.Random(1),
                          timeout_ms=8_000, trace_dir=tmp_path)
     report = fuzzer.run()
-    trace_files = list(tmp_path.glob("trace-*.jsonl"))
+    trace_files = list(tmp_path.glob("trace-*.tir"))
     assert trace_files, "each observation should flush an offline file"
     assert len(trace_files) == len(report.observations)
     # Detection works identically through the offline path.

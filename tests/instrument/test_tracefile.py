@@ -3,7 +3,7 @@
 import pytest
 
 from repro.instrument import (BEGIN_FUNCTION, END_FUNCTION, HookEvent,
-                              TraceStore, hook_func_type, load_trace_file,
+                              TraceStore, hook_func_type,
                               parse_hook_name, post_hook_name,
                               read_trace_file, read_trace_ir,
                               trace_hook_name, write_trace_file,
@@ -71,9 +71,9 @@ def test_trace_store_per_thread_isolation(tmp_path):
     path_a = store.finalize("thread-a")
     path_b = store.finalize("thread-b")
     assert path_a != path_b
-    events_a = read_trace_file(path_a)
+    events_a = read_trace_ir(path_a)
     assert [e.site_id for e in events_a] == [1, 3]
-    assert [e.site_id for e in read_trace_file(path_b)] == [2]
+    assert [e.site_id for e in read_trace_ir(path_b)] == [2]
 
 
 def test_trace_store_finalize_clears_buffer(tmp_path):
@@ -81,7 +81,7 @@ def test_trace_store_finalize_clears_buffer(tmp_path):
     store.append("t", "trace", (1,))
     store.finalize("t")
     assert store.pending_tokens() == []
-    assert read_trace_file(store.finalize("t")) == []
+    assert read_trace_ir(store.finalize("t")) == []
 
 
 def test_write_is_atomic_no_temp_residue(tmp_path):
@@ -121,10 +121,6 @@ def test_trace_ir_file_roundtrip(tmp_path):
     assert [e.kind for e in events] == ["instr", "begin", "post", "end"]
     assert events[0].operands == (42,)
     assert events[2].operands == (-7,)
-    # load_trace_file dispatches on extension
-    loaded = load_trace_file(path)
-    assert [(e.kind, e.site_id, e.func_id, e.operands) for e in loaded] \
-        == [(e.kind, e.site_id, e.func_id, e.operands) for e in events]
 
 
 def test_trace_ir_corruption_carries_path(tmp_path):
@@ -141,12 +137,10 @@ def test_trace_ir_corruption_carries_path(tmp_path):
 
 
 def test_trace_store_ir_format(tmp_path):
-    store = TraceStore(tmp_path, fmt="ir")
+    store = TraceStore(tmp_path)
     store.append("t", "trace", (5,))
     store.append("t", "post_i32", (5, 9))
     path = store.finalize("t")
     assert path.suffix == ".tir"
-    events = load_trace_file(path)
+    events = read_trace_ir(path)
     assert [e.kind for e in events] == ["instr", "post"]
-    with pytest.raises(ValueError):
-        TraceStore(tmp_path, fmt="csv")

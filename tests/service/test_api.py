@@ -91,6 +91,30 @@ def test_quota_shed_emits_the_full_429_schema_plus_tenant():
     assert doc["tenant"] == "team"
 
 
+def test_refused_submission_does_not_bill_the_tenant():
+    book = TenantBook(require_key=True)
+    book.register("team", "team-key", max_submissions=1)
+    book.register("other", "other-key")
+    api = _api(tenants=book, max_depth=1, max_inflight=100)
+    status, _doc = api.handle("POST", "/scans", _body(seed=0),
+                              headers={"X-Api-Key": "other-key"})
+    assert status == 202
+    status, doc = api.handle("POST", "/scans", _body(seed=1),
+                             headers={"X-Api-Key": "team-key"})
+    _assert_429(status, doc, "queue")
+    assert book.snapshot()["team"]["admitted"] == 0
+    # Capacity frees (a fleet peer takes the queued job).  The retry
+    # is the tenant's first admitted submission, not a quota refusal.
+    assert len(api.service.steal_unclaimed(1)) == 1
+    status, doc = api.handle("POST", "/scans", _body(seed=1),
+                             headers={"X-Api-Key": "team-key"})
+    assert status == 202 and doc["tenant"] == "team"
+    # The quota itself still holds.
+    status, doc = api.handle("POST", "/scans", _body(seed=2),
+                             headers={"X-Api-Key": "team-key"})
+    _assert_429(status, doc, "quota")
+
+
 # -- tenant admission -------------------------------------------------------
 
 def test_missing_or_unknown_api_key_is_401():

@@ -1,4 +1,5 @@
-"""The chaos harness itself: the quick schedule must pass end-to-end.
+"""The chaos harness itself: the quick and ci schedules must pass
+end-to-end.
 
 This is the meta-test behind the CI chaos-drill job — a live daemon
 (real HTTP, real workers, real store) marched through worker kills,
@@ -12,11 +13,12 @@ from repro.service import run_chaos_drill
 from repro.service.chaos import CHAOS_SCHEDULES
 
 
-def test_quick_chaos_drill_passes(tmp_path):
-    report = run_chaos_drill("quick", keep_dir=str(tmp_path / "drill"))
+@pytest.mark.parametrize("schedule", ("quick", "ci"))
+def test_quick_chaos_drill_passes(tmp_path, schedule):
+    report = run_chaos_drill(schedule, keep_dir=str(tmp_path / "drill"))
     assert report.ok, report.format()
     assert [p["name"] for p in report.phases] == \
-        list(CHAOS_SCHEDULES["quick"])
+        list(CHAOS_SCHEDULES[schedule])
     # The drill's /stats snapshot proves healing actually happened —
     # a green drill with zero healing events tested nothing.
     resilience = report.stats["resilience"]

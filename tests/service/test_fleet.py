@@ -12,10 +12,10 @@ import pytest
 
 from repro.benchgen import ContractConfig, generate_contract
 from repro.resilience import CampaignJournal
-from repro.service import (FleetConfig, InProcessBackend,
-                           QuotaExceeded, ScanFleet, ScanService,
-                           ScanServiceConfig, TenantBook,
-                           UnknownApiKey)
+from repro.service import (BackendUnavailable, FleetConfig,
+                           InProcessBackend, QueueFull, QuotaExceeded,
+                           ScanFleet, ScanService, ScanServiceConfig,
+                           TenantBook, UnknownApiKey)
 from repro.wasm import encode_module
 
 from .conftest import FAST_TIMEOUT_MS
@@ -223,6 +223,25 @@ def test_fleet_admission_enforces_keys_rates_and_quotas(tmp_path):
             fleet.submit(data, abi, api_key="wrong")
         assert book.snapshot()["team"]["admitted"] == 3
         assert book.snapshot()["team"]["shed"] == 1
+    finally:
+        fleet.stop()
+
+
+def test_fleet_refunds_a_submission_no_node_accepts(tmp_path):
+    book = TenantBook(require_key=True)
+    book.register("team", "team-key", max_submissions=1)
+    node = _node("solo", tmp_path)
+    fleet = ScanFleet([node], tenants=book)
+    try:
+        data, abi = _contract(0)
+        node.service.drain(wait_s=0.1)  # the only owner sheds: 429
+        with pytest.raises(QueueFull):
+            fleet.submit(data, abi, api_key="team-key")
+        node.kill()                     # no live owner at all
+        with pytest.raises(BackendUnavailable):
+            fleet.submit(data, abi, api_key="team-key")
+        # Neither refusal spent the tenant's one submission.
+        assert book.snapshot()["team"]["admitted"] == 0
     finally:
         fleet.stop()
 

@@ -151,11 +151,11 @@ def test_snapshot_carries_the_operator_story():
 
 # -- the queue: idle sweep and deadline-aware stealing ----------------------
 
-def _queued_job(job_id: str, *, ttl_s=None, deadline_epoch_s=None,
+def _queued_job(job_id: str, *, deadline_epoch_s=None,
                 priority: int = 0) -> Job:
     return Job(job_id=job_id, client="c", scan_key=f"k-{job_id}",
                module_hash="m", config={}, priority=priority,
-               ttl_s=ttl_s, deadline_epoch_s=deadline_epoch_s)
+               deadline_epoch_s=deadline_epoch_s)
 
 
 def test_idle_queue_sweep_expires_without_a_get():
@@ -164,17 +164,17 @@ def test_idle_queue_sweep_expires_without_a_get():
     wall = FakeClock(start=5_000.0)
     queue = JobQueue(max_depth=8, on_expired=reaped.append,
                      clock=clock, wall_clock=wall)
-    queue.put(_queued_job("ttl", ttl_s=1.0))
+    # A 1 s TTL is a deadline 1 s out (admission folds it in).
+    queue.put(_queued_job("ttl", deadline_epoch_s=wall.now + 1.0))
     queue.put(_queued_job("dead", deadline_epoch_s=wall.now + 2.0))
     queue.put(_queued_job("live"))
     assert queue.sweep_expired() == 0   # nothing stale yet
-    clock.advance(1.5)                  # TTL ages on the monotonic clock
-    wall.advance(2.5)                   # the deadline on the wall clock
+    clock.advance(1.5)                  # queue age alone expires nothing
+    wall.advance(2.5)                   # both deadlines pass
     assert queue.sweep_expired() == 2   # no get() ever happened
     assert {job.job_id for job in reaped} == {"ttl", "dead"}
-    # The two staleness kinds are book-kept separately.
-    assert queue.expired == 1
-    assert queue.deadline_expired == 1
+    # One clock, one book.
+    assert queue.expired == 2
     assert queue.depth == 1
 
 
@@ -425,6 +425,46 @@ def test_drain_never_resurrects_an_expired_deadline(tmp_path):
         assert _wait_terminal(resumed, jobs[0].job_id).state == "done"
     finally:
         resumed.stop(wait_s=5)
+
+
+def test_ttl_rides_drain_checkpoints_and_steal_recipes(tmp_path,
+                                                      sample_contract):
+    """A TTL is a relative deadline fixed at admission, so it travels
+    wherever the job does: an expired drain checkpoint is tombstoned
+    at resume instead of re-run, and a steal recipe carries it."""
+    data, abi = sample_contract
+    journal = CampaignJournal(tmp_path / "ttl.jsonl")
+    service = _service(tmp_path, journal=journal, start=False,
+                       housekeeping_s=None)
+    try:
+        submission = service.submit_bytes(data, abi, ttl_s=0.5)
+        assert submission.job.deadline_epoch_s is not None
+        assert service.drain(wait_s=1) == 1
+    finally:
+        service.store.close()
+
+    time.sleep(1.0)                     # the TTL runs out while down
+    resumed = _service(tmp_path, journal=journal, start=False,
+                       housekeeping_s=None)
+    try:
+        assert resumed.resume_from_journal() == 0
+        assert resumed.stats()["queue_depth"] == 0
+        tombstone = journal.load()[submission.job.scan_key]["result"]
+        assert tombstone == {"claimed": "deadline_exceeded"}
+    finally:
+        resumed.store.close()
+
+    donor = _service(start=False, housekeeping_s=None)
+    try:
+        before = time.time()
+        queued = donor.submit_bytes(data, abi, ttl_s=60.0)
+        [recipe] = donor.steal_unclaimed(1, thief="peer")
+        assert recipe["deadline_epoch_s"] \
+            == pytest.approx(queued.job.deadline_epoch_s)
+        assert before + 59.0 < recipe["deadline_epoch_s"] \
+            <= time.time() + 60.0
+    finally:
+        donor.stop(wait_s=1)
 
 
 # -- the HTTP edge: X-Deadline-Ms -------------------------------------------

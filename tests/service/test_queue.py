@@ -1,5 +1,5 @@
 """JobQueue: bounds, typed shed, priority, per-client fairness,
-anti-starvation promotion and per-job TTL expiry."""
+anti-starvation promotion and deadline expiry."""
 
 import pytest
 
@@ -18,10 +18,11 @@ class FakeClock:
 
 
 def _job(client: str = "a", priority: int = 0, n: int = 0,
-         ttl_s: float | None = None) -> Job:
+         deadline_epoch_s: float | None = None) -> Job:
     return Job(job_id=f"{client}{priority}{n}", client=client,
                scan_key=f"k{client}{priority}{n}", module_hash="h",
-               config={}, priority=priority, ttl_s=ttl_s)
+               config={}, priority=priority,
+               deadline_epoch_s=deadline_epoch_s)
 
 
 def test_fifo_within_one_client():
@@ -107,9 +108,10 @@ def test_ttl_expires_stale_jobs_via_callback():
     clock = FakeClock()
     expired = []
     queue = JobQueue(max_depth=16, on_expired=expired.append,
-                     clock=clock)
-    stale = _job("a", n=1, ttl_s=2.0)
-    durable = _job("a", n=2)            # no TTL: waits forever
+                     clock=clock, wall_clock=clock)
+    # A 2 s TTL is a deadline 2 s out (admission folds it in).
+    stale = _job("a", n=1, deadline_epoch_s=clock.now + 2.0)
+    durable = _job("a", n=2)            # no deadline: waits forever
     queue.put(stale)
     queue.put(durable)
     clock.advance(2.0)
@@ -125,15 +127,15 @@ def test_requeue_keeps_original_age_for_ttl_and_promotion():
     clock = FakeClock()
     expired = []
     queue = JobQueue(max_depth=16, on_expired=expired.append,
-                     clock=clock)
-    job = _job("a", ttl_s=3.0)
+                     clock=clock, wall_clock=clock)
+    job = _job("a", deadline_epoch_s=clock.now + 3.0)
     queue.put(job)
     clock.advance(2.0)
     assert queue.get(timeout=0) is job  # claimed by a worker...
     queue.put(job, force=True)          # ...then requeued by the reaper
     clock.advance(1.0)                  # total queue age: 3s
     assert queue.get(timeout=0) is None
-    assert expired == [job]             # TTL measured from first enqueue
+    assert expired == [job]             # deadline fixed at admission
 
 
 def test_drain_returns_everything_in_priority_order():

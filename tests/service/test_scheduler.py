@@ -11,7 +11,8 @@ import time
 import pytest
 
 from repro.resilience import (CampaignJournal, Fault, MalformedModule,
-                              ResiliencePolicy, install_fault_plan)
+                              ResiliencePolicy, clear_fault_plan,
+                              install_fault_plan)
 from repro.resilience.journal import campaign_result_from_doc
 from repro.service import (QueueFull, ScanService, ScanServiceConfig,
                            Submission)
@@ -275,21 +276,27 @@ def test_hung_worker_claim_revoked_and_job_requeued(sample_contract):
         service.stop(wait_s=5)
 
 
-def test_open_breaker_forces_blackbox_and_never_caches(sample_contract):
+def test_open_breaker_forces_blackbox_and_never_caches(
+        tmp_path, sample_contract):
     data, abi = sample_contract
     # A deterministically dead solver: the first campaign degrades
     # internally, trips the stage breaker (threshold 1), and the *next*
-    # job is forced black-box before it even starts.  Forced verdicts
-    # must not be cached — the store would otherwise serve the weaker
-    # answer forever.
+    # job is forced black-box before it even starts.  Neither degraded
+    # verdict may be cached — the store would otherwise serve the
+    # weaker answer forever.
     install_fault_plan(Fault(stage="solve", kind="error"))
+    journal = CampaignJournal(tmp_path / "service.jsonl")
     service = _service(workers=1, breaker_threshold=1,
-                       breaker_cooldown_s=60.0)
+                       breaker_cooldown_s=60.0, journal=journal)
     try:
         first = service.submit_bytes(data, abi, client="one")
         job1 = _wait_terminal(service, first.job.job_id)
         assert job1.state == "done"
         assert "wasai" in job1.result_doc.get("degraded", [])
+        # Degraded inside its own campaign (the breaker was still
+        # closed at dispatch): in neither the store nor the journal.
+        assert service.store.get_verdict(job1.scan_key) is None
+        assert job1.scan_key not in journal.load()
         assert service.health()["status"] == "degraded"
         assert "solve" in service.health()["breakers"]["open"]
         assert service.stats()["resilience"]["breaker_trips"] >= 1
@@ -302,6 +309,13 @@ def test_open_breaker_forces_blackbox_and_never_caches(sample_contract):
         # Not cached: a resubmission after recovery gets the full run.
         assert service.store.get_verdict(job2.scan_key) is None
         assert service.stats()["resilience"]["forced_blackbox"] >= 1
+
+        # The solver recovers: the internally degraded answer is not
+        # served as the full one — the module is scanned afresh.
+        clear_fault_plan()
+        again = service.submit_bytes(data, abi, client="one")
+        assert again.outcome == "queued"
+        assert "degraded" not in (again.job.result_doc or {})
     finally:
         service.stop(wait_s=5)
 
@@ -314,11 +328,12 @@ def test_queued_job_expires_after_ttl(sample_contract):
         time.sleep(0.1)             # TTL elapses with no worker around
         service.start()             # first queue poll sweeps it
         job = _wait_terminal(service, submission.job.job_id)
-        assert job.state == "expired"
-        assert "TTL" in (job.error or "")
+        # The TTL is a deadline: one clock, one terminal state.
+        assert job.state == "deadline_exceeded"
+        assert "deadline" in (job.error or "")
         stats = service.stats()
-        assert stats["expired"] == 1
-        assert stats["jobs"].get("expired") == 1
+        assert stats["deadline_exceeded"] == 1
+        assert stats["jobs"].get("deadline_exceeded") == 1
     finally:
         service.stop(wait_s=5)
 
