@@ -8,11 +8,17 @@ Run by the CI ``service-smoke`` job (and runnable by hand):
    typed ``malformed_module`` diagnostic, never reaching a worker;
 4. resubmit the first contract — ``/stats`` must show the dedup cache
    hit and a queue drained back to zero with non-zero p50 latency;
-5. SIGTERM the daemon and require a graceful, zero-exit drain.
+5. burst six fresh contracts at the two workers and SIGTERM at once:
+   the daemon must exit 0 and log ``drained; N queued job(s)
+   checkpointed`` with N >= 1;
+6. restart ``wasai serve`` on the same ``--store``: it must run the N
+   checkpointed jobs (``/stats`` ``completed`` >= N), after which every
+   burst contract's resubmit is served ``cached``; SIGTERM it again.
 
 Exits non-zero on the first violated expectation.
 """
 
+import re
 import signal
 import socket
 import subprocess
@@ -43,6 +49,87 @@ def wait_healthy(client: ServiceClient, timeout_s: float = 30.0) -> None:
     raise SystemExit("daemon never became healthy")
 
 
+def start_daemon(port: int, store: Path) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--port", str(port), "--store", str(store),
+         "--workers", "2", "--timeout-ms", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+
+
+def stop_daemon(daemon: subprocess.Popen) -> str:
+    """SIGTERM, require a zero exit, return the daemon's log."""
+    daemon.send_signal(signal.SIGTERM)
+    code = daemon.wait(timeout=60)
+    output = daemon.stdout.read().decode(errors="replace")
+    print("--- daemon log ---")
+    print(output)
+    assert code == 0, f"daemon exited {code}"
+    return output
+
+
+def kill_daemon(daemon: subprocess.Popen) -> None:
+    """Failure path: kill a daemon still running and show its log."""
+    if daemon.poll() is None:
+        daemon.kill()
+        daemon.wait()
+        print("--- daemon log ---")
+        print(daemon.stdout.read().decode(errors="replace"))
+
+
+def contract(seed: int) -> tuple[bytes, str]:
+    generated = generate_contract(
+        ContractConfig(seed=seed, fake_eos_guard=False,
+                       maze_depth=2 + seed % 4))
+    return encode_module(generated.module), generated.abi.to_json()
+
+
+# A bigger virtual budget for the burst: each campaign then takes long
+# enough that most of the burst is still queued when SIGTERM lands.
+BURST_CONFIG = {"timeout_ms": 60_000}
+
+
+def restart_leg(port: int, store: Path) -> None:
+    """Drain a burst with SIGTERM, then resume it on a fresh daemon."""
+    burst = [contract(seed) for seed in range(1, 7)]
+    daemon = start_daemon(port, store)
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        wait_healthy(client)
+        for data, abi in burst:
+            submitted = client.submit(data, abi, config=BURST_CONFIG,
+                                      client="burst")
+            assert submitted["outcome"] == "queued", submitted
+        output = stop_daemon(daemon)
+    finally:
+        kill_daemon(daemon)
+    found = re.search(r"drained; (\d+) queued job\(s\) checkpointed",
+                      output)
+    assert found, "no drain line in the daemon log"
+    checkpointed = int(found.group(1))
+    assert checkpointed >= 1, "the burst was not queued at SIGTERM"
+    print(f"drain checkpointed {checkpointed} job(s)")
+
+    port = free_port()
+    daemon = start_daemon(port, store)
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        wait_healthy(client)
+        deadline = time.monotonic() + 120
+        while client.stats()["completed"] < checkpointed:
+            assert time.monotonic() < deadline, client.stats()
+            time.sleep(0.2)
+        for data, abi in burst:
+            again = client.submit(data, abi, config=BURST_CONFIG,
+                                  client="after-restart")
+            assert again["outcome"] == "cached", again
+        print(f"restart resumed {checkpointed} job(s); every burst "
+              "contract served cached")
+        stop_daemon(daemon)
+    finally:
+        kill_daemon(daemon)
+
+
 def main() -> int:
     generated = generate_contract(ContractConfig(fake_eos_guard=False))
     wasm = encode_module(generated.module)
@@ -51,11 +138,7 @@ def main() -> int:
     port = free_port()
     with tempfile.TemporaryDirectory() as tmp:
         store = Path(tmp) / "store.db"
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve",
-             "--port", str(port), "--store", str(store),
-             "--workers", "2", "--timeout-ms", "5000"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        daemon = start_daemon(port, store)
         client = ServiceClient(f"http://127.0.0.1:{port}")
         try:
             wait_healthy(client)
@@ -87,16 +170,11 @@ def main() -> int:
             print(f"stats ok: dedup={stats['dedup']} "
                   f"p50={stats['latency']['job']['p50_s']:.3f}s")
 
-            daemon.send_signal(signal.SIGTERM)
-            code = daemon.wait(timeout=60)
-            assert code == 0, f"daemon exited {code}"
+            stop_daemon(daemon)
             print("graceful drain ok")
         finally:
-            if daemon.poll() is None:
-                daemon.kill()
-            output = daemon.stdout.read().decode(errors="replace")
-            print("--- daemon log ---")
-            print(output)
+            kill_daemon(daemon)
+        restart_leg(free_port(), store)
     print("service smoke: all checks passed")
     return 0
 

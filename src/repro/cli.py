@@ -181,8 +181,10 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8734)
     serve.add_argument("--store", type=Path, default=Path("wasai.db"),
-                       help="SQLite artifact store (modules, verdicts, "
-                            "coverage, quarantine; default wasai.db)")
+                       help="SQLite artifact store plus its verdict "
+                            "log <store>.jsonl (default wasai.db); the "
+                            "next serve on it resubmits jobs queued at "
+                            "SIGTERM")
     serve.add_argument("--workers", type=int, default=2,
                        help="scan worker threads (default 2)")
     serve.add_argument("--queue-depth", type=int, default=64,
@@ -194,12 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--timeout-ms", type=float,
                        default=DEFAULT_TIMEOUT_MS,
                        help="default virtual fuzzing budget per job")
-    serve.add_argument("--journal", type=Path, default=None,
-                       help="JSONL checkpoint journal for graceful "
-                            "drain (SIGTERM) and --resume")
-    serve.add_argument("--resume", action="store_true",
-                       help="replay jobs checkpointed in --journal "
-                            "by a drained daemon (exactly once)")
     serve.add_argument("--max-retries", type=int, default=1)
     serve.add_argument("--quarantine-after", type=int, default=3)
     serve.add_argument("--job-ttl-s", type=float, default=None,
@@ -575,12 +571,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .resilience import CampaignJournal, ResiliencePolicy
+    from .resilience import ResiliencePolicy
     from .service import (ScanService, ScanServiceConfig, make_server,
                           serve_forever)
-    if args.resume and args.journal is None:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 2
     service = ScanService(
         store=str(args.store),
         config=ScanServiceConfig(workers=args.workers,
@@ -600,8 +593,7 @@ def _cmd_serve(args) -> int:
                                  target_p95_s=args.target_p95_s,
                                  housekeeping_s=args.housekeeping_s),
         policy=ResiliencePolicy(max_retries=args.max_retries,
-                                quarantine_after=args.quarantine_after),
-        journal=CampaignJournal(args.journal) if args.journal else None)
+                                quarantine_after=args.quarantine_after))
     tenants = None
     if args.tenants is not None:
         from .service import TenantBook
@@ -613,10 +605,6 @@ def _cmd_serve(args) -> int:
     print(f"wasai scan service on http://{host}:{port} "
           f"(store {args.store}, {args.workers} workers, "
           f"queue depth {args.queue_depth})", flush=True)
-    if args.resume:
-        replayed = service.resume_from_journal()
-        print(f"resumed {replayed} checkpointed job(s) from "
-              f"{args.journal}", flush=True)
     checkpointed = serve_forever(server)
     print(f"drained; {checkpointed} queued job(s) checkpointed",
           flush=True)

@@ -267,29 +267,5 @@ def evaluate_corpus(samples: list[BenchmarkSample],
             tables[tool].record(sample.vuln_type, sample.label,
                                 scan.detected(sample.vuln_type))
     if perf is not None:
-        perf.jobs = jobs
-        perf.wall_s += wall_s
-        perf.failures += run.failed_attempts
-        perf.retries += run.retries
-        perf.quarantined += len(run.quarantine.quarantined())
-        for index, result in enumerate(run.results):
-            if not result.ok or index in run.reused_indices:
-                continue
-            outcome = result.value
-            perf.campaigns += len(outcome.scans)
-            perf.retries += outcome.retries
-            perf.add_stage_seconds(outcome.stage_seconds)
-            if result.elapsed_s > 0:
-                perf.record_latency("task", result.elapsed_s)
-            for stage, seconds in outcome.stage_seconds.items():
-                perf.record_latency(stage, seconds)
-            perf.add_cache_deltas(outcome.instr_cache_hits,
-                                  outcome.instr_cache_misses,
-                                  outcome.solver_cache_hits,
-                                  outcome.solver_cache_misses,
-                                  outcome.instr_disk_hits,
-                                  outcome.instr_disk_misses,
-                                  outcome.solver_disk_hits,
-                                  outcome.solver_disk_misses,
-                                  worker_id=outcome.worker_id or None)
+        perf.add_run(run, jobs, wall_s)
     return tables

@@ -159,36 +159,49 @@ class ThroughputStats:
         return self.solver_cache_hits / total if total else 0.0
 
     # -- aggregation (driven by the harness) ------------------------------
-    def add_stage_seconds(self, stage_seconds: dict[str, float]) -> None:
-        for stage, seconds in stage_seconds.items():
+    def add_run(self, run, jobs: int, wall_s: float) -> None:
+        """Fold one :func:`~repro.resilience.run_resilient_tasks` run:
+        its attempts, retries, quarantine and every fresh result."""
+        self.jobs = jobs
+        self.wall_s += wall_s
+        self.failures += run.failed_attempts
+        self.retries += run.retries
+        self.quarantined += len(run.quarantine.quarantined())
+        for index, result in enumerate(run.results):
+            if result.ok and index not in run.reused_indices:
+                self.add_result(result.value, result.elapsed_s)
+
+    def add_result(self, result, elapsed_s: float = 0.0) -> None:
+        """Fold one freshly run :class:`~repro.parallel.CampaignResult`:
+        its completed scans, retries, stage seconds and per-stage
+        latencies, its cache counters (also under its worker), and
+        (when given) the task's wall-clock ``elapsed_s`` as a ``task``
+        latency sample."""
+        self.campaigns += len(result.scans)
+        self.retries += result.retries
+        if elapsed_s > 0:
+            self.record_latency("task", elapsed_s)
+        for stage, seconds in result.stage_seconds.items():
             self.stage_seconds[stage] = \
                 self.stage_seconds.get(stage, 0.0) + seconds
-
-    def add_cache_deltas(self, instr_hits: int = 0, instr_misses: int = 0,
-                         solver_hits: int = 0,
-                         solver_misses: int = 0,
-                         instr_disk_hits: int = 0,
-                         instr_disk_misses: int = 0,
-                         solver_disk_hits: int = 0,
-                         solver_disk_misses: int = 0,
-                         worker_id: int | None = None) -> None:
-        self.instr_cache_hits += instr_hits
-        self.instr_cache_misses += instr_misses
-        self.solver_cache_hits += solver_hits
-        self.solver_cache_misses += solver_misses
-        self.instr_disk_hits += instr_disk_hits
-        self.instr_disk_misses += instr_disk_misses
-        self.solver_disk_hits += solver_disk_hits
-        self.solver_disk_misses += solver_disk_misses
-        if worker_id is not None:
-            per = self.per_worker.setdefault(worker_id, {
+            self.record_latency(stage, seconds)
+        self.instr_cache_hits += result.instr_cache_hits
+        self.instr_cache_misses += result.instr_cache_misses
+        self.solver_cache_hits += result.solver_cache_hits
+        self.solver_cache_misses += result.solver_cache_misses
+        self.instr_disk_hits += result.instr_disk_hits
+        self.instr_disk_misses += result.instr_disk_misses
+        self.solver_disk_hits += result.solver_disk_hits
+        self.solver_disk_misses += result.solver_disk_misses
+        if result.worker_id:
+            per = self.per_worker.setdefault(result.worker_id, {
                 "tasks": 0, "instr_hits": 0, "instr_misses": 0,
                 "solver_hits": 0, "solver_misses": 0})
             per["tasks"] += 1
-            per["instr_hits"] += instr_hits
-            per["instr_misses"] += instr_misses
-            per["solver_hits"] += solver_hits
-            per["solver_misses"] += solver_misses
+            per["instr_hits"] += result.instr_cache_hits
+            per["instr_misses"] += result.instr_cache_misses
+            per["solver_hits"] += result.solver_cache_hits
+            per["solver_misses"] += result.solver_cache_misses
 
     def per_worker_hit_rates(self) -> dict[int, dict[str, float]]:
         """Combined (instr + solver) cache hit rate per worker."""

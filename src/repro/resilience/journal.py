@@ -39,24 +39,8 @@ class CampaignJournal:
 
     def load(self) -> dict[str, dict]:
         """All readable entries, last-wins per key."""
-        entries: dict[str, dict] = {}
-        if not self.path.exists():
-            return entries
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue  # truncated tail from a killed run
-                if not isinstance(doc, dict) or doc.get("v") != _VERSION:
-                    continue
-                key = doc.get("key")
-                if isinstance(key, str):
-                    entries[key] = doc
-        return entries
+        return {doc["key"]: doc for doc in self.read_from(0)[0]
+                if doc.get("v") == _VERSION and isinstance(doc["key"], str)}
 
     def record(self, key: str, result_doc: dict) -> None:
         """Append one completed result (flushed line-atomically).
@@ -73,30 +57,72 @@ class CampaignJournal:
             handle.write(json.dumps(doc, sort_keys=True) + "\n")
             handle.flush()
 
+    def read_from(self, cursor: int = 0) -> tuple[list[dict], int]:
+        """Lines appended since ``cursor``; returns ``(docs, cursor)``.
+
+        A cursor counts bytes of the journal's whole history: a
+        compacted file opens with ``{"base": B}``, B being the history
+        before it, so a cursor from before a compaction (<= B) or past
+        a truncated end re-reads the whole file instead of skipping
+        lines.  A cursor only passes complete lines: a torn tail is
+        re-read next time.
+        """
+        try:
+            with open(self.path, "rb") as handle:
+                base = _base(handle.readline()) or 0
+                offset = cursor - base
+                if not 0 < offset <= handle.seek(0, 2):
+                    offset = 0
+                handle.seek(offset)
+                blob = handle.read()
+        except OSError:
+            return [], 0
+        end = blob.rfind(b"\n") + 1
+        docs = []
+        for line in blob[:end].splitlines():
+            try:
+                doc = json.loads(line)
+            except ValueError:  # incl. UnicodeDecodeError
+                continue  # malformed line: skip, keep the cursor
+            if isinstance(doc, dict) and "key" in doc:
+                docs.append(doc)
+        return docs, base + offset + end
+
     def compact(self) -> int:
         """Rewrite the journal keeping only the last-wins line per key.
 
         An append-only journal under a long-lived service grows without
-        bound (every retry checkpoint, claim tombstone and verdict
-        record appends a line, even when it supersedes an earlier one).
+        bound (every rewrite or drop of a key appends a line, even when
+        it supersedes an earlier one).
         Compaction is crash-safe: the survivors are written to a
         sibling temp file which atomically replaces the journal, so a
         kill mid-compaction leaves either the old file or the new one,
-        never a mix.  Returns the number of superseded lines removed.
+        never a mix.  The new file opens with the ``{"base": B}`` line
+        :meth:`read_from` needs.  Returns how many lines were dropped.
         """
         if not self.path.exists():
             return 0
         entries = self.load()
-        with open(self.path, "r", encoding="utf-8") as handle:
-            before = sum(1 for line in handle if line.strip())
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        base = _base(data.split(b"\n", 1)[0])
+        before = sum(1 for line in data.splitlines() if line.strip())
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
         with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps({"base": (base or 0) + len(data)})
+                         + "\n")
             for doc in entries.values():
                 handle.write(json.dumps(doc, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
-        return max(0, before - len(entries))
+        return max(0, before - (base is not None) - len(entries))
+
+
+def _base(line: bytes) -> "int | None":
+    """The history base on a compacted journal's first line, or None."""
+    head, _, digits = line.rstrip().rstrip(b"}").partition(b'{"base": ')
+    return int(digits) if not head and digits.isdigit() else None
 
 
 def campaign_task_key(task) -> str:

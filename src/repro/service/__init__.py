@@ -8,8 +8,8 @@ work it has already done — and heals itself when workers die, pipeline
 stages fail in a loop, or its own storage corrupts.
 
 * :mod:`repro.service.store` — SQLite content-addressed artifact
-  store (modules, verdicts, coverage timelines, quarantine records)
-  with per-row content checksums and a disk-budget guard;
+  store (modules, verdicts, coverage, quarantine, drain checkpoints)
+  with per-row checksums, a disk-budget guard and a verdict log;
 * :mod:`repro.service.integrity` — the typed storage-integrity errors
   (:class:`StoreCorruption`, :class:`StoreBudgetExceeded`) and the
   checksum primitive;
@@ -38,7 +38,7 @@ stages fail in a loop, or its own storage corrupts.
   remote-HTTP node implementations plus the consistent-hash
   :class:`HashRing`;
 * :mod:`repro.service.fleet` — :class:`ScanFleet`: consistent-hash
-  sharding, work stealing, journal-shipped read replicas,
+  sharding, work stealing, log-shipped read replicas,
   exactly-once failover on node death, partition control;
 * :mod:`repro.service.tenants` — per-tenant API keys with
   admission-time rate limits and quotas (:class:`TenantBook`);

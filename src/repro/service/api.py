@@ -54,9 +54,9 @@ Endpoints
 
 ``GET /stats``
     Queue depth, in-flight, dedup hit rates, shed counts, p50/p95 job
-    latency, per-stage breaker snapshots and the self-healing counters
-    (worker restarts, breaker trips, integrity repairs, journal
-    compactions).
+    latency, per-stage breaker snapshots, store rows per table (drain
+    checkpoints under ``pending``) and the self-healing counters
+    (worker restarts, breaker trips, integrity repairs, log compactions).
 
 ``GET /integrity``
     On-demand storage integrity sweep: recomputes every stored row's
@@ -75,9 +75,9 @@ Fleet surface
 When the daemon is part of a fleet, four more endpoints carry the
 coordinator verbs on the wire — ``POST /fleet/steal`` (donate
 unclaimed queue entries as base64 recipes), ``GET
-/fleet/journal?cursor=N`` (ship verdict-journal entries past a byte
-cursor), ``POST /fleet/replicate`` (apply shipped verdicts
-idempotently) and ``POST /fleet/partition`` (chaos/topology control).
+/fleet/journal?cursor=N`` (ship the store's verdict-log lines past a
+byte cursor), ``POST /fleet/replicate`` (replay shipped writes and
+drops) and ``POST /fleet/partition`` (chaos/topology control).
 Submissions gain three admission outcomes: ``401 unauthorized`` (a
 required/unknown API key when a :class:`~repro.service.tenants.
 TenantBook` is installed), ``429`` with ``kind: "quota"`` (a known
@@ -341,7 +341,7 @@ class ServiceApi:
         except ValueError:
             return 400, {"error": "bad_request",
                          "detail": "cursor must be an integer"}
-        entries, new_cursor = self.service.ship_journal(cursor)
+        entries, new_cursor = self.service.store.read_log(cursor)
         return 200, {"entries": entries, "cursor": new_cursor}
 
     def _fleet_replicate(self, body: bytes) -> tuple[int, dict]:
@@ -354,7 +354,9 @@ class ServiceApi:
         if not isinstance(entries, list):
             return 400, {"error": "bad_request",
                          "detail": "need an entries list"}
-        applied = self.service.apply_replica_verdicts(entries)
+        # Unauthenticated input: fill absent keys, never touch held ones.
+        applied = self.service.apply_replica_verdicts(entries,
+                                                      insert_only=True)
         return 200, {"applied": applied}
 
     def _fleet_partition(self, body: bytes) -> tuple[int, dict]:

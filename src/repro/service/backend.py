@@ -2,7 +2,7 @@
 
 PR 4/5 built a single self-healing daemon; fleet scale needs the
 scheduler split behind an interface so the *same* coordinator logic
-(consistent-hash sharding, work stealing, journal-shipped replicas,
+(consistent-hash sharding, work stealing, log-shipped replicas,
 failover) drives any deployment shape.  :class:`CoordinatorBackend`
 is that seam — everything the fleet layer ever does to a node:
 
@@ -10,8 +10,10 @@ is that seam — everything the fleet layer ever does to a node:
 * ``steal`` — pull *unclaimed* queue entries off an overloaded node
   as self-contained recipes a peer can run (never in-flight claims);
 * ``ship_journal`` / ``apply_replica_verdicts`` — the read-replica
-  pipe: a monotonic byte cursor over the node's JSONL journal on the
-  shipping side, idempotent verdict ingestion on the applying side;
+  pipe: a monotonic cursor over the node store's verdict log on the
+  shipping side, replay of its writes, rewrites and drops on the
+  applying side (over HTTP, which carries no key: writes of absent
+  keys only);
 * ``set_partitioned`` — chaos/topology control for partition drills;
 * ``kill`` — abrupt node death (no drain, no checkpoint).
 
@@ -261,7 +263,7 @@ class InProcessBackend(CoordinatorBackend):
         return self._check().steal_unclaimed(max_jobs, thief=thief)
 
     def ship_journal(self, cursor: int = 0) -> tuple[list[dict], int]:
-        return self._check().ship_journal(cursor)
+        return self._check().store.read_log(cursor)
 
     def apply_replica_verdicts(self, entries: list[dict]) -> int:
         return self._check().apply_replica_verdicts(entries)
@@ -375,14 +377,12 @@ class RemoteBackend(CoordinatorBackend):
 
 
 def _process_node_main(name: str, conn, store_path: str,
-                       journal_path: str, config_doc: dict) -> None:
+                       config_doc: dict) -> None:
     """Child-process entry: boot a full daemon, report the port."""
-    from ..resilience import CampaignJournal
     from .scheduler import ScanServiceConfig
     from .server import make_server, serve_forever
     service = ScanService(
-        store=store_path, config=ScanServiceConfig(**config_doc),
-        journal=CampaignJournal(journal_path))
+        store=store_path, config=ScanServiceConfig(**config_doc))
     server = make_server(service, host="127.0.0.1", port=0)
     conn.send(server.server_address[1])
     conn.close()
@@ -391,7 +391,7 @@ def _process_node_main(name: str, conn, store_path: str,
 
 class ProcessBackend(RemoteBackend):
     """A node in a supervised local child process (the process-pool
-    backend): a whole daemon — store, journal, workers, HTTP — booted
+    backend): a whole daemon — store, workers, HTTP — booted
     per node, so node death is *real* process death and the fleet's
     failover path is exercised against the same transport a remote
     deployment uses."""
@@ -416,8 +416,7 @@ class ProcessBackend(RemoteBackend):
         self._process = ctx.Process(
             target=_process_node_main,
             args=(self.name, child_conn,
-                  f"{self.root}/{self.name}.db",
-                  f"{self.root}/{self.name}.jsonl", self._config),
+                  f"{self.root}/{self.name}.db", self._config),
             daemon=True)
         self._process.start()
         child_conn.close()

@@ -1,7 +1,7 @@
 """``wasai chaos`` — drill the self-healing runtime against a live daemon.
 
 The drill boots a real HTTP scan daemon (ephemeral port, throwaway
-store + journal in a temp directory) and marches it through a
+store and its verdict log in a temp directory) and marches it through a
 deterministic fault schedule, phase by phase, asserting the liveness
 invariants the self-healing machinery promises:
 
@@ -29,7 +29,7 @@ runs this), ``quick`` (a subset for fast local runs and the unit
 test), ``fleet`` — a 3-node in-process fleet marched through
 consistent-hash routing, tenant quotas, work stealing, a network
 partition (minority refuses writes, serves stale-marked reads, heals
-by journal replay) and a node kill mid-scan (every orphaned job fails
+by verdict-log replay) and a node kill mid-scan (every orphaned job fails
 over to a surviving shard owner exactly once), asserting fleet-wide:
 no lost job, no duplicate or changed verdict, truthful health — and
 ``overload``, which bursts a small daemon at 5x its capacity with
@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..benchgen import ContractConfig, generate_contract
-from ..resilience import (CampaignJournal, Fault, clear_fault_plan,
-                          install_fault_plan)
+from ..resilience import Fault, clear_fault_plan, install_fault_plan
 from ..wasm import encode_module
 from .backend import InProcessBackend
 from .client import ServiceClient, ServiceError
@@ -144,10 +143,8 @@ class _Drill:
             restart_backoff_s=0.01,
             breaker_threshold=2, breaker_cooldown_s=0.75,
             capture_traces=True)
-        self.journal = CampaignJournal(root / "chaos.jsonl")
         self.service = ScanService(store=str(root / "chaos.db"),
-                                   config=self.config,
-                                   journal=self.journal)
+                                   config=self.config)
         self.server = make_server(self.service, port=0)
         self.port = self.server.server_address[1]
         self.thread = threading.Thread(
@@ -259,7 +256,8 @@ class _Drill:
 
     def store_corruption(self) -> str:
         """A verdict row is corrupted at rest; the next read detects
-        it, quarantines the database and rebuilds from the journal."""
+        it, quarantines the database and rebuilds from the store's
+        verdict log."""
         # after=1 skips the module write: the 2nd store write of the
         # next submission is the verdict row.
         install_fault_plan(Fault(stage="store", kind="corrupt",
@@ -285,23 +283,23 @@ class _Drill:
         quarantined = list(Path(self.root).glob("chaos.db.corrupt-*"))
         _expect(len(quarantined) >= 1,
                 "corrupt database image was not quarantined aside")
-        return ("verdict row corrupted, store rebuilt from journal, "
+        return ("verdict row corrupted, store rebuilt from its log, "
                 "recovered verdict byte-identical")
 
     def journal_truncation(self) -> str:
-        """A torn (truncated) journal line neither breaks resume
+        """A torn (truncated) verdict-log line neither breaks log
         parsing nor survives compaction."""
-        path = self.journal.path
-        with open(path, "a", encoding="utf-8") as handle:
+        log = self.service.store.log
+        with open(log.path, "a", encoding="utf-8") as handle:
             handle.write('{"v": 1, "key": "torn-by-a-crash", "resu')
-        before = self.journal.load()
+        before = log.load()
         _expect("torn-by-a-crash" not in before,
                 "truncated journal line was parsed as a real entry")
         removed = self.service.compact_journal()
         _expect(removed >= 1,
                 f"compaction removed {removed} lines; the torn line "
                 "survived")
-        _expect(self.journal.load().keys() == before.keys(),
+        _expect(log.load().keys() == before.keys(),
                 "compaction lost journal entries")
         stats = self.stats()
         _expect(stats["resilience"]["journal_compactions"] >= 1,
@@ -777,8 +775,7 @@ class _FleetDrill:
         backends = []
         for name in self.NODES:
             service = ScanService(
-                store=str(root / f"{name}.db"), config=self.config,
-                journal=CampaignJournal(root / f"{name}.jsonl"))
+                store=str(root / f"{name}.db"), config=self.config)
             backends.append(InProcessBackend(name, service))
         self.tenants = TenantBook(require_key=False)
         self.tenants.register("drill", "drill-key",

@@ -51,6 +51,8 @@ import urllib.error
 import urllib.request
 import zlib
 
+from .queue import TERMINAL_STATES
+
 __all__ = ["ServiceClient", "ServiceError"]
 
 # Connection-level failures worth retrying: the daemon is restarting,
@@ -323,8 +325,7 @@ class ServiceClient:
             doc["oracles"] = (oracles if isinstance(oracles, str)
                               else list(oracles))
         job_doc = self._checked("POST", "/reverdict", doc)
-        if wait and job_doc.get("state") not in (
-                "done", "failed", "quarantined", "deadline_exceeded"):
+        if wait and job_doc.get("state") not in TERMINAL_STATES:
             return self.wait(job_doc["id"], timeout_s)
         return job_doc
 
@@ -334,9 +335,7 @@ class ServiceClient:
         deadline = time.monotonic() + timeout_s
         while True:
             doc = self.status(job_id)
-            if doc.get("state") in ("done", "failed", "quarantined",
-                                    "deadline_exceeded", "rejected",
-                                    "stolen"):
+            if doc.get("state") in TERMINAL_STATES:
                 return doc
             if time.monotonic() >= deadline:
                 raise TimeoutError(

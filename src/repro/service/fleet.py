@@ -30,18 +30,18 @@ thief claim token so a stolen-then-reappearing job resolves exactly
 once.  The fleet record is remapped to the thief, so callers polling
 a stolen job never notice.
 
-**Read replicas.**  :meth:`replicate_once` ships each node's JSONL
-verdict journal to every peer behind a monotonic per-(source, target)
-byte cursor; application is idempotent (existence-checked per scan
-key).  A replica that was down or partitioned catches up by replaying
-from its cursor — or from zero if the source compacted/truncated
-underneath it.
+**Read replicas.**  :meth:`replicate_once` ships each node store's
+verdict log (writes, re-verdict rewrites, drops) to every peer behind
+a monotonic per-(source, target) cursor; a replica fills keys it
+lacks and takes newer re-verdicts and drops, never an older line.  A
+replica that was down or partitioned catches up by replaying from its
+cursor — or from zero if the source compacted/truncated underneath.
 
 **Partitions.**  :meth:`partition` cuts a strict minority off: those
 nodes refuse writes (typed 503, ``stale``-marked reads) and leave the
 ring, so the majority keeps serving every shard.  :meth:`heal`
-reverses it and immediately replays journals so the rejoined nodes
-converge before taking traffic.
+reverses it and immediately replays verdict logs so the rejoined
+nodes converge before taking traffic.
 """
 
 from __future__ import annotations
@@ -52,13 +52,15 @@ from dataclasses import dataclass, field
 
 from .backend import (BackendUnavailable, CoordinatorBackend, HashRing,
                       module_hash_of)
+from .queue import TERMINAL_STATES
 from .scheduler import NodePartitioned
 from .tenants import TenantBook
 
 __all__ = ["FleetConfig", "FleetJob", "ScanFleet"]
 
-_TERMINAL = ("done", "failed", "quarantined", "deadline_exceeded",
-             "rejected")
+# A node's ``stolen`` job is not an answer: the fleet record has
+# already moved on to the thief's copy.
+_TERMINAL = tuple(state for state in TERMINAL_STATES if state != "stolen")
 
 
 @dataclass
@@ -318,11 +320,11 @@ class ScanFleet:
 
     # -- replication -------------------------------------------------------
     def replicate_once(self) -> int:
-        """Ship every live node's journal to every live peer; returns
-        verdicts newly applied.  Cursors are per (source, target) and
-        monotonic; a cursor past the source's file (compaction,
-        truncation) restarts from zero and relies on idempotent
-        application."""
+        """Ship every live node's verdict log to every live peer;
+        returns verdicts newly applied.  Cursors are per (source,
+        target) and monotonic; one from before a compaction or past a
+        truncation restarts from zero and relies on the replay
+        skipping what the peer already holds."""
         live = self.live_nodes()
         applied = 0
         for source in live:
@@ -418,7 +420,7 @@ class ScanFleet:
 
     def heal(self) -> int:
         """End the partition: clear the flags, rejoin the ring, and
-        replay journals so rejoined replicas converge.  Returns
+        replay verdict logs so rejoined replicas converge.  Returns
         verdicts applied during catch-up."""
         with self._lock:
             names = sorted(self._partitioned)

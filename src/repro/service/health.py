@@ -32,8 +32,7 @@ import time
 from typing import Callable
 
 __all__ = ["CircuitBreaker", "BreakerBoard", "BREAKER_STAGES",
-           "BLACKBOX_GATED_STAGES", "PRESSURE_LEVELS", "pressure_rank",
-           "max_pressure"]
+           "BLACKBOX_GATED_STAGES", "PRESSURE_LEVELS", "pressure_rank"]
 
 # Pipeline stages the service tracks breakers for.  These are the
 # taxonomy's stage names ("symback" is the symbolic-replay stage).
@@ -67,11 +66,6 @@ def pressure_rank(level: str) -> int:
         return PRESSURE_LEVELS.index(level)
     except ValueError:
         return 0
-
-
-def max_pressure(a: str, b: str) -> str:
-    """The more severe of two ladder levels."""
-    return a if pressure_rank(a) >= pressure_rank(b) else b
 
 
 class CircuitBreaker:

@@ -16,7 +16,7 @@ signals —
   layer can shed with a 429 —
 
 are the scheduler's cue to quarantine the damaged database file and
-rebuild the store from the journal instead of crashing or, worse,
+rebuild the store from its verdict log instead of crashing or, worse,
 serving a wrong verdict.
 """
 

@@ -46,10 +46,11 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["Job", "JobQueue", "QueueFull", "JOB_STATES"]
+__all__ = ["Job", "JobQueue", "QueueFull", "JOB_STATES", "TERMINAL_STATES"]
 
-JOB_STATES = ("queued", "running", "done", "failed", "quarantined",
-              "deadline_exceeded", "rejected", "stolen")
+TERMINAL_STATES = ("done", "failed", "quarantined", "deadline_exceeded",
+                   "stolen")
+JOB_STATES = ("queued", "running") + TERMINAL_STATES
 
 
 class QueueFull(Exception):
@@ -102,8 +103,7 @@ class Job:
 
     @property
     def terminal(self) -> bool:
-        return self.state in ("done", "failed", "quarantined",
-                              "deadline_exceeded", "rejected", "stolen")
+        return self.state in TERMINAL_STATES
 
     def deadline_remaining_s(self,
                              now_epoch_s: float | None = None) -> float:

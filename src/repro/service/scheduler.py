@@ -49,23 +49,23 @@ Self-healing (this PR's tentpole) has four pillars:
 * **storage integrity** — every store access routes through a healing
   wrapper: a typed :class:`StoreCorruption` (checksum mismatch or a
   malformed SQLite image) quarantines the corrupt database file aside
-  and rebuilds a fresh store from the journal's verdict records.
+  and rebuilds a fresh store by replaying the store's own verdict log.
   Budget exhaustion surfaces as typed disk backpressure
   (``QueueFull(kind="disk")``), never a crash.
 * **chaos-ready chokepoints** — the worker loop, the store's disk
-  guard and the journal writes all pass deterministic fault-injection
-  chokepoints, so ``wasai chaos`` can rehearse every healing path
-  against a live daemon.
+  guard and the verdict-log writes all pass deterministic
+  fault-injection chokepoints, so ``wasai chaos`` can rehearse every
+  healing path against a live daemon.
 
 Failure containment reuses the resilience policy end to end:
 ``run_campaign_task`` retries/degrades *inside* the job, and the
 service retries whole failed jobs up to ``policy.max_retries`` before
 benching the scan key after ``policy.quarantine_after`` failures.
 
-Graceful drain checkpoints still-queued jobs into the JSONL journal;
-:meth:`resume_from_journal` replays them exactly once (claim
-tombstones make double replay impossible) and then compacts the
-journal so it cannot grow without bound across daemon generations.
+The :class:`ArtifactStore` is the only durable interface: it logs every
+verdict write, rewrite and drop for rebuilds and read replicas, and
+holds the drain checkpoints that :meth:`ScanService.resume` (run by
+:meth:`~ScanService.start`) resubmits once each and deletes.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from pathlib import Path
 from ..eosio.abi import Abi
 from ..metrics import ThroughputStats
 from ..parallel.campaigns import CampaignTask, run_campaign_task
-from ..resilience import (CampaignJournal, MalformedModule, Quarantine,
+from ..resilience import (MalformedModule, Quarantine,
                           ResiliencePolicy, WorkerKill,
                           campaign_task_key)
 from ..resilience.faultinject import inject
@@ -103,8 +103,8 @@ class NodePartitioned(Exception):
     """This node believes it is on the minority side of a network
     partition: it refuses writes (new submissions) so a split brain
     can never produce two authoritative verdict histories, and serves
-    reads marked ``stale`` until the partition heals and the journal
-    replay catches it back up."""
+    reads marked ``stale`` until the partition heals and the verdict
+    log replay catches it back up."""
 
     def __init__(self, message: str, *, retry_after_s: float = 5.0):
         super().__init__(message)
@@ -190,17 +190,12 @@ class ScanService:
     def __init__(self, store: "ArtifactStore | str" = ":memory:",
                  config: ScanServiceConfig | None = None,
                  policy: ResiliencePolicy | None = None,
-                 journal: "CampaignJournal | str | None" = None,
                  ingest_budget=None):
         self.config = config or ScanServiceConfig()
         self.store = (store if isinstance(store, ArtifactStore)
                       else ArtifactStore(
                           store, max_bytes=self.config.store_max_bytes))
         self.policy = policy or ResiliencePolicy()
-        if isinstance(journal, CampaignJournal) or journal is None:
-            self.journal = journal
-        else:
-            self.journal = CampaignJournal(journal)
         self.ingest_budget = ingest_budget
         self.queue = JobQueue(max_depth=self.config.max_depth,
                               promote_after_s=self.config.promote_after_s,
@@ -224,7 +219,6 @@ class ScanService:
 
         self._lock = threading.RLock()
         self._heal_lock = threading.Lock()     # store recovery critical section
-        self._journal_lock = threading.Lock()  # append/compact exclusion
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[str, Job] = {}   # scan_key -> live job
         self._running_jobs: set[str] = set()  # job ids claimed by workers
@@ -236,7 +230,6 @@ class ScanService:
         self._replay_served = 0       # brownout replay-serve hits
         self._browned_out = 0         # jobs run with a shrunk budget
         self._forced_blackbox = 0
-        self._store_recoveries = 0
         self._replica_applied = 0     # verdicts applied from peers
         self._storm = False
         self._accepting = True
@@ -281,11 +274,12 @@ class ScanService:
                 target=self._housekeeper_main, name="housekeeper",
                 daemon=True)
             self._housekeeper.start()
+        self.resume()
 
     def drain(self, wait_s: float = 30.0) -> int:
         """Graceful shutdown: refuse new work, finish running jobs,
         checkpoint whatever is still queued.  Returns the number of
-        jobs checkpointed to the journal."""
+        jobs checkpointed to the store's ``pending`` table."""
         with self._lock:
             self._accepting = False
             self._draining = True
@@ -308,8 +302,9 @@ class ScanService:
                 # resume cannot re-run it.
                 self._settle(job, None, "deadline_exceeded",
                              error="deadline passed during drain")
-            elif not job.terminal and self._journal_record(
-                    job.scan_key, {"pending": self._recipe(job)}):
+            elif not job.terminal:
+                self._healed(lambda j=job: self.store.put_pending(
+                    j.scan_key, self._recipe(j)))
                 checkpointed += 1
         return checkpointed
 
@@ -343,7 +338,7 @@ class ScanService:
         :class:`NodePartitioned` and every health/stats read carries
         ``stale: true`` — the node keeps serving what it already
         knows, clearly labelled, but never diverges the write
-        history.  Healing is the fleet's journal replay, not a local
+        history.  Healing is the fleet's verdict-log replay, not a local
         state change, so leaving the mode is just clearing the flag."""
         with self._lock:
             self._partitioned = partitioned
@@ -370,13 +365,10 @@ class ScanService:
 
     def _recover_store(self, reason: str) -> int:
         """Quarantine the corrupt database file aside and rebuild a
-        fresh store from the journal's verdict records.  Returns how
-        many verdicts were restored."""
-        # Lock order: the service lock may already be held by this
-        # thread (recovery can fire from inside admission); the heal
-        # lock must therefore never wrap an acquisition of self._lock.
-        with self._lock:
-            self._store_recoveries += 1
+        fresh store by replaying its verdict log.  Returns how many
+        verdicts were restored."""
+        # Recovery can fire from inside admission, with the service
+        # lock held: never acquire self._lock under the heal lock.
         with self._heal_lock:
             self.perf.integrity_repairs += 1
             old = self.store
@@ -404,37 +396,10 @@ class ScanService:
                     except OSError:
                         pass
             self.store = ArtifactStore(path, max_bytes=old.max_bytes)
-            if self.journal is None:
-                return 0
             try:
-                return self._apply_verdicts(self.journal.load().values())
+                return self.store.replay()
             except (OSError, StoreCorruption):
                 return 0
-
-    def _apply_verdicts(self, entries) -> int:
-        """The one journal-replay loop, shared by store rebuilds and
-        read replicas: write every verdict record among ``entries``
-        (journal lines) that the store does not hold yet.  Pending
-        checkpoints and claim tombstones are skipped.  Idempotent —
-        verdicts are deterministic in their scan key — so a replay
-        from zero costs reads, never wrong writes."""
-        applied = 0
-        for doc in entries:
-            key, inner = doc.get("key"), doc.get("result")
-            verdict = inner.get("verdict") \
-                if isinstance(inner, dict) else None
-            if not isinstance(key, str) or not isinstance(verdict, dict) \
-                    or self.store.has_verdict(key):
-                continue
-            try:
-                self.store.put_verdict(
-                    key, verdict.get("module_hash", ""),
-                    verdict.get("config", {}),
-                    verdict.get("result", {}))
-            except StoreBudgetExceeded:
-                break
-            applied += 1
-        return applied
 
     def integrity_sweep(self, repair: bool = True) -> dict:
         """Recompute every stored row's checksum; with ``repair`` the
@@ -460,20 +425,9 @@ class ScanService:
         return {"tables": tables, "corrupt_rows": corrupt,
                 "repaired": repaired}
 
-    def _journal_record(self, key: str, doc: dict) -> bool:
-        if self.journal is None:
-            return False
-        with self._journal_lock:
-            self.journal.record(key, doc)
-        return True
-
     def compact_journal(self) -> int:
-        """Drop journal lines superseded by later writes (safe to run
-        on a live service; appends are excluded while compacting)."""
-        if self.journal is None:
-            return 0
-        with self._journal_lock:
-            removed = self.journal.compact()
+        """Compact the store's verdict log (safe on a live service)."""
+        removed = self.store.compact_log()
         self.perf.journal_compactions += 1
         return removed
 
@@ -571,8 +525,8 @@ class ScanService:
             from ..semoracle.registry import resolve_oracles
             stored_config["oracles"] = list(
                 resolve_oracles(stored_config["oracles"]))
-        # Persist the upload before admission decisions: the journal's
-        # drain checkpoints reference modules by hash, so the bytes
+        # Persist the upload before admission decisions: drain
+        # checkpoints reference modules by hash, so the bytes
         # must already be durable by the time a job can be queued.  A
         # blown disk budget is typed backpressure, not a crash.
         try:
@@ -628,7 +582,7 @@ class ScanService:
                 raise self._refuse(kind, message, depth=depth,
                                    limit=limit)
             job.task = task
-            self.queue.put(job)          # may raise QueueFull (typed)
+            self.queue.put(job, force=True)  # admission decided above
             self._jobs[job.job_id] = job
             self._inflight[scan_key] = job
         return Submission(job, "queued")
@@ -694,6 +648,10 @@ class ScanService:
         """
         self._check_writable()
         with self._lock:
+            depth, limit = self.queue.depth, self.config.max_depth
+            if depth >= limit:
+                raise self._refuse(
+                    "queue", f"queue depth {depth} at limit {limit}")
             self._submissions += 1
             job_id = uuid.uuid4().hex[:12]
             job = Job(job_id=job_id, client=client,
@@ -703,7 +661,7 @@ class ScanService:
                               "oracles": (oracles if oracles is not None
                                           else self.config.oracles)},
                       priority=priority, submitted_s=time.time())
-            self.queue.put(job)          # may raise QueueFull (typed)
+            self.queue.put(job, force=True)
             self._jobs[job.job_id] = job
             self._inflight[job.scan_key] = job
         return Submission(job, "queued")
@@ -808,7 +766,7 @@ class ScanService:
         result_doc = campaign_result_to_doc(result)
         # Trace-IR packs travel separately: the store's content-
         # addressed ``traces`` table holds the blob; the verdict doc
-        # (and the journal line) must not carry a base64 twin of it.
+        # (and its log line) must not carry a base64 twin of it.
         result_doc.pop("traces", None)
         if job.brownout is not None:
             # Honest provenance: a verdict produced under brownout
@@ -820,10 +778,9 @@ class ScanService:
         with self._lock:
             if job.claim != token or job.terminal:
                 return  # claim revoked: the requeued twin owns the job
-        # Persist (and journal, for store rebuilds and replicas) only
-        # a full answer: a degraded campaign (breaker-forced or
-        # degraded inside the fuzzer) or a browned-out one answers
-        # this caller but must never become the cached verdict.
+        # Persist only a full answer: a degraded campaign (breaker-
+        # forced or degraded inside the fuzzer) or a browned-out one
+        # answers this caller but must never become the cached verdict.
         if not result.degraded and job.brownout is None:
             try:
                 self._healed(lambda: self.store.put_verdict(
@@ -841,16 +798,14 @@ class ScanService:
                         self.perf.traces_stored += 1
             except StoreBudgetExceeded:
                 pass  # verdict still served from memory this once
-            try:
-                self._journal_record(job.scan_key, {"verdict": {
-                    "module_hash": job.module_hash,
-                    "config": dict(job.config),
-                    "result": result_doc,
-                }})
-            except OSError:
-                pass  # journal write failed; store still has it
         with self._lock:
-            if self._settle(job, token, "done", result_doc=result_doc):
+            if job.deadline_remaining_s() <= 0.0:
+                # The last fuzz round overran the caller's deadline:
+                # the verdict is kept, but nobody is waiting for it.
+                self._settle(job, token, "deadline_exceeded",
+                             error="deadline passed before the "
+                                   "campaign finished")
+            elif self._settle(job, token, "done", result_doc=result_doc):
                 self._record_latency(job, result)
 
     def _run_reverdict_job(self, job: Job, token: str) -> None:
@@ -1077,25 +1032,12 @@ class ScanService:
             self.perf.record_latency("job",
                                      job.finished_s - job.started_s)
             self.overload.observe_latency(job.finished_s - job.started_s)
-        for stage, seconds in result.stage_seconds.items():
-            self.perf.record_latency(stage, seconds)
-        self.perf.campaigns += len(result.scans)
-        self.perf.retries += result.retries
-        self.perf.add_stage_seconds(result.stage_seconds)
-        self.perf.add_cache_deltas(result.instr_cache_hits,
-                                   result.instr_cache_misses,
-                                   result.solver_cache_hits,
-                                   result.solver_cache_misses,
-                                   result.instr_disk_hits,
-                                   result.instr_disk_misses,
-                                   result.solver_disk_hits,
-                                   result.solver_disk_misses,
-                                   worker_id=result.worker_id or None)
+        self.perf.add_result(result)
 
     # -- checkpoint / resume / steal: one recipe -----------------------------
     def _recipe(self, job: Job) -> dict:
         """What re-running ``job`` elsewhere or later takes: drain
-        checkpoints journal it, work stealing ships it to a peer.  The
+        checkpoints store it, work stealing ships it to a peer.  The
         module bytes live in the store and are referenced by hash.
         The deadline is absolute wall-clock, so it survives restarts
         and hops unchanged and is re-checked wherever the job lands."""
@@ -1110,53 +1052,32 @@ class ScanService:
             recipe["deadline_epoch_s"] = job.deadline_epoch_s
         return recipe
 
-    def resume_from_journal(self) -> int:
-        """Resubmit every unclaimed pending job exactly once; returns
-        how many were replayed.  A replayed key is immediately claimed
-        with a tombstone line — the journal is append-only and
-        last-wins, so a second resume (or a crash between replays)
-        can never run the same checkpoint twice.  The journal is
-        compacted afterwards so claim/verdict churn from previous
-        daemon generations is dropped."""
-        if self.journal is None:
-            return 0
+    def resume(self) -> int:
+        """Resubmit every drain checkpoint in the store once; returns
+        how many were resubmitted.  Each checkpoint is deleted once
+        resubmitted, or when its module is lost or its deadline passed
+        while the daemon was down; one refused with a 429 stays for
+        the next start."""
         replayed = 0
-        for key, doc in self.journal.load().items():
-            inner = doc.get("result")
-            pending = inner.get("pending") \
-                if isinstance(inner, dict) else None
-            if not isinstance(pending, dict):
-                continue  # claim tombstone / verdict / campaign result
-            deadline = pending.get("deadline_epoch_s")
+        for key, recipe in self._healed(lambda: self.store.pending(),
+                                        default=[]):
+            deadline = recipe.get("deadline_epoch_s")
             data = self._healed(lambda: self.store.get_module(
-                pending.get("module_hash", "")))
-            if data is None:
-                claimed = "module lost"
-            elif deadline is not None and time.time() >= float(deadline):
-                # The deadline passed while the daemon was down:
-                # resurrecting the job would spend a campaign on an
-                # answer nobody is waiting for.  Tombstone it.
-                claimed = "deadline_exceeded"
-            else:
+                recipe["module_hash"]))
+            if data is not None and (deadline is None
+                                     or time.time() < deadline):
                 try:
-                    claimed = self.submit_bytes(
-                        data, pending.get("abi", "{}"),
-                        config=pending.get("config"),
-                        client=pending.get("client", "anon"),
-                        priority=int(pending.get("priority", 0)),
-                        deadline_epoch_s=(float(deadline)
-                                          if deadline is not None
-                                          else None)).job.job_id
+                    self.submit_bytes(
+                        data, recipe["abi"], config=recipe["config"],
+                        client=recipe["client"],
+                        priority=recipe["priority"],
+                        deadline_epoch_s=deadline)
                     replayed += 1
                 except QueueFull:
-                    continue  # stays pending for the next resume
+                    continue  # stays pending for the next start
                 except MalformedModule:
-                    claimed = "rejected"
-            self._journal_record(key, {"claimed": claimed})
-        try:
-            self.compact_journal()
-        except OSError:
-            pass  # compaction is best-effort; the journal still works
+                    pass  # can never run: drop the checkpoint
+            self._healed(lambda k=key: self.store.delete_pending(k))
         return replayed
 
     def steal_unclaimed(self, max_jobs: int,
@@ -1200,51 +1121,14 @@ class ScanService:
                                     scan_key=job.scan_key))
         return recipes
 
-    # -- fleet seam: journal shipping / read replicas ----------------------
-    def ship_journal(self, cursor: int = 0) -> tuple[list[dict], int]:
-        """Read journal entries appended since byte offset ``cursor``;
-        returns ``(entries, new_cursor)``.
-
-        The cursor is monotonic over one journal generation: it only
-        ever advances past *complete* lines, so a torn tail is re-read
-        next time.  If the file shrank below the cursor (compaction,
-        or a truncating crash), the cursor resets to zero and the
-        whole journal is re-shipped — replica application is
-        idempotent (verdicts are deterministic in their scan key), so
-        replay-from-zero is the catch-up path, not an error."""
-        if self.journal is None:
-            return [], cursor
-        path = Path(self.journal.path)
-        try:
-            size = path.stat().st_size
-        except OSError:
-            return [], 0
-        if cursor > size:
-            cursor = 0              # truncated/compacted: replay all
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(cursor)
-                blob = handle.read()
-        except OSError:
-            return [], cursor
-        end = blob.rfind(b"\n") + 1
-        entries: list[dict] = []
-        for line in blob[:end].splitlines():
-            try:
-                doc = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue            # malformed line: skip, keep cursor
-            if isinstance(doc, dict):
-                entries.append(doc)
-        return entries, cursor + end
-
-    def apply_replica_verdicts(self, entries: list[dict]) -> int:
-        """Apply a peer's shipped journal entries to this node's store
-        (read-replica ingestion) through the same replay loop a store
-        rebuild uses; pending checkpoints and claim tombstones are the
-        primary's business."""
-        applied = self._healed(lambda: self._apply_verdicts(entries),
-                               default=0)
+    # -- fleet seam: read replicas ----------------------------------------
+    def apply_replica_verdicts(self, entries: list[dict],
+                               insert_only: bool = False) -> int:
+        """Apply a peer's shipped verdict-log lines to this node's
+        store (read-replica ingestion) through the same replay loop a
+        store rebuild uses; ``insert_only`` fills absent keys alone."""
+        applied = self._healed(
+            lambda: self.store.replay(entries, insert_only), default=0)
         if applied:
             with self._lock:
                 self._replica_applied += applied
@@ -1343,7 +1227,7 @@ class ScanService:
                     "integrity_repairs": self.perf.integrity_repairs,
                     "journal_compactions":
                         self.perf.journal_compactions,
-                    "store_recoveries": self._store_recoveries,
+                    "store_recoveries": self.perf.integrity_repairs,
                     "forced_blackbox": self._forced_blackbox,
                 },
                 "traceir": {

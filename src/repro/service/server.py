@@ -8,8 +8,8 @@ so slow fuzzing campaigns never block health checks or status polls.
 
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: the daemon stops
 accepting, lets running campaigns finish, checkpoints still-queued
-jobs through the JSONL journal, and exits — ``wasai serve --resume``
-replays the checkpoints exactly once.
+jobs into the artifact store, and exits — the next daemon on the same
+``--store`` resubmits each checkpoint exactly once when it starts.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def serve_forever(server: ScanServer, drain_wait_s: float = 60.0,
                   install_signals: bool = True) -> int:
     """Serve until SIGTERM/SIGINT, then drain gracefully.
 
-    Returns the number of jobs checkpointed to the journal on the way
-    down (the count ``wasai serve --resume`` will replay).
+    Returns the number of jobs checkpointed to the store on the way
+    down (the count the next start on that store resubmits).
     """
     stop = threading.Event()
 

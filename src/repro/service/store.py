@@ -1,9 +1,10 @@
 """SQLite-backed, content-addressed artifact store for the scan service.
 
 The store is the service's memory across requests *and* across process
-restarts: uploaded modules, scan verdicts, coverage timelines,
-trace-IR packs and quarantine records all live in one SQLite file,
-keyed by the same identities the rest of the pipeline already uses —
+restarts, and the only durable interface the scheduler uses: uploaded
+modules, scan verdicts, coverage timelines, trace-IR packs, quarantine
+records and drain checkpoints all live in one SQLite file, keyed by the
+same identities the rest of the pipeline already uses —
 
 * modules by :func:`~repro.engine.module_content_hash` (the canonical
   ``sha256(encode_module(...))`` digest shared with the
@@ -16,8 +17,15 @@ Because campaigns are deterministic in that key, a stored verdict can
 be served for a resubmitted identical module+config without re-fuzzing
 and is guaranteed byte-identical to what a fresh campaign would
 produce.  Verdicts are stored as the journal's ``CampaignResult`` JSON
-docs, so the store and the checkpoint journal can never drift apart in
-what a "result" means.
+docs, so the store and the batch checkpoint journal can never drift
+apart in what a "result" means.
+
+A file store also appends every verdict write, rewrite and drop to a
+sibling ``<store>.jsonl`` verdict log (a
+:class:`~repro.resilience.CampaignJournal`): the one history that
+:meth:`ArtifactStore.replay` rebuilds a quarantined database from and
+that read replicas tail (:meth:`~ArtifactStore.read_log`) and replay.
+The ``pending`` table holds graceful-drain checkpoints.
 
 Integrity: every row carries an end-to-end sha256 content checksum
 (:func:`~repro.service.integrity.content_checksum` over the row's key
@@ -34,8 +42,9 @@ instead of crashing into a full disk; the guard doubles as the
 
 SQLite specifics: one connection (``check_same_thread=False``) behind
 an ``RLock`` — the daemon serves concurrent HTTP threads; WAL mode so
-readers never block the writer.  ``path=":memory:"`` gives the tests a
-throwaway store.  Pre-checksum (PR-4) database files are migrated in
+readers never block the writer; the lock also orders log appends
+against compaction.  ``path=":memory:"`` gives the tests a throwaway
+store with no log.  Older files without row checksums are migrated in
 place: the ``checksum`` column is added and backfilled on open.
 """
 
@@ -49,10 +58,20 @@ from pathlib import Path
 
 from ..resilience.errors import CampaignError
 from ..resilience.faultinject import inject, should_corrupt
+from ..resilience.journal import CampaignJournal
 from .integrity import (StoreBudgetExceeded, StoreCorruption,
                         content_checksum)
 
 __all__ = ["ArtifactStore"]
+
+
+def _oracle_version(doc: dict) -> int:
+    """The oracle version in a verdict doc's (or drop line's)
+    provenance; 0 when unstamped."""
+    provenance = doc.get("provenance")
+    version = provenance.get("oracle_version") \
+        if isinstance(provenance, dict) else None
+    return version if isinstance(version, int) else 0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS modules (
@@ -93,9 +112,16 @@ CREATE TABLE IF NOT EXISTS traces (
     created_s       REAL NOT NULL,
     checksum        TEXT
 );
+CREATE TABLE IF NOT EXISTS pending (
+    scan_key     TEXT PRIMARY KEY,
+    recipe       TEXT NOT NULL,
+    created_s    REAL NOT NULL,
+    checksum     TEXT
+);
 """
 
-_TABLES = ("modules", "verdicts", "coverage", "quarantine", "traces")
+_TABLES = ("modules", "verdicts", "coverage", "quarantine", "traces",
+           "pending")
 
 
 class ArtifactStore:
@@ -105,8 +131,10 @@ class ArtifactStore:
                  max_bytes: int | None = None):
         self.path = str(path)
         self.max_bytes = max_bytes
+        self.log: CampaignJournal | None = None
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
+            self.log = CampaignJournal(self.path + ".jsonl")
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(self.path,
                                      check_same_thread=False)
@@ -239,27 +267,49 @@ class ArtifactStore:
     # -- verdicts ----------------------------------------------------------
     def put_verdict(self, scan_key: str, module_hash: str,
                     config: dict, result_doc: dict) -> None:
-        """Record one completed campaign's result doc (last wins —
-        campaigns are deterministic in ``scan_key``, so a rewrite can
-        only ever store the same value)."""
-        result_json = json.dumps(result_doc, sort_keys=True)
-        self._guard_write(len(result_json))
-        with self._lock, self._conn:
-            self._execute(
-                "INSERT OR REPLACE INTO verdicts "
-                "(scan_key, module_hash, config, result, created_s, "
-                "checksum) VALUES (?, ?, ?, ?, ?, ?)",
-                (scan_key, module_hash,
-                 json.dumps(config, sort_keys=True),
-                 result_json, time.time(),
-                 self._write_checksum(scan_key, result_json)))
+        """Record one completed campaign's result doc (last wins: a
+        re-verdict sweep rewrites it with replay provenance)."""
+        verdict = {"module_hash": module_hash, "config": dict(config),
+                   "result": result_doc}
+        self._set_verdict(scan_key, verdict, {"verdict": verdict})
 
     def delete_verdict(self, scan_key: str) -> None:
         """Drop one verdict (marks the module re-scannable after its
-        backing trace was quarantined)."""
-        with self._lock, self._conn:
-            self._execute("DELETE FROM verdicts WHERE scan_key = ?",
-                          (scan_key,))
+        backing trace was quarantined).  The log line keeps the dropped
+        row's provenance, so a replica drops only a row no newer."""
+        held = self.get_verdict(scan_key) or {}
+        self._set_verdict(scan_key, None, {
+            "verdict": None, "provenance": held.get("provenance")})
+
+    def _set_verdict(self, scan_key: str, verdict: "dict | None",
+                     entry: "dict | None" = None) -> None:
+        """Write, or for ``None`` drop, one verdict row; with a log
+        ``entry`` also append it to the verdict log, so neither a
+        rebuild nor a replica can bring back an older state."""
+        with self._lock:
+            if verdict is None:
+                with self._conn:
+                    self._execute(
+                        "DELETE FROM verdicts WHERE scan_key = ?",
+                        (scan_key,))
+            else:
+                result_json = json.dumps(verdict["result"],
+                                         sort_keys=True)
+                self._guard_write(len(result_json))
+                with self._conn:
+                    self._execute(
+                        "INSERT OR REPLACE INTO verdicts "
+                        "(scan_key, module_hash, config, result, "
+                        "created_s, checksum) VALUES (?, ?, ?, ?, ?, ?)",
+                        (scan_key, verdict["module_hash"],
+                         json.dumps(verdict["config"], sort_keys=True),
+                         result_json, time.time(),
+                         self._write_checksum(scan_key, result_json)))
+            if entry is not None and self.log is not None:
+                try:
+                    self.log.record(scan_key, entry)
+                except OSError:
+                    pass  # the row stands; a rebuild would miss it
 
     def verdict_record(self, scan_key: str) -> dict | None:
         """The full verdict row (module hash + config + result doc),
@@ -275,16 +325,6 @@ class ArtifactStore:
         return {"scan_key": scan_key, "module_hash": row[0],
                 "config": json.loads(row[1]),
                 "result": json.loads(row[2])}
-
-    def has_verdict(self, scan_key: str) -> bool:
-        """Existence check without checksum verification — the cheap
-        idempotence probe replica ingestion runs per shipped entry (a
-        corrupt row still surfaces on the eventual read)."""
-        with self._lock:
-            row = self._execute(
-                "SELECT 1 FROM verdicts WHERE scan_key = ?",
-                (scan_key,)).fetchone()
-        return row is not None
 
     def get_verdict(self, scan_key: str) -> dict | None:
         """The stored ``CampaignResult`` doc, or None on a miss."""
@@ -397,6 +437,98 @@ class ArtifactStore:
                 "SELECT scan_key FROM quarantine ORDER BY scan_key")
             return [row[0] for row in rows.fetchall()]
 
+    # -- drain checkpoints -------------------------------------------------
+    def put_pending(self, scan_key: str, recipe: dict) -> None:
+        """Checkpoint one still-queued job's resubmission recipe.  Not
+        held to the disk budget: refusing it at shutdown would lose
+        the queued job, which costs more than a small row over budget."""
+        recipe_json = json.dumps(recipe, sort_keys=True)
+        with self._lock, self._conn:
+            self._execute(
+                "INSERT OR REPLACE INTO pending "
+                "(scan_key, recipe, created_s, checksum) "
+                "VALUES (?, ?, ?, ?)",
+                (scan_key, recipe_json, time.time(),
+                 self._write_checksum(scan_key, recipe_json)))
+
+    def pending(self) -> list[tuple[str, dict]]:
+        """Every drain checkpoint as ``(scan_key, recipe)``, oldest
+        first, checksum-verified."""
+        with self._lock:
+            rows = self._execute(
+                "SELECT scan_key, recipe, checksum FROM pending "
+                "ORDER BY created_s, scan_key").fetchall()
+        out = []
+        for key, recipe_json, stored in rows:
+            self._verify("pending", key, stored, key, recipe_json)
+            out.append((key, json.loads(recipe_json)))
+        return out
+
+    def delete_pending(self, scan_key: str) -> None:
+        with self._lock, self._conn:
+            self._execute("DELETE FROM pending WHERE scan_key = ?",
+                          (scan_key,))
+
+    # -- verdict log: replay, shipping, compaction --------------------------
+    def replay(self, entries=None, insert_only: bool = False) -> int:
+        """Bring every scan key in ``entries`` (verdict-log lines in
+        log order; default: this store's own log, which is how a
+        rebuilt store restores itself) to its last logged state.
+
+        A logged write lands on an absent key, or on a held row it
+        re-verdicts (``source: "replay"`` at a higher oracle version);
+        a logged drop removes a held row no newer than the one dropped.
+        So no older line reverts a re-verdict, and a second replay of a
+        history applies nothing.  ``insert_only`` fills absent keys
+        alone.  Never writes the log; returns how many keys changed."""
+        if entries is None:
+            entries = self.log.load().values() if self.log else ()
+        last: dict[str, dict] = {}
+        for doc in entries:
+            inner = doc.get("result") if isinstance(doc, dict) else None
+            if isinstance(inner, dict) and "verdict" in inner \
+                    and isinstance(doc.get("key"), str):
+                last[doc["key"]] = inner
+        applied = 0
+        for key, inner in last.items():
+            held, verdict = self.get_verdict(key), inner["verdict"]
+            if isinstance(verdict, dict) \
+                    and isinstance(verdict.get("result"), dict):
+                result = verdict["result"]
+                # (a version above the held one implies a provenance dict)
+                if held is not None and (
+                        insert_only or _oracle_version(result)
+                        <= _oracle_version(held)
+                        or result["provenance"].get("source") != "replay"):
+                    continue
+                verdict = {"module_hash": str(verdict.get("module_hash",
+                                                          "")),
+                           "config": verdict.get("config") or {},
+                           "result": result}
+            elif verdict is not None or held is None or insert_only \
+                    or _oracle_version(held) > _oracle_version(inner):
+                continue
+            try:
+                self._set_verdict(key, verdict)
+            except StoreBudgetExceeded:
+                break
+            applied += 1
+        return applied
+
+    def read_log(self, cursor: int = 0) -> tuple[list[dict], int]:
+        """Verdict-log lines past ``cursor`` and the next cursor (see
+        :meth:`~repro.resilience.CampaignJournal.read_from`)."""
+        if self.log is None:
+            return [], cursor
+        return self.log.read_from(cursor)
+
+    def compact_log(self) -> int:
+        """Drop superseded verdict-log lines; returns how many."""
+        if self.log is None:
+            return 0
+        with self._lock:
+            return self.log.compact()
+
     # -- integrity sweep ---------------------------------------------------
     def verify_integrity(self) -> dict[str, dict]:
         """Recompute every row's checksum; returns a per-table report
@@ -414,6 +546,8 @@ class ArtifactStore:
              lambda key, payload: (key, payload)),
             ("traces", "scan_key", "blob",
              lambda key, payload: (key, bytes(payload))),
+            ("pending", "scan_key", "recipe",
+             lambda key, payload: (key, payload)),
         )
         report: dict[str, dict] = {}
         with self._lock:

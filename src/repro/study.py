@@ -125,21 +125,7 @@ def run_wild_study(scale: float = 0.05, timeout_ms: float = 20_000.0,
             continue
         scans.append((entry, scan))
     if perf is not None:
-        perf.jobs = jobs
-        perf.wall_s += wall_s
-        perf.failures += run.failed_attempts
-        perf.retries += run.retries
-        perf.quarantined += len(run.quarantine.quarantined())
-        for index, result in enumerate(run.results):
-            if not result.ok or index in run.reused_indices:
-                continue
-            perf.campaigns += 1
-            perf.retries += result.value.retries
-            perf.add_stage_seconds(result.value.stage_seconds)
-            perf.add_cache_deltas(result.value.instr_cache_hits,
-                                  result.value.instr_cache_misses,
-                                  result.value.solver_cache_hits,
-                                  result.value.solver_cache_misses)
+        perf.add_run(run, jobs, wall_s)
     return WildStudyResult(len(corpus), scans, skipped=skipped,
                            divergent=divergent)
 

@@ -202,11 +202,10 @@ def test_fleet_steal_ships_base64_recipes():
 
 def test_fleet_journal_and_replicate_round_trip(tmp_path):
     source = ScanService(
-        config=ScanServiceConfig(workers=1, poll_s=0.02),
-        journal=str(tmp_path / "source.jsonl"))
-    source._journal_record("scan-key-1", {"verdict": {
-        "module_hash": "mh", "config": {"tool": "wasai"},
-        "result": {"scans": {}}}})
+        store=str(tmp_path / "source.db"),
+        config=ScanServiceConfig(workers=1, poll_s=0.02))
+    source.store.put_verdict("scan-key-1", "mh", {"tool": "wasai"},
+                             {"scans": {}})
     source_api = ServiceApi(source)
     status, shipped = source_api.handle("GET",
                                         "/fleet/journal?cursor=0")
@@ -221,12 +220,34 @@ def test_fleet_journal_and_replicate_round_trip(tmp_path):
         "POST", "/fleet/replicate",
         json.dumps({"entries": shipped["entries"]}).encode("utf-8"))
     assert status == 200 and applied["applied"] == 1
-    assert replica_api.service.store.has_verdict("scan-key-1")
+    assert replica_api.service.store.get_verdict("scan-key-1") \
+        == {"scans": {}}
     # Idempotent: replay applies nothing new.
     status, rerun = replica_api.handle(
         "POST", "/fleet/replicate",
         json.dumps({"entries": shipped["entries"]}).encode("utf-8"))
     assert status == 200 and rerun["applied"] == 0
+
+
+def test_replicate_over_http_never_rewrites_or_drops_a_verdict():
+    # The fleet endpoints carry no key, so shipped lines may fill a
+    # key the node lacks but never touch one it holds.
+    api = _api()
+    held = {"scans": {}, "provenance": {"oracle_version": 2,
+                                        "source": "fresh"}}
+    api.service.store.put_verdict("k", "h", {}, held)
+    rewrite = {"module_hash": "h", "config": {}, "result": {
+        "scans": {"forged": {}},
+        "provenance": {"oracle_version": 99, "source": "replay"}}}
+    for inner in ({"verdict": rewrite},
+                  {"verdict": None,
+                   "provenance": {"oracle_version": 99}}):
+        status, doc = api.handle(
+            "POST", "/fleet/replicate",
+            json.dumps({"entries": [{"v": 1, "key": "k",
+                                     "result": inner}]}).encode("utf-8"))
+        assert status == 200 and doc["applied"] == 0
+        assert api.service.store.get_verdict("k") == held
 
 
 def test_fleet_partition_toggles_over_the_wire():

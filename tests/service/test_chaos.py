@@ -27,7 +27,7 @@ def test_quick_chaos_drill_passes(tmp_path, schedule):
     assert resilience["breaker_recoveries"] >= 1
     assert report.stats["shed"] >= 1
     # Keep-dir post-mortem artifacts survive the run.
-    assert (tmp_path / "drill" / "chaos.jsonl").exists()
+    assert (tmp_path / "drill" / "chaos.db.jsonl").exists()
 
 
 def test_unknown_schedule_is_rejected():
@@ -58,4 +58,4 @@ def test_fleet_chaos_drill_passes(tmp_path):
     assert report.stats["failovers"] >= 1
     assert report.stats["replicated"] >= 1
     # Per-node artifacts survive for post-mortem.
-    assert (tmp_path / "d" / "n0.jsonl").exists()
+    assert (tmp_path / "d" / "n0.db.jsonl").exists()

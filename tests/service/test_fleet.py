@@ -1,17 +1,18 @@
 """Fleet coordinator invariants: exactly-once under membership
 change, zombie-claim discard after a steal, and replica catch-up over
-a truncated journal.
+a truncated verdict log.
 
 The fleet here is three in-process nodes — the same backends the
 ``fleet`` chaos schedule drives — so every scenario runs real
-scheduler/store/journal code with no sockets and no sleeps beyond
+scheduler/store/log code with no sockets and no sleeps beyond
 actual campaign time.
 """
+
+import time
 
 import pytest
 
 from repro.benchgen import ContractConfig, generate_contract
-from repro.resilience import CampaignJournal
 from repro.service import (BackendUnavailable, FleetConfig,
                            InProcessBackend, QueueFull, QuotaExceeded,
                            ScanFleet, ScanService, ScanServiceConfig,
@@ -37,8 +38,7 @@ def _node(name: str, tmp_path, workers: int = 1) -> InProcessBackend:
         store=str(tmp_path / f"{name}.db"),
         config=ScanServiceConfig(workers=workers, max_depth=32,
                                  poll_s=0.02,
-                                 default_timeout_ms=FAST_TIMEOUT_MS),
-        journal=CampaignJournal(tmp_path / f"{name}.jsonl"))
+                                 default_timeout_ms=FAST_TIMEOUT_MS))
     return InProcessBackend(name, service)
 
 
@@ -167,16 +167,16 @@ def test_replica_rejoin_replays_a_truncated_journal(fleet):
     assert fleet.replicate_once() >= 4
     # ...and the advanced cursor makes the next pass a no-op.
     assert fleet.replicate_once() == 0
-    # Now n2 partitions away while n0's journal is compacted down to
+    # Now n2 partitions away while n0's log is compacted down to
     # one line (crash-truncation and compaction look identical to the
     # shipping cursor: the file got shorter).
     fleet.partition(["n2"])
-    journal_path = fleet.backends["n0"].service.journal.path
+    journal_path = fleet.backends["n0"].service.store.log.path
     lines = journal_path.read_text(encoding="utf-8").splitlines()
     assert len(lines) >= 2
     journal_path.write_text(lines[0] + "\n", encoding="utf-8")
     # The cursor is now past EOF: shipping resets to zero and replays
-    # the whole journal — and idempotent application makes the replay
+    # the whole log — and idempotent application makes the replay
     # free on peers that already hold the verdict.
     entries, new_cursor = \
         fleet.backends["n0"].ship_journal(10_000_000)
@@ -184,7 +184,7 @@ def test_replica_rejoin_replays_a_truncated_journal(fleet):
     assert new_cursor == len(lines[0]) + 1
     healed_applied = fleet.heal()
     # The rejoined n2 already replicated both verdicts before the
-    # partition, so replaying the truncated journal applies nothing
+    # partition, so replaying the truncated log applies nothing
     # new — catch-up converged without double-writing.
     assert healed_applied == 0
     # A verdict scanned while n2 was gone DOES arrive on heal.
@@ -197,6 +197,73 @@ def test_replica_rejoin_replays_a_truncated_journal(fleet):
     replayed = fleet.backends["n2"].submit(*_contract(extra_seed))
     assert replayed["outcome"] == "cached"
     assert replayed["result"] == final["result"]
+
+
+def test_replica_picks_up_a_reverdict_rewrite(tmp_path):
+    primary = InProcessBackend("p", ScanService(
+        store=str(tmp_path / "p.db"),
+        config=ScanServiceConfig(workers=1, poll_s=0.02,
+                                 default_timeout_ms=FAST_TIMEOUT_MS,
+                                 capture_traces=True)))
+    replica = _node("r", tmp_path)
+    primary.start()
+    try:
+        doc = primary.submit(*_contract(0))
+        doc = primary.service.job(doc["id"])
+        deadline = time.monotonic() + _WAIT_S
+        while not doc.terminal and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert doc.state == "done"
+        entries, cursor = primary.ship_journal(0)
+        assert replica.apply_replica_verdicts(entries) == 1
+        # The sweep rewrites the verdict on the primary only; the next
+        # shipped batch carries the rewrite to the replica.
+        primary.service.reverdict(oracle_version=99)
+        entries, cursor = primary.ship_journal(cursor)
+        assert replica.apply_replica_verdicts(entries) == 1
+        verdict = replica.service.store.get_verdict(doc.scan_key)
+        assert verdict["provenance"]["oracle_version"] == 99
+        assert verdict == primary.service.store.get_verdict(doc.scan_key)
+    finally:
+        primary.stop()
+        replica.stop()
+
+
+def test_a_peers_own_scan_never_reverts_a_reverdict(tmp_path):
+    nodes = [InProcessBackend(name, ScanService(
+        store=str(tmp_path / f"{name}.db"),
+        config=ScanServiceConfig(workers=1, poll_s=0.02,
+                                 default_timeout_ms=FAST_TIMEOUT_MS,
+                                 capture_traces=True)))
+        for name in ("p", "r")]
+    for node in nodes:
+        node.start()
+    try:
+        # Both nodes scan the same module (say, routing moved it).
+        for node in nodes:
+            doc = node.service.job(node.submit(*_contract(0))["id"])
+            deadline = time.monotonic() + _WAIT_S
+            while not doc.terminal and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert doc.state == "done"
+        primary, replica = nodes
+        # p re-verdicts its copy; the rewrite reaches r...
+        primary.service.reverdict(oracle_version=99)
+        rewritten = primary.service.store.get_verdict(doc.scan_key)
+        assert rewritten["provenance"]["oracle_version"] == 99
+        entries, _ = primary.ship_journal(0)
+        assert replica.apply_replica_verdicts(entries) == 1
+        # ...and r's own scan, reshipped from cursor 0, never reverts
+        # it on p (nor does p's reshipped log change r again).
+        assert primary.apply_replica_verdicts(
+            replica.ship_journal(0)[0]) == 0
+        assert replica.apply_replica_verdicts(entries) == 0
+        for node in nodes:
+            assert node.service.store.get_verdict(doc.scan_key) \
+                == rewritten
+    finally:
+        for node in nodes:
+            node.stop()
 
 
 # -- admission --------------------------------------------------------------

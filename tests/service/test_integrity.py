@@ -8,7 +8,7 @@ under the row) — no sleeps, no randomness.
 
 import pytest
 
-from repro.resilience import CampaignJournal, Fault, install_fault_plan
+from repro.resilience import Fault, install_fault_plan
 from repro.service import (ArtifactStore, ScanService, ScanServiceConfig,
                            StoreBudgetExceeded, StoreCorruption,
                            content_checksum)
@@ -48,6 +48,19 @@ def test_corrupt_row_raises_typed_on_read(tmp_path):
     store.close()
 
 
+def test_drain_checkpoints_are_checksummed(tmp_path):
+    store = ArtifactStore(tmp_path / "a.db")
+    store.put_pending("k0", {"module_hash": "h0"})
+    install_fault_plan(Fault(stage="store", kind="corrupt", times=1))
+    store.put_pending("k1", {"module_hash": "h1"})
+    assert store.counts()["pending"] == 2
+    assert store.verify_integrity()["pending"]["corrupt"] == ["k1"]
+    with pytest.raises(StoreCorruption) as excinfo:
+        store.pending()
+    assert excinfo.value.table == "pending"
+    store.close()
+
+
 def test_mangled_sqlite_image_raises_typed(tmp_path):
     path = tmp_path / "a.db"
     store = ArtifactStore(path)
@@ -74,19 +87,15 @@ def test_disk_budget_is_typed_backpressure(tmp_path):
 
 
 def _seeded_service(tmp_path) -> tuple[ScanService, str]:
-    """A stopped service whose store holds one journaled verdict whose
+    """A stopped service whose store holds one logged verdict whose
     at-rest row is corrupt (seeded via the store fault)."""
     service = ScanService(
         store=str(tmp_path / "s.db"),
-        config=ScanServiceConfig(workers=1),
-        journal=CampaignJournal(tmp_path / "s.jsonl"))
+        config=ScanServiceConfig(workers=1))
     verdict = {"scans": {}, "degraded": [], "errors": {}}
     install_fault_plan(Fault(stage="store", kind="corrupt", times=1))
     service.store.put_verdict("key-1", "hash-1", {"tool": "wasai"},
                               verdict)
-    service._journal_record("key-1", {"verdict": {
-        "module_hash": "hash-1", "config": {"tool": "wasai"},
-        "result": verdict}})
     return service, "key-1"
 
 
@@ -94,7 +103,7 @@ def test_service_quarantines_and_rebuilds_from_journal(tmp_path):
     service, key = _seeded_service(tmp_path)
     try:
         # The healing wrapper detects the corrupt row mid-read, swaps
-        # in a fresh store rebuilt from the journal and retries.
+        # in a fresh store rebuilt from the verdict log and retries.
         doc = service._healed(lambda: service.store.get_verdict(key))
         assert doc == {"scans": {}, "degraded": [], "errors": {}}
         corpses = list(tmp_path.glob("s.db.corrupt-*"))

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.metrics import ThroughputStats
-from repro.resilience import CampaignJournal, Fault, install_fault_plan
+from repro.resilience import Fault, install_fault_plan
 from repro.service import ScanService, ScanServiceConfig, ServiceApi
 from repro.service.overload import SHED_KINDS, OverloadController
 from repro.service.queue import Job, JobQueue
@@ -275,6 +275,37 @@ def test_deadline_cut_mid_campaign_yields_no_verdict(sample_contract):
         service.stop(wait_s=5)
 
 
+def test_campaign_finishing_past_the_deadline_is_not_done(
+        sample_contract, monkeypatch):
+    from repro.service import scheduler
+    data, abi = sample_contract
+    real_campaign = scheduler.run_campaign_task
+    jobs = []
+
+    def overrun(task):
+        # Every fuzz round ends in time; the last one runs past the
+        # caller's deadline.
+        result = real_campaign(task)
+        jobs[0].deadline_epoch_s = time.time() - 0.01
+        return result
+
+    monkeypatch.setattr(scheduler, "run_campaign_task", overrun)
+    service = _service(workers=1, start=False)
+    try:
+        submission = service.submit_bytes(
+            data, abi, deadline_epoch_s=time.time() + 300.0)
+        jobs.append(submission.job)
+        service.start()
+        job = _wait_terminal(service, submission.job.job_id)
+        assert job.state == "deadline_exceeded"
+        assert job.result_doc is None and "deadline" in job.error
+        assert service.stats()["shed_by_kind"].get("deadline") == 1
+        # The full verdict is still kept for the next caller.
+        assert service.store.get_verdict(job.scan_key) is not None
+    finally:
+        service.stop(wait_s=5)
+
+
 def test_deadline_is_not_key_material(sample_contract):
     data, abi = sample_contract
     service = _service()
@@ -377,11 +408,9 @@ def test_drain_never_resurrects_an_expired_deadline(tmp_path):
     """SIGTERM races caller deadlines: a queued job whose deadline
     already passed is finalized ``deadline_exceeded`` at drain (not
     checkpointed), one whose deadline expires *while the daemon is
-    down* is tombstoned at resume — and the one live job is replayed
+    down* is deleted at resume — and the one live job is replayed
     exactly once, keeping its original deadline."""
-    journal = CampaignJournal(tmp_path / "drain.jsonl")
-    service = _service(tmp_path, journal=journal, start=False,
-                       housekeeping_s=None)
+    service = _service(tmp_path, start=False, housekeeping_s=None)
     data1, abi1 = contract_bytes(seed=1)
     data2, abi2 = contract_bytes(seed=2)
     data3, abi3 = contract_bytes(seed=3)
@@ -403,12 +432,11 @@ def test_drain_never_resurrects_an_expired_deadline(tmp_path):
         service.store.close()
 
     time.sleep(0.3)                     # the racing deadline expires
-    resumed = _service(tmp_path, journal=journal, start=False,
-                       housekeeping_s=None)
+    resumed = _service(tmp_path, start=False, housekeeping_s=None)
     try:
         # Exactly one checkpoint is still worth running; the expired
-        # one is tombstoned in the journal, not re-queued.
-        assert resumed.resume_from_journal() == 1
+        # one is deleted from the store, not re-queued.
+        assert resumed.resume() == 1
         assert resumed.stats()["queue_depth"] == 1
         with resumed._lock:
             jobs = list(resumed._jobs.values())
@@ -420,7 +448,8 @@ def test_drain_never_resurrects_an_expired_deadline(tmp_path):
             == pytest.approx(live.job.deadline_epoch_s)
         # Exactly once: nothing left for a second resume, and the
         # expired checkpoint stays dead.
-        assert resumed.resume_from_journal() == 0
+        assert resumed.resume() == 0
+        assert resumed.store.pending() == []
         resumed.start()
         assert _wait_terminal(resumed, jobs[0].job_id).state == "done"
     finally:
@@ -430,12 +459,10 @@ def test_drain_never_resurrects_an_expired_deadline(tmp_path):
 def test_ttl_rides_drain_checkpoints_and_steal_recipes(tmp_path,
                                                       sample_contract):
     """A TTL is a relative deadline fixed at admission, so it travels
-    wherever the job does: an expired drain checkpoint is tombstoned
-    at resume instead of re-run, and a steal recipe carries it."""
+    wherever the job does: an expired drain checkpoint is deleted at
+    resume instead of re-run, and a steal recipe carries it."""
     data, abi = sample_contract
-    journal = CampaignJournal(tmp_path / "ttl.jsonl")
-    service = _service(tmp_path, journal=journal, start=False,
-                       housekeeping_s=None)
+    service = _service(tmp_path, start=False, housekeeping_s=None)
     try:
         submission = service.submit_bytes(data, abi, ttl_s=0.5)
         assert submission.job.deadline_epoch_s is not None
@@ -444,13 +471,11 @@ def test_ttl_rides_drain_checkpoints_and_steal_recipes(tmp_path,
         service.store.close()
 
     time.sleep(1.0)                     # the TTL runs out while down
-    resumed = _service(tmp_path, journal=journal, start=False,
-                       housekeeping_s=None)
+    resumed = _service(tmp_path, start=False, housekeeping_s=None)
     try:
-        assert resumed.resume_from_journal() == 0
+        assert resumed.resume() == 0
         assert resumed.stats()["queue_depth"] == 0
-        tombstone = journal.load()[submission.job.scan_key]["result"]
-        assert tombstone == {"claimed": "deadline_exceeded"}
+        assert resumed.store.pending() == []
     finally:
         resumed.store.close()
 

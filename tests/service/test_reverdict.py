@@ -191,6 +191,36 @@ def test_corrupt_trace_quarantined_and_module_rescannable():
         service.drain()
 
 
+def test_store_rebuild_keeps_the_sweeps_rewrite_and_drop(tmp_path):
+    service = ScanService(
+        store=str(tmp_path / "s.db"),
+        config=ScanServiceConfig(workers=1, poll_s=0.02,
+                                 default_timeout_ms=FAST_TIMEOUT_MS,
+                                 capture_traces=True))
+    service.start()
+    try:
+        kept, dropped = _scan_one(service, seed=0), _scan_one(service,
+                                                               seed=1)
+        row = service.store.get_trace(dropped)
+        blob = bytearray(row["blob"])
+        blob[len(blob) // 2] ^= 0xFF
+        service.store.put_trace(dropped, row["module_hash"], row["tool"],
+                                bytes(blob), row["traceir_version"])
+        report = service.reverdict(oracle_version=ORACLE_VERSION + 1)
+        assert report.corrupt == 1 and report.rewritten == 1
+        rewritten = service.store.get_verdict(kept)
+
+        # The rebuild replays the verdict log: the rewrite survives,
+        # the dropped verdict stays dropped and its module re-scans.
+        assert service._recover_store("drill") == 1
+        assert service.store.get_verdict(kept) == rewritten
+        assert service.store.get_verdict(dropped) is None
+        data, abi = contract_bytes(seed=1)
+        assert service.submit_bytes(data, abi).outcome == "queued"
+    finally:
+        service.stop(wait_s=5)
+
+
 def test_audit_detects_tampered_verdict_without_rewriting():
     service = _service()
     try:

@@ -10,9 +10,8 @@ import time
 
 import pytest
 
-from repro.resilience import (CampaignJournal, Fault, MalformedModule,
-                              ResiliencePolicy, clear_fault_plan,
-                              install_fault_plan)
+from repro.resilience import (Fault, MalformedModule, ResiliencePolicy,
+                              clear_fault_plan, install_fault_plan)
 from repro.resilience.journal import campaign_result_from_doc
 from repro.service import (QueueFull, ScanService, ScanServiceConfig,
                            Submission)
@@ -22,7 +21,7 @@ from .conftest import FAST_TIMEOUT_MS, contract_bytes
 
 def _service(tmp_path=None, workers: int = 1, max_depth: int = 8,
              policy: ResiliencePolicy | None = None,
-             journal=None, start: bool = True,
+             start: bool = True,
              max_inflight: int | None = None,
              **config_kwargs) -> ScanService:
     store = str(tmp_path / "store.db") if tmp_path else ":memory:"
@@ -33,7 +32,7 @@ def _service(tmp_path=None, workers: int = 1, max_depth: int = 8,
                                  poll_s=0.02,
                                  default_timeout_ms=FAST_TIMEOUT_MS,
                                  **config_kwargs),
-        policy=policy, journal=journal)
+        policy=policy)
     if start:
         service.start()
     return service
@@ -189,11 +188,10 @@ def test_failed_job_retries_then_quarantines(sample_contract):
 
 def test_drain_checkpoints_and_resume_replays_exactly_once(
         tmp_path, sample_contract):
-    journal = CampaignJournal(tmp_path / "service.jsonl")
     # A worker "crash" mid-job (simulated ^C from the fault plan) plus
     # two jobs that never got a worker: drain must checkpoint the
     # queued ones, and resume must replay each exactly once.
-    service = _service(tmp_path, journal=journal, start=False)
+    service = _service(tmp_path, start=False)
     submitted = {}
     try:
         for seed in (1, 2):
@@ -205,17 +203,17 @@ def test_drain_checkpoints_and_resume_replays_exactly_once(
     finally:
         service.store.close()
 
-    # Daemon restart: same store, same journal.
-    resumed = _service(tmp_path, journal=journal, start=False)
+    # Daemon restart: same store.
+    resumed = _service(tmp_path, start=False)
     try:
-        assert resumed.resume_from_journal() == 2
+        assert resumed.resume() == 2
         assert resumed.stats()["queue_depth"] == 2
         # Replayed jobs carry the same scan keys as the originals.
         with resumed._lock:
             keys = {job.scan_key for job in resumed._jobs.values()}
         assert keys == set(submitted.values())
-        # Exactly once: a second resume finds only claim tombstones.
-        assert resumed.resume_from_journal() == 0
+        # Exactly once: a second resume finds no checkpoint left.
+        assert resumed.resume() == 0
         resumed.start()
         with resumed._lock:
             job_ids = list(resumed._jobs)
@@ -223,12 +221,56 @@ def test_drain_checkpoints_and_resume_replays_exactly_once(
             assert _wait_terminal(resumed, job_id).state == "done"
     finally:
         resumed.stop(wait_s=5)
-    # Third service over the same journal: still nothing to replay.
-    third = _service(tmp_path, journal=journal, start=False)
+    # Third service over the same store: still nothing to replay.
+    third = _service(tmp_path, start=False)
     try:
-        assert third.resume_from_journal() == 0
+        assert third.resume() == 0
     finally:
         third.store.close()
+
+
+def test_default_store_checkpoints_at_stop_and_resumes_at_start(
+        tmp_path):
+    # No option beyond a file store: stop() checkpoints the queued
+    # jobs into it, and the next service on that store runs them as
+    # part of start().
+    service = _service(tmp_path, start=False)
+    keys = set()
+    try:
+        for seed in (1, 2):
+            data, abi = contract_bytes(seed=seed)
+            keys.add(service.submit_bytes(data, abi).job.scan_key)
+    finally:
+        assert service.stop(wait_s=1) == 2
+
+    resumed = _service(tmp_path)
+    try:
+        with resumed._lock:
+            jobs = list(resumed._jobs.values())
+        assert {job.scan_key for job in jobs} == keys
+        for job in jobs:
+            assert _wait_terminal(resumed, job.job_id).state == "done"
+    finally:
+        resumed.stop(wait_s=5)
+    third = _service(tmp_path, start=False)
+    try:
+        assert third.resume() == 0
+    finally:
+        third.store.close()
+
+
+def test_reverdict_refusal_is_booked_like_every_shed():
+    service = _service(max_depth=1, start=False)
+    try:
+        service.submit_reverdict()
+        with pytest.raises(QueueFull) as excinfo:
+            service.submit_reverdict()
+        assert excinfo.value.kind == "queue"
+        stats = service.stats()
+        assert stats["shed"] == 1
+        assert stats["shed_by_kind"] == {"queue": 1}
+    finally:
+        service.stop(wait_s=1)
 
 
 def test_killed_worker_job_requeued_exactly_once(sample_contract):
@@ -285,18 +327,17 @@ def test_open_breaker_forces_blackbox_and_never_caches(
     # verdict may be cached — the store would otherwise serve the
     # weaker answer forever.
     install_fault_plan(Fault(stage="solve", kind="error"))
-    journal = CampaignJournal(tmp_path / "service.jsonl")
-    service = _service(workers=1, breaker_threshold=1,
-                       breaker_cooldown_s=60.0, journal=journal)
+    service = _service(tmp_path, workers=1, breaker_threshold=1,
+                       breaker_cooldown_s=60.0)
     try:
         first = service.submit_bytes(data, abi, client="one")
         job1 = _wait_terminal(service, first.job.job_id)
         assert job1.state == "done"
         assert "wasai" in job1.result_doc.get("degraded", [])
         # Degraded inside its own campaign (the breaker was still
-        # closed at dispatch): in neither the store nor the journal.
+        # closed at dispatch): in neither the store nor its log.
         assert service.store.get_verdict(job1.scan_key) is None
-        assert job1.scan_key not in journal.load()
+        assert job1.scan_key not in service.store.log.load()
         assert service.health()["status"] == "degraded"
         assert "solve" in service.health()["breakers"]["open"]
         assert service.stats()["resilience"]["breaker_trips"] >= 1
@@ -347,10 +388,9 @@ def test_drain_under_load_resumes_every_job_exactly_once(tmp_path):
     generation 2 — with six distinct verdicts in the store and no
     duplicate campaign for any scan key.
     """
-    journal = CampaignJournal(tmp_path / "drain.jsonl")
     seeds = (1, 2, 3, 4, 5, 6)
     contracts = {seed: contract_bytes(seed=seed) for seed in seeds}
-    service = _service(tmp_path, workers=2, journal=journal)
+    service = _service(tmp_path, workers=2)
     keys = {}
     try:
         for seed, (data, abi) in contracts.items():
@@ -367,12 +407,11 @@ def test_drain_under_load_resumes_every_job_exactly_once(tmp_path):
     finally:
         service.store.close()
 
-    resumed = _service(tmp_path, workers=2, journal=journal,
-                       start=False)
+    resumed = _service(tmp_path, workers=2, start=False)
     try:
-        assert resumed.resume_from_journal() == checkpointed
+        assert resumed.resume() == checkpointed
         # Exactly once: an immediate second resume replays nothing.
-        assert resumed.resume_from_journal() == 0
+        assert resumed.resume() == 0
         resumed.start()
         with resumed._lock:
             job_ids = list(resumed._jobs)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.metrics import ThroughputStats
+from repro.resilience import Fault, clear_fault_plan, install_fault_plan
 from repro.study import format_wild_study, run_wild_study
 
 
@@ -39,3 +41,18 @@ def test_study_formatting(study):
     text = format_wild_study(study)
     assert "flagged vulnerable" in text
     assert "still exposed" in text
+
+
+def test_study_books_throughput_like_the_harness():
+    # One campaign fails: it is skipped, not counted as completed, and
+    # every fresh result books its worker and its task latency.
+    perf = ThroughputStats()
+    install_fault_plan(Fault(stage="fuzz", kind="error", match="wild[0]"))
+    try:
+        result = run_wild_study(scale=0.01, timeout_ms=4_000, perf=perf)
+    finally:
+        clear_fault_plan()
+    assert [key for key, _reason in result.skipped] == ["wild[0]"]
+    assert perf.campaigns == result.total - len(result.skipped)
+    assert perf.per_worker
+    assert "task" in perf.latency_percentiles()
