@@ -73,9 +73,9 @@ def test_instrumentation_cache_eliminates_repeat_work(runs, corpus):
     from repro.engine import module_fingerprint
     distinct = len({module_fingerprint(s.module) for s in corpus})
     _, perf, _ = runs["serial"]
-    assert perf.instr_cache_misses == distinct
+    assert perf.cache["instr_cache_misses"] == distinct
     # wasai + eosfuzzer each deploy every sample exactly once.
-    assert perf.instr_cache_hits == 2 * len(corpus) - distinct
+    assert perf.cache["instr_cache_hits"] == 2 * len(corpus) - distinct
 
 
 def test_campaign_throughput_positive(runs):

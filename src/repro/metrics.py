@@ -9,6 +9,7 @@ is tracked across PRs via ``BENCH_throughput.json``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 __all__ = ["Confusion", "MetricsTable", "ThroughputStats", "percentile"]
@@ -87,9 +88,12 @@ class ThroughputStats:
     static scan per sample per tool); ``failures`` counts tasks whose
     worker crashed or timed out.  ``stage_seconds`` sums the per-stage
     wall-clock reported by the campaign workers ("setup" = chain +
-    instrumented deploy, "fuzz", "scan").  Cache counters are the
-    summed per-task deltas, so they stay correct when workers run in
-    separate processes with private caches.
+    instrumented deploy, "fuzz", "scan").  ``cache`` sums the per-task
+    cache-counter deltas under their verdict-doc keys
+    (``instr_cache_hits`` ... ``solver_disk_misses``), so it stays
+    correct when workers run in separate processes with private
+    caches.  The scan service keeps its event counts itself (``GET
+    /stats``) and reads only the latency percentiles of its ledger.
     """
 
     jobs: int = 1
@@ -99,64 +103,28 @@ class ThroughputStats:
     quarantined: int = 0
     wall_s: float = 0.0
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    instr_cache_hits: int = 0
-    instr_cache_misses: int = 0
-    solver_cache_hits: int = 0
-    solver_cache_misses: int = 0
-    # Shared on-disk cache tier (repro.sharedcache): summed per-task
-    # deltas, zero when no cache dir is configured.
-    instr_disk_hits: int = 0
-    instr_disk_misses: int = 0
-    solver_disk_hits: int = 0
-    solver_disk_misses: int = 0
-    # Per-worker cache efficiency, keyed by worker process id.  One
-    # cold worker in an otherwise warm pool is invisible in the summed
-    # counters but obvious here.
-    per_worker: dict[int, dict[str, int]] = field(default_factory=dict)
-    # Self-healing ledger (scan-service daemon): how often the runtime
-    # had to repair itself.  Non-zero values are not errors — they are
-    # the healing machinery *working* — but a climbing rate is the
-    # operator's early-warning signal.
-    worker_restarts: int = 0       # watchdog reaps (died + hung)
-    breaker_trips: int = 0         # circuit breakers tripped open
-    breaker_recoveries: int = 0    # breakers closed again via a probe
-    integrity_repairs: int = 0     # store quarantine-and-rebuild runs
-    journal_compactions: int = 0   # journal compaction passes
-    # Trace-IR / re-verdict ledger (repro.traceir): durable trace packs
-    # written, scanner replays over them, and what those replays found.
-    traces_stored: int = 0         # trace-IR packs persisted
-    reverdicts: int = 0            # stored traces replayed by oracles
-    trace_corruptions: int = 0     # undecodable packs quarantined
-    verdict_drift: int = 0         # replay verdict != stored verdict
-    insufficient_surface: int = 0  # packs lacking a family's surface
+    cache: Counter = field(default_factory=Counter)
+    # Per-worker task count and cache counters, keyed by worker
+    # process id.  One cold worker in an otherwise warm pool is
+    # invisible in the summed counters but obvious here.
+    per_worker: dict[int, Counter] = field(default_factory=dict)
     # Per-task wall-clock samples, keyed by stage ("task" = whole
     # campaign task; "setup"/"fuzz"/"scan" = pipeline stages; the scan
     # service adds "job" for end-to-end job latency).  Samples feed the
     # p50/p95/max percentiles in ``wasai bench`` output and the
     # daemon's ``GET /stats``.
     latency_samples: dict[str, list[float]] = field(default_factory=dict)
-    # Overload ledger (scan-service daemon): every refusal and cut-off
-    # counted by *why* — "queue" / "inflight" / "deadline" / "quota" /
-    # "disk" / "brownout" / "draining" — plus the brownout pressure
-    # level active right now.  The per-kind split is what makes a 429
-    # storm diagnosable: a wall of "quota" sheds is a hot tenant, a
-    # wall of "brownout" sheds is the daemon protecting its SLO.
-    shed_by_kind: dict[str, int] = field(default_factory=dict)
-    pressure: str = "normal"
 
     @property
     def campaigns_per_sec(self) -> float:
         return self.campaigns / self.wall_s if self.wall_s > 0 else 0.0
 
-    @property
-    def instr_cache_hit_rate(self) -> float:
-        total = self.instr_cache_hits + self.instr_cache_misses
-        return self.instr_cache_hits / total if total else 0.0
-
-    @property
-    def solver_cache_hit_rate(self) -> float:
-        total = self.solver_cache_hits + self.solver_cache_misses
-        return self.solver_cache_hits / total if total else 0.0
+    def hit_rate(self, tier: str) -> float:
+        """Hit rate of one cache tier (``instr_cache``, ``solver_disk``
+        ...) over the summed counters."""
+        hits = self.cache[f"{tier}_hits"]
+        total = hits + self.cache[f"{tier}_misses"]
+        return hits / total if total else 0.0
 
     # -- aggregation (driven by the harness) ------------------------------
     def add_run(self, run, jobs: int, wall_s: float) -> None:
@@ -185,30 +153,19 @@ class ThroughputStats:
             self.stage_seconds[stage] = \
                 self.stage_seconds.get(stage, 0.0) + seconds
             self.record_latency(stage, seconds)
-        self.instr_cache_hits += result.instr_cache_hits
-        self.instr_cache_misses += result.instr_cache_misses
-        self.solver_cache_hits += result.solver_cache_hits
-        self.solver_cache_misses += result.solver_cache_misses
-        self.instr_disk_hits += result.instr_disk_hits
-        self.instr_disk_misses += result.instr_disk_misses
-        self.solver_disk_hits += result.solver_disk_hits
-        self.solver_disk_misses += result.solver_disk_misses
+        self.cache.update(result.cache)
         if result.worker_id:
-            per = self.per_worker.setdefault(result.worker_id, {
-                "tasks": 0, "instr_hits": 0, "instr_misses": 0,
-                "solver_hits": 0, "solver_misses": 0})
+            per = self.per_worker.setdefault(result.worker_id, Counter())
             per["tasks"] += 1
-            per["instr_hits"] += result.instr_cache_hits
-            per["instr_misses"] += result.instr_cache_misses
-            per["solver_hits"] += result.solver_cache_hits
-            per["solver_misses"] += result.solver_cache_misses
+            per.update(result.cache)
 
     def per_worker_hit_rates(self) -> dict[int, dict[str, float]]:
         """Combined (instr + solver) cache hit rate per worker."""
         out: dict[int, dict[str, float]] = {}
         for worker_id, per in self.per_worker.items():
-            hits = per["instr_hits"] + per["solver_hits"]
-            total = hits + per["instr_misses"] + per["solver_misses"]
+            hits = per["instr_cache_hits"] + per["solver_cache_hits"]
+            total = hits + per["instr_cache_misses"] \
+                + per["solver_cache_misses"]
             out[worker_id] = {
                 "tasks": per["tasks"],
                 "hit_rate": hits / total if total else 0.0,
@@ -218,13 +175,6 @@ class ThroughputStats:
     def record_latency(self, stage: str, seconds: float) -> None:
         """Add one per-task wall-clock sample for ``stage``."""
         self.latency_samples.setdefault(stage, []).append(seconds)
-
-    def record_shed(self, kind: str) -> None:
-        """Count one shed/cut-off of the given kind."""
-        self.shed_by_kind[kind] = self.shed_by_kind.get(kind, 0) + 1
-
-    def shed_total(self) -> int:
-        return sum(self.shed_by_kind.values())
 
     def latency_percentiles(self) -> dict[str, dict[str, float]]:
         """p50/p95/max (plus sample count) per recorded stage."""
@@ -241,6 +191,7 @@ class ThroughputStats:
         return out
 
     def as_dict(self) -> dict:
+        cache = self.cache
         return {
             "jobs": self.jobs,
             "campaigns": self.campaigns,
@@ -251,48 +202,30 @@ class ThroughputStats:
             "campaigns_per_sec": self.campaigns_per_sec,
             "stage_seconds": dict(self.stage_seconds),
             "instr_cache": {
-                "hits": self.instr_cache_hits,
-                "misses": self.instr_cache_misses,
-                "hit_rate": self.instr_cache_hit_rate,
+                "hits": cache["instr_cache_hits"],
+                "misses": cache["instr_cache_misses"],
+                "hit_rate": self.hit_rate("instr_cache"),
             },
             "solver_cache": {
-                "hits": self.solver_cache_hits,
-                "misses": self.solver_cache_misses,
-                "hit_rate": self.solver_cache_hit_rate,
+                "hits": cache["solver_cache_hits"],
+                "misses": cache["solver_cache_misses"],
+                "hit_rate": self.hit_rate("solver_cache"),
             },
             "shared_disk_cache": {
-                "instr_hits": self.instr_disk_hits,
-                "instr_misses": self.instr_disk_misses,
-                "solver_hits": self.solver_disk_hits,
-                "solver_misses": self.solver_disk_misses,
+                "instr_hits": cache["instr_disk_hits"],
+                "instr_misses": cache["instr_disk_misses"],
+                "solver_hits": cache["solver_disk_hits"],
+                "solver_misses": cache["solver_disk_misses"],
             },
             "per_worker": {
                 str(worker_id): stats for worker_id, stats
                 in sorted(self.per_worker_hit_rates().items())
             },
             "latency": self.latency_percentiles(),
-            "resilience": {
-                "worker_restarts": self.worker_restarts,
-                "breaker_trips": self.breaker_trips,
-                "breaker_recoveries": self.breaker_recoveries,
-                "integrity_repairs": self.integrity_repairs,
-                "journal_compactions": self.journal_compactions,
-            },
-            "traceir": {
-                "traces_stored": self.traces_stored,
-                "reverdicts": self.reverdicts,
-                "trace_corruptions": self.trace_corruptions,
-                "verdict_drift": self.verdict_drift,
-                "insufficient_surface": self.insufficient_surface,
-            },
-            "overload": {
-                "pressure": self.pressure,
-                "shed_by_kind": dict(sorted(self.shed_by_kind.items())),
-                "shed_total": self.shed_total(),
-            },
         }
 
     def format(self) -> str:
+        cache = self.cache
         extras = "".join(
             f", {count} {label}" for count, label in
             ((self.failures, "failed"), (self.retries, "retried"),
@@ -302,51 +235,25 @@ class ThroughputStats:
             f"  campaigns     {self.campaigns} "
             f"({self.campaigns_per_sec:.2f}/s over {self.wall_s:.2f}s"
             f"{extras})",
-            f"  instr cache   {self.instr_cache_hits} hits / "
-            f"{self.instr_cache_misses} misses "
-            f"({self.instr_cache_hit_rate:.1%})",
-            f"  solver cache  {self.solver_cache_hits} hits / "
-            f"{self.solver_cache_misses} misses "
-            f"({self.solver_cache_hit_rate:.1%})",
+            f"  instr cache   {cache['instr_cache_hits']} hits / "
+            f"{cache['instr_cache_misses']} misses "
+            f"({self.hit_rate('instr_cache'):.1%})",
+            f"  solver cache  {cache['solver_cache_hits']} hits / "
+            f"{cache['solver_cache_misses']} misses "
+            f"({self.hit_rate('solver_cache'):.1%})",
         ]
-        disk_total = (self.instr_disk_hits + self.instr_disk_misses
-                      + self.solver_disk_hits + self.solver_disk_misses)
-        if disk_total:
+        instr_disk = cache["instr_disk_hits"] + cache["instr_disk_misses"]
+        solver_disk = cache["solver_disk_hits"] \
+            + cache["solver_disk_misses"]
+        if instr_disk + solver_disk:
             lines.append(
-                f"  disk cache    instr {self.instr_disk_hits}/"
-                f"{self.instr_disk_hits + self.instr_disk_misses} hits, "
-                f"solver {self.solver_disk_hits}/"
-                f"{self.solver_disk_hits + self.solver_disk_misses} hits")
+                f"  disk cache    instr {cache['instr_disk_hits']}/"
+                f"{instr_disk} hits, "
+                f"solver {cache['solver_disk_hits']}/{solver_disk} hits")
         for worker_id, stats in sorted(self.per_worker_hit_rates().items()):
             lines.append(
                 f"  worker {worker_id:<7} {stats['tasks']} tasks, "
                 f"cache hit rate {stats['hit_rate']:.1%}")
-        healing = "".join(
-            f", {count} {label}" for count, label in
-            ((self.worker_restarts, "worker restarts"),
-             (self.breaker_trips, "breaker trips"),
-             (self.breaker_recoveries, "breaker recoveries"),
-             (self.integrity_repairs, "integrity repairs"),
-             (self.journal_compactions, "journal compactions"))
-            if count)
-        if healing:
-            lines.append(f"  self-healing  {healing.lstrip(', ')}")
-        traceir = "".join(
-            f", {count} {label}" for count, label in
-            ((self.traces_stored, "traces stored"),
-             (self.reverdicts, "reverdicts"),
-             (self.trace_corruptions, "trace corruptions"),
-             (self.verdict_drift, "verdict drift"),
-             (self.insufficient_surface, "insufficient surface"))
-            if count)
-        if traceir:
-            lines.append(f"  trace IR      {traceir.lstrip(', ')}")
-        if self.shed_by_kind or self.pressure != "normal":
-            sheds = ", ".join(
-                f"{count} {kind}" for kind, count in
-                sorted(self.shed_by_kind.items()) if count)
-            lines.append(f"  overload      pressure={self.pressure}"
-                         + (f", shed: {sheds}" if sheds else ""))
         for stage in sorted(self.stage_seconds):
             lines.append(f"  stage {stage:<8} "
                          f"{self.stage_seconds[stage]:8.2f}s")

@@ -31,6 +31,7 @@ from ..eosio.abi import Abi
 from ..resilience import faultinject
 from ..resilience.errors import (CampaignError, DeadlineExceeded,
                                  ScanError)
+from ..resilience.journal import CACHE_COUNTERS
 from ..resilience.policy import ResiliencePolicy, run_with_retry
 from ..scanner import ScanResult
 from ..wasm.module import Module
@@ -86,16 +87,11 @@ class CampaignResult:
 
     scans: dict[str, ScanResult]
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    instr_cache_hits: int = 0
-    instr_cache_misses: int = 0
-    solver_cache_hits: int = 0
-    solver_cache_misses: int = 0
-    # Shared on-disk tier deltas (repro.sharedcache): how much of this
+    # This task's cache-counter deltas under the verdict-doc keys
+    # (CACHE_COUNTERS): instrumentation and solver memory caches, and
+    # the shared on-disk tier (repro.sharedcache) — how much of this
     # task's work a sibling worker (or an earlier run) had already done.
-    instr_disk_hits: int = 0
-    instr_disk_misses: int = 0
-    solver_disk_hits: int = 0
-    solver_disk_misses: int = 0
+    cache: dict[str, int] = field(default_factory=dict)
     # The worker process that ran the task; lets the harness attribute
     # cache efficiency per worker (a cold worker shows up immediately).
     worker_id: int = 0
@@ -113,17 +109,19 @@ class CampaignResult:
     provenance: "dict | None" = None
 
 
-def _cache_counters() -> tuple[int, ...]:
+def _cache_counters() -> dict[str, int]:
     from ..engine.deploy import instrumentation_cache
     from ..smt.solver import solver_cache
-    instr = instrumentation_cache()
-    solver = solver_cache()
-    return (instr.hits if instr else 0, instr.misses if instr else 0,
-            solver.hits if solver else 0, solver.misses if solver else 0,
-            instr.disk.hits if instr else 0,
-            instr.disk.misses if instr else 0,
-            solver.disk.hits if solver else 0,
-            solver.disk.misses if solver else 0)
+    counters = dict.fromkeys(CACHE_COUNTERS, 0)
+    for name, cache in (("instr", instrumentation_cache()),
+                        ("solver", solver_cache())):
+        if cache is not None:
+            counters.update({
+                f"{name}_cache_hits": cache.hits,
+                f"{name}_cache_misses": cache.misses,
+                f"{name}_disk_hits": cache.disk.hits,
+                f"{name}_disk_misses": cache.disk.misses})
+    return counters
 
 
 def _coverage_summary(report) -> dict:
@@ -294,14 +292,7 @@ def run_campaign_task(task: CampaignTask) -> CampaignResult:
         return CampaignResult(
             scans=scans,
             stage_seconds=stage_seconds,
-            instr_cache_hits=after[0] - before[0],
-            instr_cache_misses=after[1] - before[1],
-            solver_cache_hits=after[2] - before[2],
-            solver_cache_misses=after[3] - before[3],
-            instr_disk_hits=after[4] - before[4],
-            instr_disk_misses=after[5] - before[5],
-            solver_disk_hits=after[6] - before[6],
-            solver_disk_misses=after[7] - before[7],
+            cache={key: after[key] - before[key] for key in after},
             worker_id=os.getpid(),
             errors=errors,
             degraded=tuple(degraded),

@@ -26,9 +26,17 @@ import os
 from pathlib import Path
 
 __all__ = ["CampaignJournal", "campaign_task_key",
-           "campaign_result_to_doc", "campaign_result_from_doc"]
+           "campaign_result_to_doc", "campaign_result_from_doc",
+           "CACHE_COUNTERS"]
 
 _VERSION = 1
+
+# A campaign's cache-counter deltas (``CampaignResult.cache``), in the
+# order a verdict doc lists them.
+CACHE_COUNTERS = ("instr_cache_hits", "instr_cache_misses",
+                  "solver_cache_hits", "solver_cache_misses",
+                  "instr_disk_hits", "instr_disk_misses",
+                  "solver_disk_hits", "solver_disk_misses")
 
 
 class CampaignJournal:
@@ -184,14 +192,7 @@ def campaign_result_to_doc(result) -> dict:
         "scans": {tool: _scan_to_doc(scan)
                   for tool, scan in result.scans.items()},
         "stage_seconds": dict(result.stage_seconds),
-        "instr_cache_hits": result.instr_cache_hits,
-        "instr_cache_misses": result.instr_cache_misses,
-        "solver_cache_hits": result.solver_cache_hits,
-        "solver_cache_misses": result.solver_cache_misses,
-        "instr_disk_hits": result.instr_disk_hits,
-        "instr_disk_misses": result.instr_disk_misses,
-        "solver_disk_hits": result.solver_disk_hits,
-        "solver_disk_misses": result.solver_disk_misses,
+        **{key: result.cache.get(key, 0) for key in CACHE_COUNTERS},
         "worker_id": result.worker_id,
         "errors": dict(result.errors),
         "degraded": list(result.degraded),
@@ -211,14 +212,7 @@ def campaign_result_from_doc(doc: dict):
         scans={tool: _scan_from_doc(scan)
                for tool, scan in doc.get("scans", {}).items()},
         stage_seconds=dict(doc.get("stage_seconds", {})),
-        instr_cache_hits=doc.get("instr_cache_hits", 0),
-        instr_cache_misses=doc.get("instr_cache_misses", 0),
-        solver_cache_hits=doc.get("solver_cache_hits", 0),
-        solver_cache_misses=doc.get("solver_cache_misses", 0),
-        instr_disk_hits=doc.get("instr_disk_hits", 0),
-        instr_disk_misses=doc.get("instr_disk_misses", 0),
-        solver_disk_hits=doc.get("solver_disk_hits", 0),
-        solver_disk_misses=doc.get("solver_disk_misses", 0),
+        cache={key: doc.get(key, 0) for key in CACHE_COUNTERS},
         worker_id=doc.get("worker_id", 0),
         errors=dict(doc.get("errors", {})),
         degraded=tuple(doc.get("degraded", ())),

@@ -13,9 +13,9 @@ stages fail in a loop, or its own storage corrupts.
 * :mod:`repro.service.integrity` — the typed storage-integrity errors
   (:class:`StoreCorruption`, :class:`StoreBudgetExceeded`) and the
   checksum primitive;
-* :mod:`repro.service.queue` — bounded priority queue with per-client
-  fair scheduling, anti-starvation promotion, deadline expiry and
-  typed backpressure (:class:`QueueFull`);
+* :mod:`repro.service.queue` — priority queue with per-client fair
+  scheduling, anti-starvation promotion and deadline expiry, plus the
+  typed backpressure refusal admission raises (:class:`QueueFull`);
 * :mod:`repro.service.supervisor` — the worker watchdog
   (heartbeats, hung/dead detection, restart-storm guard);
 * :mod:`repro.service.health` — per-stage circuit breakers
@@ -23,7 +23,8 @@ stages fail in a loop, or its own storage corrupts.
 * :mod:`repro.service.scheduler` — :class:`ScanService`: admission
   (sandboxed ingest), store-level dedup, single-flight coalescing,
   supervised workers with claim tokens, retry/quarantine, breaker
-  gating, storage quarantine-and-rebuild, drain/resume checkpoints;
+  gating, storage quarantine-and-rebuild, drain/resume checkpoints,
+  the one job-doc renderer and the ``/stats`` counts;
 * :mod:`repro.service.api` + :mod:`repro.service.server` — the JSON
   HTTP surface (``POST /scans``, ``GET /scans/{id}``, ``/healthz``,
   ``/stats``, ``/integrity``) on a stdlib ``ThreadingHTTPServer``;
@@ -43,8 +44,9 @@ stages fail in a loop, or its own storage corrupts.
 * :mod:`repro.service.tenants` — per-tenant API keys with
   admission-time rate limits and quotas (:class:`TenantBook`);
 * :mod:`repro.service.reverdict` — oracle replay over stored trace-IR
-  packs (``POST /reverdict`` / ``wasai reverdict``) and the rotating
-  drift auditor, with corrupt-trace quarantine.
+  packs (``POST /reverdict`` / ``wasai reverdict``), the rotating
+  drift auditor with corrupt-trace quarantine, and the one
+  decode+replay path brownout replay-serving shares.
 """
 
 from .api import ServiceApi

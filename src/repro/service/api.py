@@ -97,8 +97,6 @@ import json
 from urllib.parse import parse_qs
 
 from ..resilience import MalformedModule
-from ..resilience.journal import campaign_result_from_doc
-from ..scanner.report import report_to_json
 from .queue import QueueFull
 from .scheduler import NodePartitioned, ScanService
 from .tenants import QuotaExceeded, TenantBook, UnknownApiKey
@@ -238,7 +236,7 @@ class ServiceApi:
                 # reservation, returned now that the service refused.
                 self.tenants.refund(api_key)
             return self._refusal(exc)
-        job_doc = self._job_doc(submission.job)
+        job_doc = self.service.job_doc(submission.job)
         # The job's own outcome says how *it* was admitted; the reply
         # reflects how *this submission* was satisfied (a coalesced
         # duplicate shares a job whose outcome is "queued").
@@ -270,7 +268,7 @@ class ServiceApi:
                "kind": exc.kind, "depth": exc.depth, "limit": exc.limit,
                "retry_after_s": exc.retry_after_s}
         if isinstance(exc, QuotaExceeded):
-            self.service.perf.record_shed("quota")
+            self.service.count("shed.quota")
             doc["tenant"] = exc.tenant
         return 429, doc
 
@@ -311,7 +309,7 @@ class ServiceApi:
                 oracles=oracles)
         except _REFUSALS as exc:
             return self._refusal(exc)
-        job_doc = self._job_doc(submission.job)
+        job_doc = self.service.job_doc(submission.job)
         job_doc["outcome"] = submission.outcome
         return 202, job_doc
 
@@ -376,21 +374,4 @@ class ServiceApi:
         job = self.service.job(job_id)
         if job is None:
             return 404, {"error": "unknown_job", "id": job_id}
-        return 200, self._job_doc(job)
-
-    def _job_doc(self, job) -> dict:
-        doc = job.to_doc()
-        if job.config.get("kind") == "reverdict":
-            # Re-verdict jobs carry a sweep report, not a campaign
-            # result doc; there is no per-tool verdict to decode.
-            if job.result_doc is not None:
-                doc["result"] = job.result_doc
-            return doc
-        if job.state == "done" and job.result_doc is not None:
-            result = campaign_result_from_doc(job.result_doc)
-            tool = job.config["tool"]
-            scan = result.scans.get(tool)
-            doc["result"] = job.result_doc
-            if scan is not None:
-                doc["verdict"] = json.loads(report_to_json(scan))
-        return doc
+        return 200, self.service.job_doc(job)

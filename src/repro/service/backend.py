@@ -235,23 +235,18 @@ class InProcessBackend(CoordinatorBackend):
                config: dict | None = None, client: str = "anon",
                priority: int = 0,
                deadline_epoch_s: float | None = None) -> dict:
-        submission = self._check().submit_bytes(
+        service = self._check()
+        submission = service.submit_bytes(
             data, abi_json, config=config, client=client,
             priority=priority, deadline_epoch_s=deadline_epoch_s)
-        doc = submission.job.to_doc()
+        doc = service.job_doc(submission.job)
         doc["outcome"] = submission.outcome
-        if submission.job.result_doc is not None:
-            doc["result"] = submission.job.result_doc
         return doc
 
     def job(self, job_id: str) -> dict | None:
-        job = self._check().job(job_id)
-        if job is None:
-            return None
-        doc = job.to_doc()
-        if job.result_doc is not None:
-            doc["result"] = job.result_doc
-        return doc
+        service = self._check()
+        job = service.job(job_id)
+        return None if job is None else service.job_doc(job)
 
     def health(self) -> dict:
         return self._check().health()

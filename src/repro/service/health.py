@@ -44,6 +44,9 @@ BREAKER_STAGES = ("ingest", "instrument", "deploy", "fuzz", "symback",
 # works without them).
 BLACKBOX_GATED_STAGES = ("symback", "solve")
 
+# Cap on the doubling probe cooldown (the scan service uses this one).
+MAX_COOLDOWN_S = 300.0
+
 # The brownout ladder, mildest first.  Breakers guard *stages* (one
 # broken pipeline step); pressure levels guard the *service* (too much
 # work for the whole pipeline).  Each level buys headroom by finishing
@@ -73,7 +76,7 @@ class CircuitBreaker:
 
     def __init__(self, stage: str, *, threshold: int = 3,
                  cooldown_s: float = 30.0,
-                 max_cooldown_s: float = 300.0,
+                 max_cooldown_s: float = MAX_COOLDOWN_S,
                  clock: Callable[[], float] = time.monotonic):
         self.stage = stage
         self.threshold = max(1, threshold)
@@ -161,7 +164,7 @@ class BreakerBoard:
 
     def __init__(self, stages: tuple[str, ...] = BREAKER_STAGES, *,
                  threshold: int = 3, cooldown_s: float = 30.0,
-                 max_cooldown_s: float = 300.0,
+                 max_cooldown_s: float = MAX_COOLDOWN_S,
                  clock: Callable[[], float] = time.monotonic):
         self.breakers = {
             stage: CircuitBreaker(stage, threshold=threshold,

@@ -59,7 +59,7 @@ from ..metrics import percentile
 __all__ = ["OverloadController", "SHED_KINDS"]
 
 # Every way the daemon refuses or cuts short work, as counted by the
-# per-kind shed counters in /stats and bench output.
+# per-kind shed counters in /stats (shed_by_kind).
 SHED_KINDS = ("queue", "inflight", "deadline", "quota", "disk",
               "brownout", "draining")
 
@@ -72,44 +72,36 @@ _TIMEOUT_SCALE = {"normal": 1.0, "elevated": 0.5,
 # Cost allowance multiplier per level (normal never cost-sheds).
 _COST_FACTOR = {"elevated": 1.0, "saturated": 0.25, "shedding": 0.0}
 
+# Fixed controller tuning.
+MIN_INFLIGHT = 1               # AIMD floor
+LATENCY_WINDOW = 128           # job-latency samples kept
+DRAIN_WINDOW_S = 30.0          # completion-rate horizon
+DECREASE_FACTOR = 0.5          # multiplicative decrease on SLO breach
+INCREASE_STEP = 1.0            # additive recovery per adjust interval
+MIN_RETRY_AFTER_S = 0.5        # Retry-After clamp ...
+MAX_RETRY_AFTER_S = 60.0       # ... and ceiling
+DEFAULT_RETRY_AFTER_S = 1.0    # hint before any completion is seen
+COST_ALLOWANCE = 32.0          # priority-0 campaign cost allowance
+
 
 class OverloadController:
     """Measured admission control for one scan daemon."""
 
     def __init__(self, base_inflight: int, base_depth: int, *,
                  target_p95_s: float = 30.0,
-                 min_inflight: int = 1,
-                 latency_window: int = 128,
                  latency_window_s: float = 60.0,
-                 drain_window_s: float = 30.0,
                  adjust_interval_s: float = 1.0,
-                 decrease_factor: float = 0.5,
-                 increase_step: float = 1.0,
-                 min_retry_after_s: float = 0.5,
-                 max_retry_after_s: float = 60.0,
-                 default_retry_after_s: float = 1.0,
-                 cost_allowance: float = 32.0,
                  clock: Callable[[], float] = time.monotonic):
         self.base_inflight = max(1, int(base_inflight))
         self.base_depth = max(1, int(base_depth))
         self.target_p95_s = float(target_p95_s)
-        self.min_inflight = max(1, min(int(min_inflight),
-                                       self.base_inflight))
-        self.latency_window = int(latency_window)
         self.latency_window_s = float(latency_window_s)
-        self.drain_window_s = float(drain_window_s)
         self.adjust_interval_s = float(adjust_interval_s)
-        self.decrease_factor = float(decrease_factor)
-        self.increase_step = float(increase_step)
-        self.min_retry_after_s = float(min_retry_after_s)
-        self.max_retry_after_s = float(max_retry_after_s)
-        self.default_retry_after_s = float(default_retry_after_s)
-        self.cost_allowance = float(cost_allowance)
         self._clock = clock
         self._limit = float(self.base_inflight)
         self._last_adjust = clock()
         self._latencies: Deque[Tuple[float, float]] = deque(
-            maxlen=self.latency_window)
+            maxlen=LATENCY_WINDOW)
         self._completions: Deque[float] = deque(maxlen=4096)
         self.pressure = "normal"
         self.adjustments = 0        # AIMD limit changes, for /stats
@@ -140,7 +132,7 @@ class OverloadController:
 
     def drain_rate_per_s(self) -> float:
         now = self._clock()
-        horizon = now - self.drain_window_s
+        horizon = now - DRAIN_WINDOW_S
         while self._completions and self._completions[0] < horizon:
             self._completions.popleft()
         if not self._completions:
@@ -153,11 +145,10 @@ class OverloadController:
         drain at the measured rate (plus one slot for the caller)."""
         rate = self.drain_rate_per_s()
         if rate <= 0.0:
-            hint = self.default_retry_after_s
+            hint = DEFAULT_RETRY_AFTER_S
         else:
             hint = (max(0, int(pending)) + 1) / rate
-        return min(max(hint, self.min_retry_after_s),
-                   self.max_retry_after_s)
+        return min(max(hint, MIN_RETRY_AFTER_S), MAX_RETRY_AFTER_S)
 
     # -- AIMD + ladder -----------------------------------------------------
     def update(self, queue_depth: int, inflight: int) -> str:
@@ -170,21 +161,21 @@ class OverloadController:
         if now - self._last_adjust >= self.adjust_interval_s:
             self._last_adjust = now
             if breach > 1.0 and inflight > 0:
-                shrunk = max(float(self.min_inflight),
-                             self._limit * self.decrease_factor)
+                shrunk = max(float(MIN_INFLIGHT),
+                             self._limit * DECREASE_FACTOR)
                 if shrunk != self._limit:
                     self._limit = shrunk
                     self.adjustments += 1
             elif self._limit < self.base_inflight:
                 self._limit = min(float(self.base_inflight),
-                                  self._limit + self.increase_step)
+                                  self._limit + INCREASE_STEP)
                 self.adjustments += 1
         capacity = self.effective_inflight() + self.effective_depth()
         load = (max(0, int(queue_depth)) + max(0, int(inflight))) \
             / max(1, capacity)
         squeeze = self._limit / self.base_inflight
-        if load >= 1.0 and (squeeze <= self.min_inflight
-                            / self.base_inflight or breach >= 2.0):
+        if load >= 1.0 and (squeeze <= MIN_INFLIGHT / self.base_inflight
+                            or breach >= 2.0):
             self.pressure = "shedding"
         elif load >= 0.9 or breach > 1.5 or squeeze <= 0.5:
             self.pressure = "saturated"
@@ -195,7 +186,7 @@ class OverloadController:
         return self.pressure
 
     def effective_inflight(self) -> int:
-        return max(self.min_inflight,
+        return max(MIN_INFLIGHT,
                    min(self.base_inflight, int(round(self._limit))))
 
     def effective_depth(self) -> int:
@@ -225,7 +216,7 @@ class OverloadController:
             return False
         if factor <= 0.0:
             return True
-        allowance = self.cost_allowance * (2.0 ** max(-8, min(8, priority))) \
+        allowance = COST_ALLOWANCE * (2.0 ** max(-8, min(8, priority))) \
             * factor
         return cost > allowance
 

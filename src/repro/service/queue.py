@@ -1,13 +1,11 @@
-"""Bounded priority job queue with fair scheduling, anti-starvation
-promotion and deadline expiry.
+"""Priority job queue with fair scheduling, anti-starvation promotion
+and deadline expiry.
 
-The queue is the service's only buffer, and it is *bounded by
-construction*: :meth:`JobQueue.put` raises the typed
-:class:`QueueFull` once the depth limit is hit — callers shed load
-with an explicit rejection the client can see (HTTP 429) instead of
-buffering unboundedly until the process dies.  Re-queued retries use
-``force=True`` so containment can never be starved by admission
-control.
+The queue is the service's only buffer.  It never refuses a job
+itself: the scan service's admission decides, before a ``put``,
+whether new work fits (shedding it with the typed :class:`QueueFull`
+the client sees as HTTP 429), and containment or watchdog re-queues
+of already-admitted jobs are never shed.
 
 Scheduling is two-level: strict priority first (higher number runs
 sooner), round-robin across clients within a priority band — one
@@ -143,15 +141,13 @@ class Job:
 
 
 class JobQueue:
-    """Thread-safe bounded queue: priority bands, fair within a band,
+    """Thread-safe queue: priority bands, fair within a band,
     age-promoted across bands, expired once past their deadline."""
 
-    def __init__(self, max_depth: int = 64, *,
-                 promote_after_s: float | None = None,
+    def __init__(self, *, promote_after_s: float | None = None,
                  on_expired: "Callable[[Job], None] | None" = None,
                  clock: Callable[[], float] = time.monotonic,
                  wall_clock: Callable[[], float] = time.time):
-        self.max_depth = max_depth
         self.promote_after_s = promote_after_s
         self.on_expired = on_expired
         self._clock = clock
@@ -161,10 +157,7 @@ class JobQueue:
         # priority -> client -> FIFO of jobs; clients rotate per get.
         self._bands: dict[int, "OrderedDict[str, deque[Job]]"] = {}
         self._depth = 0
-        self.shed = 0
-        self.expired = 0
-        self.promoted = 0
-        self.stolen = 0
+        self.promoted = 0           # jobs served by age promotion
 
     def __len__(self) -> int:
         with self._lock:
@@ -174,17 +167,9 @@ class JobQueue:
     def depth(self) -> int:
         return len(self)
 
-    def put(self, job: Job, force: bool = False) -> None:
-        """Enqueue ``job``; raises :class:`QueueFull` at the depth
-        bound unless ``force`` (used for containment re-queues, which
-        must never be shed)."""
+    def put(self, job: Job) -> None:
+        """Enqueue ``job`` (admission already decided it fits)."""
         with self._lock:
-            if not force and self._depth >= self.max_depth:
-                self.shed += 1
-                raise QueueFull(
-                    f"queue depth {self._depth} at limit "
-                    f"{self.max_depth}", depth=self._depth,
-                    limit=self.max_depth)
             if job.queued_s == 0.0:
                 # First enqueue only: containment/watchdog re-queues
                 # keep their original age so aging rules still apply.
@@ -247,7 +232,6 @@ class JobQueue:
                 if stale:
                     out.extend(stale)
                     self._depth -= len(stale)
-                    self.expired += len(stale)
                     if keep:
                         band[client] = keep
                     else:
@@ -339,7 +323,6 @@ class JobQueue:
                 if len(out) >= max_jobs:
                     break
             self._depth -= len(out)
-            self.stolen += len(out)
         return out
 
     def drain(self) -> list[Job]:

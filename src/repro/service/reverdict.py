@@ -42,7 +42,8 @@ from ..semoracle.registry import InsufficientSurface, resolve_oracles
 from ..traceir.codec import TRACEIR_VERSION
 from ..traceir.pack import decode_pack, replay_scan
 
-__all__ = ["ReverdictReport", "reverdict_store", "audit_traces"]
+__all__ = ["ReverdictReport", "reverdict_store", "audit_traces",
+           "replay_row", "replay_provenance"]
 
 
 @dataclass
@@ -118,20 +119,41 @@ def _requeue_insufficient(store, key: str, module_hash: str,
     })
 
 
-def _examine(store, key: str, report: ReverdictReport,
-             extra_detectors=(), oracles=None) -> "tuple[dict, dict] | None":
-    """Decode + replay one stored trace.
+def replay_row(row: dict, extra_detectors=(), oracles=None) -> dict:
+    """Decode one stored trace row's pack and replay the oracles over
+    it; returns the scan doc.  Raises the typed
+    :class:`~repro.resilience.errors.TraceCorruption` or
+    :class:`~repro.semoracle.registry.InsufficientSurface`."""
+    scan = replay_scan(decode_pack(row["blob"]), extra_detectors,
+                       oracles=oracles)
+    return _scan_to_doc(scan)
 
-    Returns ``(trace_row, replay_scan_doc)`` or None when the key was
-    consumed (corrupt and quarantined, insufficient and re-queued, or
-    already gone).
+
+def replay_provenance(oracle_version: int, row: dict,
+                      oracles=None) -> dict:
+    """The provenance of a verdict re-derived from ``row``'s pack."""
+    return {"oracle_version": oracle_version,
+            "traceir_version": row["traceir_version"],
+            "oracles": list(resolve_oracles(oracles)),
+            "source": "replay"}
+
+
+def _examine(store, key: str, report: ReverdictReport,
+             extra_detectors=(),
+             oracles=None) -> "tuple[dict, dict, dict] | None":
+    """Replay one stored trace and compare it with the stored verdict.
+
+    Counts the outcome on ``report`` (matched, or drift with its
+    incident) and returns ``(trace_row, replay_scan_doc,
+    verdict_record)``; None when the key was consumed (corrupt and
+    quarantined, insufficient and re-queued, or already gone) or has
+    no verdict to compare (orphaned).
     """
     row = store.get_trace(key)
     if row is None:
         return None
     try:
-        pack = decode_pack(row["blob"])
-        scan = replay_scan(pack, extra_detectors, oracles=oracles)
+        scan_doc = replay_row(row, extra_detectors, oracles=oracles)
     except TraceCorruption as exc:
         _quarantine_corrupt(store, key, row["module_hash"], exc, report)
         return None
@@ -140,7 +162,24 @@ def _examine(store, key: str, report: ReverdictReport,
                               report)
         return None
     report.replayed += 1
-    return row, _scan_to_doc(scan)
+    record = store.verdict_record(key)
+    if record is None:
+        report.orphaned += 1
+        return None
+    old_scan = record["result"].get("scans", {}).get(row["tool"])
+    if old_scan == scan_doc:
+        report.matched += 1
+    else:
+        report.drift += 1
+        report.incidents.append({
+            "kind": "verdict_drift",
+            "scan_key": key,
+            "module_hash": row["module_hash"],
+            "tool": row["tool"],
+            "before": old_scan,
+            "after": scan_doc,
+        })
+    return row, scan_doc, record
 
 
 def reverdict_store(store, oracle_version: int | None = None,
@@ -165,40 +204,18 @@ def reverdict_store(store, oracle_version: int | None = None,
     is never compared, so it can never masquerade as drift.
     """
     version = ORACLE_VERSION if oracle_version is None else oracle_version
-    names = resolve_oracles(oracles)
-    report = ReverdictReport(oracle_version=version, oracles=names)
+    report = ReverdictReport(oracle_version=version,
+                             oracles=resolve_oracles(oracles))
     for key in store.trace_keys():
         examined = _examine(store, key, report, extra_detectors,
                             oracles=oracles)
         if examined is None:
             continue
-        row, scan_doc = examined
-        record = store.verdict_record(key)
-        if record is None:
-            report.orphaned += 1
-            continue
+        row, scan_doc, record = examined
         result_doc = dict(record["result"])
-        old_scan = result_doc.get("scans", {}).get(row["tool"])
-        if old_scan == scan_doc:
-            report.matched += 1
-        else:
-            report.drift += 1
-            report.incidents.append({
-                "kind": "verdict_drift",
-                "scan_key": key,
-                "module_hash": row["module_hash"],
-                "tool": row["tool"],
-                "before": old_scan,
-                "after": scan_doc,
-            })
         result_doc["scans"] = dict(result_doc.get("scans", {}))
         result_doc["scans"][row["tool"]] = scan_doc
-        result_doc["provenance"] = {
-            "oracle_version": version,
-            "traceir_version": row["traceir_version"],
-            "oracles": list(names),
-            "source": "replay",
-        }
+        result_doc["provenance"] = replay_provenance(version, row, oracles)
         store.put_verdict(key, record["module_hash"],
                           record["config"], result_doc)
         report.rewritten += 1
@@ -225,26 +242,5 @@ def audit_traces(store, sample: int = 4, cursor: int = 0,
     cursor %= len(keys)
     for key in (keys[(cursor + i) % len(keys)]
                 for i in range(min(sample, len(keys)))):
-        examined = _examine(store, key, report, extra_detectors,
-                            oracles=oracles)
-        if examined is None:
-            continue
-        row, scan_doc = examined
-        record = store.verdict_record(key)
-        if record is None:
-            report.orphaned += 1
-            continue
-        old_scan = record["result"].get("scans", {}).get(row["tool"])
-        if old_scan == scan_doc:
-            report.matched += 1
-        else:
-            report.drift += 1
-            report.incidents.append({
-                "kind": "verdict_drift",
-                "scan_key": key,
-                "module_hash": row["module_hash"],
-                "tool": row["tool"],
-                "before": old_scan,
-                "after": scan_doc,
-            })
+        _examine(store, key, report, extra_detectors, oracles=oracles)
     return report, (cursor + min(sample, len(keys))) % len(keys)

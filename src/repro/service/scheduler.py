@@ -2,8 +2,8 @@
 circuit breakers and storage self-healing.
 
 :class:`ScanService` glues the persistent :class:`ArtifactStore`, the
-bounded :class:`JobQueue` and a supervised pool of worker threads into
-the long-lived analyzer the HTTP daemon fronts.  One submission
+:class:`JobQueue` and a supervised pool of worker threads into the
+long-lived analyzer the HTTP daemon fronts.  One submission
 travels::
 
     bytes -> ingest (sandboxed, typed reject) -> scan_key
@@ -66,6 +66,13 @@ The :class:`ArtifactStore` is the only durable interface: it logs every
 verdict write, rewrite and drop for rebuilds and read replicas, and
 holds the drain checkpoints that :meth:`ScanService.resume` (run by
 :meth:`~ScanService.start`) resubmits once each and deletes.
+
+Every count ``GET /stats`` shows is kept once, by whoever sees the
+event: the service's own events through :meth:`ScanService.count`
+(one ``collections.Counter`` behind a leaf lock), worker restarts by
+the supervisor, breaker trips and recoveries by the breaker board,
+promotions by the queue, rows by the store.  :meth:`~ScanService.
+stats` only renders them.
 """
 
 from __future__ import annotations
@@ -76,6 +83,7 @@ import os
 import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,11 +94,14 @@ from ..resilience import (MalformedModule, Quarantine,
                           ResiliencePolicy, WorkerKill,
                           campaign_task_key)
 from ..resilience.faultinject import inject
+from ..resilience.journal import (campaign_result_from_doc,
+                                  campaign_result_to_doc)
+from ..scanner.report import report_to_json
 from ..wasm.hardening import load_untrusted_module
 from .health import (BLACKBOX_GATED_STAGES, BREAKER_STAGES,
                      BreakerBoard)
 from .integrity import StoreBudgetExceeded, StoreCorruption
-from .overload import OverloadController
+from .overload import SHED_KINDS, OverloadController
 from .queue import Job, JobQueue, QueueFull
 from .store import ArtifactStore
 from .supervisor import WorkerRecord, WorkerSupervisor
@@ -142,7 +153,6 @@ class ScanServiceConfig:
     restart_backoff_s: float = 0.05
     breaker_threshold: int = 3           # consecutive failures to trip
     breaker_cooldown_s: float = 30.0     # base open->half_open cooldown
-    breaker_max_cooldown_s: float = 300.0
     store_max_bytes: int | None = None   # disk budget (typed shed)
     # -- trace IR / re-verdict knobs ---------------------------------------
     capture_traces: bool = False         # persist trace-IR packs
@@ -155,7 +165,6 @@ class ScanServiceConfig:
     # the observed p95 breaches it the effective inflight budget and
     # queue depth shrink (and recover additively once it is met again).
     target_p95_s: float | None = None
-    min_inflight: int = 1                # AIMD floor
     # Housekeeping cadence: drives the idle-queue deadline sweep and
     # the controller's AIMD tick.  None disables the thread (tests
     # call housekeeping_once() by hand).
@@ -197,14 +206,12 @@ class ScanService:
                           store, max_bytes=self.config.store_max_bytes))
         self.policy = policy or ResiliencePolicy()
         self.ingest_budget = ingest_budget
-        self.queue = JobQueue(max_depth=self.config.max_depth,
-                              promote_after_s=self.config.promote_after_s,
+        self.queue = JobQueue(promote_after_s=self.config.promote_after_s,
                               on_expired=self._job_expired)
         self.quarantine = Quarantine(self.policy.quarantine_after)
         self.breakers = BreakerBoard(
             threshold=self.config.breaker_threshold,
-            cooldown_s=self.config.breaker_cooldown_s,
-            max_cooldown_s=self.config.breaker_max_cooldown_s)
+            cooldown_s=self.config.breaker_cooldown_s)
         self.supervisor: WorkerSupervisor | None = None
         self.perf = ThroughputStats(jobs=self.config.workers)
         self.overload = OverloadController(
@@ -212,7 +219,6 @@ class ScanService:
             target_p95_s=(self.config.target_p95_s
                           if self.config.target_p95_s is not None
                           else 30.0),
-            min_inflight=self.config.min_inflight,
             latency_window_s=self.config.overload_window_s,
             adjust_interval_s=self.config.adjust_interval_s)
         self.started_s = time.time()
@@ -222,15 +228,9 @@ class ScanService:
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[str, Job] = {}   # scan_key -> live job
         self._running_jobs: set[str] = set()  # job ids claimed by workers
-        self._submissions = 0
-        self._cache_hits = 0
-        self._coalesce_hits = 0
-        self._admission_rejected = 0
-        self._settled: dict[str, int] = {}  # terminal state -> jobs
-        self._replay_served = 0       # brownout replay-serve hits
-        self._browned_out = 0         # jobs run with a shrunk budget
-        self._forced_blackbox = 0
-        self._replica_applied = 0     # verdicts applied from peers
+        # The service's own event counts; written only by count().
+        self._counts: Counter = Counter()
+        self._count_lock = threading.Lock()
         self._storm = False
         self._accepting = True
         self._draining = False
@@ -244,7 +244,6 @@ class ScanService:
         self._auditor: threading.Thread | None = None
         self._auditor_stop = threading.Event()
         self._audit_cursor = 0
-        self._drift_audits = 0
         self._drift_incidents: list[dict] = []  # bounded, newest-last
 
     # -- lifecycle ---------------------------------------------------------
@@ -370,7 +369,7 @@ class ScanService:
         # Recovery can fire from inside admission, with the service
         # lock held: never acquire self._lock under the heal lock.
         with self._heal_lock:
-            self.perf.integrity_repairs += 1
+            self.count("integrity_repairs")
             old = self.store
             path = old.path
             try:
@@ -428,7 +427,7 @@ class ScanService:
     def compact_journal(self) -> int:
         """Compact the store's verdict log (safe on a live service)."""
         removed = self.store.compact_log()
-        self.perf.journal_compactions += 1
+        self.count("journal_compactions")
         return removed
 
     # -- admission ---------------------------------------------------------
@@ -449,13 +448,10 @@ class ScanService:
                 floor: float = 0.0) -> QueueFull:
         """Count one refused submission and build its typed 429 (the
         caller raises it), with a Retry-After measured from the
-        current backlog.  Every refusal but ``draining`` also counts
-        towards the ``shed`` aggregate in ``/stats``."""
+        current backlog."""
+        self.count(f"shed.{kind}")
         with self._lock:
             queued = self.queue.depth
-            if kind != "draining":
-                self.queue.shed += 1
-            self.perf.record_shed(kind)
             return QueueFull(
                 message, kind=kind,
                 depth=queued if depth is None else depth,
@@ -490,8 +486,7 @@ class ScanService:
             module = load_untrusted_module(data,
                                            budget=self.ingest_budget)
         except MalformedModule:
-            with self._lock:
-                self._admission_rejected += 1
+            self.count("admission_rejected")
             raise
         if isinstance(abi_json, dict):
             abi_json = json.dumps(abi_json)
@@ -538,7 +533,7 @@ class ScanService:
                                floor=5.0) from exc
 
         with self._lock:
-            self._submissions += 1
+            self.count("submissions")
             job = Job(job_id=uuid.uuid4().hex[:12], client=client,
                       scan_key=scan_key, module_hash=module_hash,
                       config=stored_config, priority=priority,
@@ -548,12 +543,12 @@ class ScanService:
             result_doc = self._healed(
                 lambda: self.store.get_verdict(scan_key))
             if result_doc is not None:
-                self._cache_hits += 1
+                self.count("cache_hits")
                 return self._answered(job, "cached", result_doc)
             # Level 2: single-flight — attach to the live twin.
             twin = self._inflight.get(scan_key)
             if twin is not None and not twin.terminal:
-                self._coalesce_hits += 1
+                self.count("coalesce_hits")
                 twin.waiters += 1
                 return Submission(twin, "coalesced")
             # Deadline already passed: a fresh campaign budget must
@@ -571,7 +566,7 @@ class ScanService:
             if self.overload.pressure in ("saturated", "shedding"):
                 replay_doc = self._serve_from_replay_locked(scan_key)
                 if replay_doc is not None:
-                    self._replay_served += 1
+                    self.count("replay_served")
                     return self._answered(job, "replayed", replay_doc)
             refusal = self.overload.admission_refusal(
                 len(data), len(stored_config["oracles"] or ()) or 5,
@@ -582,7 +577,7 @@ class ScanService:
                 raise self._refuse(kind, message, depth=depth,
                                    limit=limit)
             job.task = task
-            self.queue.put(job, force=True)  # admission decided above
+            self.queue.put(job)  # admission decided above
             self._jobs[job.job_id] = job
             self._inflight[scan_key] = job
         return Submission(job, "queued")
@@ -609,26 +604,18 @@ class ScanService:
         if row is None:
             return None
         from ..resilience.errors import TraceCorruption
-        from ..resilience.journal import _scan_to_doc
         from ..scanner.oracles import ORACLE_VERSION
-        from ..semoracle.registry import (InsufficientSurface,
-                                          resolve_oracles)
-        from ..traceir.pack import decode_pack, replay_scan
+        from ..semoracle.registry import InsufficientSurface
+        from .reverdict import replay_provenance, replay_row
+        oracles = self.config.oracles
         try:
-            pack = decode_pack(row["blob"])
-            scan = replay_scan(pack, oracles=self.config.oracles)
+            scan_doc = replay_row(row, oracles=oracles)
         except (TraceCorruption, InsufficientSurface):
             return None     # the reverdict sweep owns cleanup
-        return {
-            "scans": {row["tool"]: _scan_to_doc(scan)},
-            "provenance": {
-                "oracle_version": ORACLE_VERSION,
-                "traceir_version": row["traceir_version"],
-                "oracles": list(resolve_oracles(self.config.oracles)),
-                "source": "replay",
-                "pressure": self.overload.pressure,
-            },
-        }
+        provenance = replay_provenance(ORACLE_VERSION, row, oracles)
+        provenance["pressure"] = self.overload.pressure
+        return {"scans": {row["tool"]: scan_doc},
+                "provenance": provenance}
 
     def job(self, job_id: str) -> Job | None:
         with self._lock:
@@ -652,7 +639,7 @@ class ScanService:
             if depth >= limit:
                 raise self._refuse(
                     "queue", f"queue depth {depth} at limit {limit}")
-            self._submissions += 1
+            self.count("submissions")
             job_id = uuid.uuid4().hex[:12]
             job = Job(job_id=job_id, client=client,
                       scan_key=f"reverdict:{job_id}", module_hash="",
@@ -661,7 +648,7 @@ class ScanService:
                               "oracles": (oracles if oracles is not None
                                           else self.config.oracles)},
                       priority=priority, submitted_s=time.time())
-            self.queue.put(job, force=True)
+            self.queue.put(job)
             self._jobs[job.job_id] = job
             self._inflight[job.scan_key] = job
         return Submission(job, "queued")
@@ -686,7 +673,7 @@ class ScanService:
                 continue
             with self._lock:
                 if self._draining or record.abandoned:
-                    self.queue.put(job, force=True)  # back for drain
+                    self.queue.put(job)  # back for drain
                     return
                 if job.deadline_remaining_s() <= 0.0:
                     # Expired while queued (the sweep may not have
@@ -706,7 +693,7 @@ class ScanService:
                 if job.task is not None:
                     job.task.blackbox = forced
                 if forced:
-                    self._forced_blackbox += 1
+                    self.count("forced_blackbox")
                 # Brownout ladder: under pressure, shrink the fuzzing
                 # budget (elevated: x0.5, saturated+: x0.25 and force
                 # black-box — PR 5's degraded labeling applies).  The
@@ -721,7 +708,7 @@ class ScanService:
                                        job.task.timeout_ms))
                     if level != "normal":
                         job.brownout = level
-                        self._browned_out += 1
+                        self.count("browned_out")
                         job.task.timeout_ms *= \
                             self.overload.timeout_scale()
                         if level in ("saturated", "shedding"):
@@ -762,7 +749,6 @@ class ScanService:
                          error=doc_error.get("message",
                                              "campaign failed"))
             return
-        from ..resilience.journal import campaign_result_to_doc
         result_doc = campaign_result_to_doc(result)
         # Trace-IR packs travel separately: the store's content-
         # addressed ``traces`` table holds the blob; the verdict doc
@@ -795,7 +781,7 @@ class ScanService:
                             lambda t=trace_tool, b=blob:
                             self.store.put_trace(job.scan_key,
                                                  job.module_hash, t, b))
-                        self.perf.traces_stored += 1
+                        self.count("traces_stored")
             except StoreBudgetExceeded:
                 pass  # verdict still served from memory this once
         with self._lock:
@@ -870,14 +856,13 @@ class ScanService:
 
     def _absorb_reverdict(self, report, *, audit: bool = False) -> None:
         """Fold one sweep's outcome into counters + incident ledger."""
+        if audit:
+            self.count("drift_audits")
+        self.count("reverdicts", report.replayed)
+        self.count("trace_corruptions", report.corrupt)
+        self.count("verdict_drift", report.drift)
+        self.count("insufficient_surface", report.insufficient)
         with self._lock:
-            if audit:
-                self._drift_audits += 1
-            self.perf.reverdicts += report.replayed
-            self.perf.trace_corruptions += report.corrupt
-            self.perf.verdict_drift += report.drift
-            self.perf.insufficient_surface += getattr(
-                report, "insufficient", 0)
             self._drift_incidents.extend(report.incidents)
             del self._drift_incidents[:-32]   # bounded, newest kept
         for incident in report.incidents:
@@ -904,7 +889,6 @@ class ScanService:
         with self._lock:
             level = self.overload.update(self.queue.depth,
                                          len(self._running_jobs))
-            self.perf.pressure = level
         return {"swept": swept, "pressure": level}
 
     def _housekeeper_main(self) -> None:
@@ -951,15 +935,15 @@ class ScanService:
                 elif job.attempts <= self.policy.max_retries \
                         and not self._draining:
                     job.state = "queued"
-                    self.queue.put(job, force=True)  # containment re-queue
+                    self.queue.put(job)  # containment re-queue
                     return True
             if state in ("deadline_exceeded", "stolen"):
                 job.outcome = state
             if state == "deadline_exceeded":
-                self.perf.record_shed("deadline")
+                self.count("shed.deadline")
             job.state = state
             job.finished_s = time.time()
-            self._settled[state] = self._settled.get(state, 0) + 1
+            self.count(f"settled.{state}")
             if self._inflight.get(job.scan_key) is job:
                 del self._inflight[job.scan_key]
             self.overload.observe_completion()
@@ -980,7 +964,6 @@ class ScanService:
         claim and requeue-or-quarantine the orphaned job exactly once."""
         job = record.job
         record.release_job()
-        self.perf.worker_restarts += 1
         if job is None:
             return
         with self._lock:
@@ -1014,8 +997,7 @@ class ScanService:
             if stage:
                 failed_stages.add(stage)
         for stage in failed_stages:
-            if self.breakers.record_failure(stage):
-                self.perf.breaker_trips += 1
+            self.breakers.record_failure(stage)
         if not completed:
             return
         ran_full = not forced_blackbox and not result.degraded
@@ -1024,8 +1006,7 @@ class ScanService:
                 continue
             if stage in BLACKBOX_GATED_STAGES and not ran_full:
                 continue
-            if self.breakers.record_success(stage):
-                self.perf.breaker_recoveries += 1
+            self.breakers.record_success(stage)
 
     def _record_latency(self, job: Job, result) -> None:
         if job.started_s and job.finished_s:
@@ -1111,9 +1092,9 @@ class ScanService:
                     # No module bytes to ship (a store rebuild raced
                     # the steal, or a re-verdict sweep): the donor
                     # still holds the parsed task, so the job stays.
-                    self.queue.put(job, force=True)
+                    self.queue.put(job)
                     continue
-                token = f"{thief}#{self._settled.get('stolen', 0) + 1}"
+                token = f"{thief}#{self._counts['settled.stolen'] + 1}"
                 self._settle(job, None, "stolen")
                 job.claim = job.stolen_by = token
                 recipes.append(dict(self._recipe(job), module=data,
@@ -1129,117 +1110,144 @@ class ScanService:
         store rebuild uses; ``insert_only`` fills absent keys alone."""
         applied = self._healed(
             lambda: self.store.replay(entries, insert_only), default=0)
-        if applied:
-            with self._lock:
-                self._replica_applied += applied
+        self.count("replica_applied", applied)
         return applied
 
     # -- health / stats ----------------------------------------------------
-    def health(self) -> dict:
-        """The liveness/readiness doc behind ``GET /healthz``.
+    def count(self, key: str, n: int = 1) -> None:
+        """Bump one of the service's own event counts by ``n``.
 
-        ``ok`` — accepting, all breakers closed; ``degraded`` — serving
-        but some breaker is open/half-open (affected jobs run
-        black-box-only); ``draining`` — not accepting (graceful drain
-        or a restart storm)."""
+        The one write path for every count ``/stats`` renders that no
+        other component already keeps; safe from any thread, with or
+        without the service or heal lock held.  A new counter is one
+        ``count()`` call where the event happens plus one line in
+        :meth:`stats`."""
+        with self._count_lock:
+            self._counts[key] += n
+
+    def _status_locked(self) -> str:
+        """The health ladder (service lock held): ``partitioned`` over
+        ``draining`` (not accepting: graceful drain or a restart storm)
+        over ``degraded`` (some breaker not closed) over ``ok``."""
+        if self._partitioned:
+            return "partitioned"
+        if not self._accepting:
+            return "draining"
+        return "degraded" if self.breakers.open_stages() else "ok"
+
+    def health(self) -> dict:
+        """The liveness/readiness doc behind ``GET /healthz``; see
+        :meth:`_status_locked` for ``status``.  Partition-mode reads
+        are served but marked ``stale``: the node cannot know what the
+        majority decided since."""
         with self._lock:
-            open_stages = self.breakers.open_stages()
-            accepting = self._accepting
-            storm = self._storm
-            partitioned = self._partitioned
-        status = "ok"
-        if open_stages:
-            status = "degraded"
-        if not accepting:
-            status = "draining"
-        if partitioned:
-            # Partition-mode reads are served but explicitly stale:
-            # the node cannot know what the majority decided since.
-            status = "partitioned"
-        doc = {
-            "status": status,
-            "accepting": accepting and not partitioned,
-            "stale": partitioned,
-            "storm": storm,
-            "pressure": self.overload.pressure,
-            "breakers": {"open": open_stages},
-            "workers": (self.supervisor.stats()
-                        if self.supervisor is not None
-                        else {"alive": 0,
-                              "configured": self.config.workers,
-                              "restarts": 0,
-                              "reaps": {"died": 0, "hung": 0},
-                              "storm": False}),
-        }
+            return {
+                "status": self._status_locked(),
+                "accepting": self._accepting and not self._partitioned,
+                "stale": self._partitioned,
+                "storm": self._storm,
+                "pressure": self.overload.pressure,
+                "breakers": {"open": self.breakers.open_stages()},
+                "workers": (self.supervisor.stats()
+                            if self.supervisor is not None
+                            else {"alive": 0,
+                                  "configured": self.config.workers,
+                                  "restarts": 0,
+                                  "reaps": {"died": 0, "hung": 0},
+                                  "storm": False}),
+            }
+
+    def job_doc(self, job: Job) -> dict:
+        """The ``GET /scans/{id}`` doc of ``job``, whichever transport
+        serves it: the lifecycle fields, and once done the result doc
+        plus the decoded verdict of its tool (a re-verdict job carries
+        its sweep report instead)."""
+        doc = job.to_doc()
+        if job.config.get("kind") == "reverdict":
+            if job.result_doc is not None:
+                doc["result"] = job.result_doc
+            return doc
+        if job.state == "done" and job.result_doc is not None:
+            scan = campaign_result_from_doc(job.result_doc).scans.get(
+                job.config["tool"])
+            doc["result"] = job.result_doc
+            if scan is not None:
+                doc["verdict"] = json.loads(report_to_json(scan))
         return doc
 
     def stats(self) -> dict:
+        """The ``GET /stats`` doc.  Counts the service keeps itself come
+        from :meth:`count`; the rest are read from their owners: the
+        queue (``promoted``), the supervisor (worker restarts = died +
+        hung reaps), the breaker board (trips and recoveries) and the
+        store (rows per table).  ``shed`` sums the capacity refusals
+        (queue, inflight, brownout, disk) of ``shed_by_kind``."""
+        with self._count_lock:
+            counts = self._counts.copy()
+        sheds = {kind: counts[f"shed.{kind}"] for kind in SHED_KINDS
+                 if counts[f"shed.{kind}"]}
         with self._lock:
-            states: dict[str, int] = {}
-            for job in self._jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
-            total = self._cache_hits + self._coalesce_hits
-            running = len(self._running_jobs)
+            states = Counter(job.state for job in self._jobs.values())
+            breakers = self.breakers.snapshot()
+            supervisor = (self.supervisor.stats()
+                          if self.supervisor is not None else None)
+            reaps = supervisor["reaps"] if supervisor else {}
+            submissions = counts["submissions"]
+            hits = counts["cache_hits"] + counts["coalesce_hits"]
             return {
                 "uptime_s": time.time() - self.started_s,
                 "queue_depth": self.queue.depth,
-                "running": running,
+                "running": len(self._running_jobs),
                 "inflight_budget": self.config.inflight_budget(),
                 "workers": self.config.workers,
                 "accepting": self._accepting and not self._partitioned,
                 "stale": self._partitioned,
-                "health": ("partitioned" if self._partitioned else
-                           "draining" if not self._accepting else
-                           "degraded" if self.breakers.open_stages()
-                           else "ok"),
-                "submissions": self._submissions,
-                "jobs": states,
-                "completed": self._settled.get("done", 0),
-                "failed": self._settled.get("failed", 0),
-                "quarantined": self._settled.get("quarantined", 0),
-                "deadline_exceeded":
-                    self._settled.get("deadline_exceeded", 0),
+                "health": self._status_locked(),
+                "submissions": submissions,
+                "jobs": dict(states),
+                "completed": counts["settled.done"],
+                "failed": counts["settled.failed"],
+                "quarantined": counts["settled.quarantined"],
+                "deadline_exceeded": counts["settled.deadline_exceeded"],
                 "promoted": self.queue.promoted,
-                "admission_rejected": self._admission_rejected,
-                "shed": self.queue.shed,
-                "shed_by_kind": dict(self.perf.shed_by_kind),
+                "admission_rejected": counts["admission_rejected"],
+                "shed": sum(sheds.get(kind, 0) for kind in
+                            ("queue", "inflight", "brownout", "disk")),
+                "shed_by_kind": sheds,
                 "pressure": self.overload.pressure,
                 "overload": self.overload.snapshot(),
-                "replay_served": self._replay_served,
-                "browned_out": self._browned_out,
+                "replay_served": counts["replay_served"],
+                "browned_out": counts["browned_out"],
                 "fleet": {
-                    "stolen_away": self._settled.get("stolen", 0),
-                    "replica_applied": self._replica_applied,
+                    "stolen_away": counts["settled.stolen"],
+                    "replica_applied": counts["replica_applied"],
                 },
                 "dedup": {
-                    "cache_hits": self._cache_hits,
-                    "coalesce_hits": self._coalesce_hits,
-                    "hit_rate": (total / self._submissions
-                                 if self._submissions else 0.0),
+                    "cache_hits": counts["cache_hits"],
+                    "coalesce_hits": counts["coalesce_hits"],
+                    "hit_rate": hits / submissions if submissions else 0.0,
                 },
-                "breakers": self.breakers.snapshot(),
-                "supervisor": (self.supervisor.stats()
-                               if self.supervisor is not None else None),
+                "breakers": breakers,
+                "supervisor": supervisor,
                 "resilience": {
-                    "worker_restarts": self.perf.worker_restarts,
-                    "breaker_trips": self.perf.breaker_trips,
-                    "breaker_recoveries": self.perf.breaker_recoveries,
-                    "integrity_repairs": self.perf.integrity_repairs,
-                    "journal_compactions":
-                        self.perf.journal_compactions,
-                    "store_recoveries": self.perf.integrity_repairs,
-                    "forced_blackbox": self._forced_blackbox,
+                    "worker_restarts": sum(reaps.values()),
+                    "breaker_trips": sum(b["trips"]
+                                         for b in breakers.values()),
+                    "breaker_recoveries": sum(b["recoveries"]
+                                              for b in breakers.values()),
+                    "integrity_repairs": counts["integrity_repairs"],
+                    "journal_compactions": counts["journal_compactions"],
+                    "store_recoveries": counts["integrity_repairs"],
+                    "forced_blackbox": counts["forced_blackbox"],
                 },
                 "traceir": {
-                    "traces_stored": self.perf.traces_stored,
-                    "reverdicts": self.perf.reverdicts,
-                    "trace_corruptions": self.perf.trace_corruptions,
-                    "verdict_drift": self.perf.verdict_drift,
-                    "insufficient_surface":
-                        self.perf.insufficient_surface,
-                    "drift_audits": self._drift_audits,
-                    "drift_incidents":
-                        list(self._drift_incidents[-8:]),
+                    "traces_stored": counts["traces_stored"],
+                    "reverdicts": counts["reverdicts"],
+                    "trace_corruptions": counts["trace_corruptions"],
+                    "verdict_drift": counts["verdict_drift"],
+                    "insufficient_surface": counts["insufficient_surface"],
+                    "drift_audits": counts["drift_audits"],
+                    "drift_incidents": list(self._drift_incidents[-8:]),
                 },
                 "latency": self.perf.latency_percentiles(),
                 "store": self.store.counts(),

@@ -22,7 +22,7 @@ def _scan() -> ScanResult:
 def _result() -> CampaignResult:
     return CampaignResult(scans={"wasai": _scan()},
                           stage_seconds={"fuzz": 1.5},
-                          instr_cache_hits=2,
+                          cache={"instr_cache_hits": 2},
                           errors={"eosafe": {"type": "ScanError",
                                              "stage": "scan",
                                              "message": "[scan] boom"}},
@@ -104,3 +104,49 @@ def test_campaign_task_key_tracks_result_determinants():
     assert campaign_task_key(task(module=other.module)) != base
     # ... but not things that cannot change the result:
     assert campaign_task_key(task(sample_key="renamed[0]")) == base
+
+
+# One decoded verdict doc with every field set, all 8 cache counters
+# non-zero.  Stored verdicts, ``<store>.jsonl`` lines and ``--journal``
+# lines are this encoding, so it is pinned byte for byte.
+_FULL_DOC = {
+    "scans": {"wasai": {"account": 42, "divergences": ["f3+7"],
+                        "findings": {
+                            "fake_eos": {"detected": True,
+                                         "evidence": "transfer accepted"},
+                            "rollback": {"detected": False,
+                                         "evidence": ""}}}},
+    "stage_seconds": {"setup": 0.25, "fuzz": 1.5},
+    "instr_cache_hits": 1, "instr_cache_misses": 2,
+    "solver_cache_hits": 3, "solver_cache_misses": 4,
+    "instr_disk_hits": 5, "instr_disk_misses": 6,
+    "solver_disk_hits": 7, "solver_disk_misses": 8,
+    "worker_id": 4242,
+    "errors": {"eosafe": {"type": "ScanError", "stage": "scan",
+                          "message": "boom"}},
+    "degraded": ["wasai"], "retries": 1,
+    "coverage": {"wasai": {"iterations": 6, "covered": 16,
+                           "timeline": [[43.0, 3]]}},
+    "traces": {"wasai": "AHBhY2s="},
+    "provenance": {"oracle_version": 2, "source": "fresh"},
+}
+
+
+def test_result_doc_encoding_is_pinned():
+    result = campaign_result_from_doc(_FULL_DOC)
+    assert result.traces == {"wasai": b"\x00pack"}
+    assert json.dumps(campaign_result_to_doc(result), sort_keys=True) == (
+        '{"coverage": {"wasai": {"covered": 16, "iterations": 6, '
+        '"timeline": [[43.0, 3]]}}, "degraded": ["wasai"], "errors": '
+        '{"eosafe": {"message": "boom", "stage": "scan", "type": '
+        '"ScanError"}}, "instr_cache_hits": 1, "instr_cache_misses": 2, '
+        '"instr_disk_hits": 5, "instr_disk_misses": 6, "provenance": '
+        '{"oracle_version": 2, "source": "fresh"}, "retries": 1, '
+        '"scans": {"wasai": {"account": 42, "divergences": ["f3+7"], '
+        '"findings": {"fake_eos": {"detected": true, "evidence": '
+        '"transfer accepted"}, "rollback": {"detected": false, '
+        '"evidence": ""}}}}, "solver_cache_hits": 3, '
+        '"solver_cache_misses": 4, "solver_disk_hits": 7, '
+        '"solver_disk_misses": 8, "stage_seconds": {"fuzz": 1.5, '
+        '"setup": 0.25}, "traces": {"wasai": "AHBhY2s="}, '
+        '"worker_id": 4242}')

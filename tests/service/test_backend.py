@@ -10,7 +10,7 @@ import pytest
 from repro.service import (BackendUnavailable, HashRing,
                            InProcessBackend, NodePartitioned,
                            ProcessBackend, ScanService,
-                           ScanServiceConfig, module_hash_of)
+                           ScanServiceConfig, ServiceApi, module_hash_of)
 
 from .conftest import FAST_TIMEOUT_MS, contract_bytes
 
@@ -87,6 +87,24 @@ def test_inprocess_backend_round_trip():
         assert doc["state"] == "done" and doc.get("result")
         assert backend.health()["status"] in ("ok", "idle")
         assert backend.queue_depth() == 0
+    finally:
+        backend.stop()
+
+
+def test_inprocess_job_doc_is_the_http_job_doc():
+    backend = InProcessBackend("n0", _service())
+    backend.start()
+    try:
+        data, abi = contract_bytes(seed=0)
+        job_id = backend.submit(data, abi)["id"]
+        deadline = time.monotonic() + 60
+        while backend.job(job_id)["state"] != "done":
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        status, body = ServiceApi(backend.service).handle(
+            "GET", f"/scans/{job_id}")
+        assert status == 200 and "verdict" in body
+        assert backend.job(job_id) == body
     finally:
         backend.stop()
 

@@ -1,9 +1,7 @@
-"""JobQueue: bounds, typed shed, priority, per-client fairness,
-anti-starvation promotion and deadline expiry."""
+"""JobQueue: priority, per-client fairness, anti-starvation
+promotion and deadline expiry."""
 
-import pytest
-
-from repro.service import Job, JobQueue, QueueFull
+from repro.service import Job, JobQueue
 
 
 class FakeClock:
@@ -26,7 +24,7 @@ def _job(client: str = "a", priority: int = 0, n: int = 0,
 
 
 def test_fifo_within_one_client():
-    queue = JobQueue(max_depth=8)
+    queue = JobQueue()
     first, second = _job(n=1), _job(n=2)
     queue.put(first)
     queue.put(second)
@@ -35,23 +33,8 @@ def test_fifo_within_one_client():
     assert queue.get(timeout=0) is None
 
 
-def test_bounded_depth_sheds_with_typed_rejection():
-    queue = JobQueue(max_depth=2)
-    queue.put(_job(n=1))
-    queue.put(_job(n=2))
-    with pytest.raises(QueueFull) as excinfo:
-        queue.put(_job(n=3))
-    assert excinfo.value.kind == "queue"
-    assert excinfo.value.depth == 2
-    assert excinfo.value.limit == 2
-    assert queue.shed == 1
-    # Containment re-queues bypass the bound — retries are never shed.
-    queue.put(_job(n=4), force=True)
-    assert len(queue) == 3
-
-
 def test_higher_priority_runs_first():
-    queue = JobQueue(max_depth=8)
+    queue = JobQueue()
     low, high = _job(priority=0), _job(priority=5)
     queue.put(low)
     queue.put(high)
@@ -60,7 +43,7 @@ def test_higher_priority_runs_first():
 
 
 def test_round_robin_across_clients():
-    queue = JobQueue(max_depth=16)
+    queue = JobQueue()
     # Client "a" floods; client "b" arrives later with one job.
     flood = [_job("a", n=n) for n in range(4)]
     for job in flood:
@@ -76,7 +59,7 @@ def test_round_robin_across_clients():
 
 def test_aged_job_is_promoted_over_higher_priority():
     clock = FakeClock()
-    queue = JobQueue(max_depth=16, promote_after_s=5.0, clock=clock)
+    queue = JobQueue(promote_after_s=5.0, clock=clock)
     parked = _job("slow", priority=0)
     queue.put(parked)
     clock.advance(5.0)                  # parked crosses the age bar
@@ -92,7 +75,7 @@ def test_aged_job_is_promoted_over_higher_priority():
 
 def test_promotion_serves_oldest_starved_job_first():
     clock = FakeClock()
-    queue = JobQueue(max_depth=16, promote_after_s=1.0, clock=clock)
+    queue = JobQueue(promote_after_s=1.0, clock=clock)
     older = _job("x", n=1)
     queue.put(older)
     clock.advance(0.5)
@@ -107,7 +90,7 @@ def test_promotion_serves_oldest_starved_job_first():
 def test_ttl_expires_stale_jobs_via_callback():
     clock = FakeClock()
     expired = []
-    queue = JobQueue(max_depth=16, on_expired=expired.append,
+    queue = JobQueue(on_expired=expired.append,
                      clock=clock, wall_clock=clock)
     # A 2 s TTL is a deadline 2 s out (admission folds it in).
     stale = _job("a", n=1, deadline_epoch_s=clock.now + 2.0)
@@ -119,27 +102,27 @@ def test_ttl_expires_stale_jobs_via_callback():
     # callback and never handed to a worker.
     assert queue.get(timeout=0) is durable
     assert expired == [stale]
-    assert queue.expired == 1
+    assert len(expired) == 1
     assert len(queue) == 0
 
 
 def test_requeue_keeps_original_age_for_ttl_and_promotion():
     clock = FakeClock()
     expired = []
-    queue = JobQueue(max_depth=16, on_expired=expired.append,
+    queue = JobQueue(on_expired=expired.append,
                      clock=clock, wall_clock=clock)
     job = _job("a", deadline_epoch_s=clock.now + 3.0)
     queue.put(job)
     clock.advance(2.0)
     assert queue.get(timeout=0) is job  # claimed by a worker...
-    queue.put(job, force=True)          # ...then requeued by the reaper
+    queue.put(job)                      # ...then requeued by the reaper
     clock.advance(1.0)                  # total queue age: 3s
     assert queue.get(timeout=0) is None
     assert expired == [job]             # deadline fixed at admission
 
 
 def test_drain_returns_everything_in_priority_order():
-    queue = JobQueue(max_depth=8)
+    queue = JobQueue()
     jobs = [_job("a", priority=0), _job("b", priority=3),
             _job("a", priority=3, n=1)]
     for job in jobs:

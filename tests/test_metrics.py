@@ -81,36 +81,6 @@ def test_percentile_interpolates():
     assert percentile([4.0, 1.0, 3.0, 2.0], 50) == 2.5
 
 
-def test_throughput_resilience_counters():
-    from repro.metrics import ThroughputStats
-    stats = ThroughputStats()
-    # Zeroed counters exist in the dict form but stay out of the
-    # human-readable output — a healthy daemon's report is quiet.
-    doc = stats.as_dict()
-    assert doc["resilience"] == {
-        "worker_restarts": 0,
-        "breaker_trips": 0,
-        "breaker_recoveries": 0,
-        "integrity_repairs": 0,
-        "journal_compactions": 0,
-    }
-    assert "self-healing" not in stats.format()
-
-    stats.worker_restarts = 2
-    stats.breaker_trips = 1
-    stats.breaker_recoveries = 1
-    stats.integrity_repairs = 3
-    stats.journal_compactions = 4
-    doc = stats.as_dict()
-    assert doc["resilience"]["worker_restarts"] == 2
-    assert doc["resilience"]["integrity_repairs"] == 3
-    text = stats.format()
-    assert "self-healing" in text
-    assert "2 worker restarts" in text
-    assert "1 breaker trips" in text
-    assert "4 journal compactions" in text
-
-
 def test_throughput_latency_percentiles():
     from repro.metrics import ThroughputStats
     stats = ThroughputStats()
@@ -127,38 +97,6 @@ def test_throughput_latency_percentiles():
     text = stats.format()
     assert "latency task" in text
     assert "p95=" in text
-
-
-def test_throughput_traceir_counters():
-    from repro.metrics import ThroughputStats
-    stats = ThroughputStats()
-    doc = stats.as_dict()
-    assert doc["traceir"] == {
-        "traces_stored": 0,
-        "reverdicts": 0,
-        "trace_corruptions": 0,
-        "verdict_drift": 0,
-        "insufficient_surface": 0,
-    }
-    assert "trace IR" not in stats.format()
-
-    stats.traces_stored = 5
-    stats.reverdicts = 3
-    stats.trace_corruptions = 1
-    stats.verdict_drift = 2
-    doc = stats.as_dict()
-    assert doc["traceir"]["traces_stored"] == 5
-    assert doc["traceir"]["verdict_drift"] == 2
-    stats.insufficient_surface = 4
-    doc = stats.as_dict()
-    assert doc["traceir"]["insufficient_surface"] == 4
-    text = stats.format()
-    assert "trace IR" in text
-    assert "5 traces stored" in text
-    assert "3 reverdicts" in text
-    assert "1 trace corruptions" in text
-    assert "2 verdict drift" in text
-    assert "4 insufficient surface" in text
 
 
 def test_metrics_table_family_fp_query():
