@@ -41,10 +41,9 @@ class EosfuzzerCampaign(WasaiFuzzer):
 
     def __init__(self, chain: Chain, target: FuzzTarget,
                  rng: random.Random | None = None,
-                 clock: VirtualClock | None = None,
                  timeout_ms: float = 300_000.0):
         super().__init__(chain, target, rng=rng,
-                         clock=clock or VirtualClock(EOSFUZZER_COSTS),
+                         clock=VirtualClock(EOSFUZZER_COSTS),
                          timeout_ms=timeout_ms, feedback=False)
 
 

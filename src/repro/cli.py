@@ -136,9 +136,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="bench a sample after this many failed "
                             "attempts; it is reported as skipped "
                             "(default 3)")
-    bench.add_argument("--backoff-s", type=float, default=0.0,
-                       help="base delay between retry rounds, doubled "
-                            "each round (default 0: no delay)")
     bench.add_argument("--no-translate", dest="translate",
                        action="store_false", default=True,
                        help="run the generic reference interpreter instead "
@@ -147,10 +144,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="shared on-disk cache directory; parallel "
                             "workers reuse each other's instrumentation "
                             "and solver results through it")
-    bench.add_argument("--no-degrade", dest="degrade",
-                       action="store_false",
-                       help="disable the black-box fallback when the "
-                            "symbolic/solver stage fails")
     bench.add_argument("--no-divergence-check", dest="divergence_check",
                        action="store_false",
                        help="disable the concolic divergence sentinel")
@@ -534,9 +527,7 @@ def _cmd_bench(args) -> int:
         print("error: --resume requires --journal", file=sys.stderr)
         return 2
     policy = ResiliencePolicy(max_retries=args.max_retries,
-                              backoff_base_s=args.backoff_s,
-                              quarantine_after=args.quarantine_after,
-                              degrade=args.degrade)
+                              quarantine_after=args.quarantine_after)
     journal = CampaignJournal(args.journal) if args.journal else None
     perf = ThroughputStats()
     tables = evaluate_corpus(samples, tools=tools,

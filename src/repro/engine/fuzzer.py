@@ -36,7 +36,8 @@ from .deploy import FuzzTarget
 from .seedpool import SeedPool
 from .seeds import Seed, random_seed
 
-__all__ = ["WasaiFuzzer", "FuzzReport", "Observation", "KNOWN_IDENTITIES"]
+__all__ = ["WasaiFuzzer", "FuzzReport", "Observation", "KNOWN_IDENTITIES",
+           "MAX_FEEDBACK_FAILURES"]
 
 # Account names every campaign's seed generator may draw on; the
 # deployed target's own account is spliced in after "attacker" (see
@@ -44,6 +45,12 @@ __all__ = ["WasaiFuzzer", "FuzzReport", "Observation", "KNOWN_IDENTITIES"]
 # so changing it changes campaigns byte-for-byte).
 KNOWN_IDENTITIES: tuple[str, ...] = ("player", "attacker", "eosio.token",
                                      "bob")
+
+# Containment: after this many symbolic-feedback failures a campaign
+# degrades to the black-box mutation loop (the ConFuzzius-style
+# fallback) instead of aborting.  This is the only black-box fallback;
+# it has no off switch.
+MAX_FEEDBACK_FAILURES = 3
 
 
 @dataclass
@@ -113,14 +120,11 @@ class WasaiFuzzer:
                  timeout_ms: float = 300_000.0,
                  smt_max_conflicts: int = 20_000,
                  max_flips_per_round: int = 4,
-                 initial_seeds_per_action: int = 3,
                  feedback: bool = True,
                  address_pool: bool = False,
                  trace_dir: "str | None" = None,
-                 max_feedback_failures: int = 3,
                  divergence_check: bool = True,
-                 deadline_epoch_s: float | None = None,
-                 wall_clock=time.time):
+                 deadline_epoch_s: float | None = None):
         self.chain = chain
         self.target = target
         self.rng = rng or random.Random(0)
@@ -149,10 +153,6 @@ class WasaiFuzzer:
         self._payload_rotation = cycle(PAYLOAD_KINDS)
         self._action_rotation = None
         self._pending_dependency: list[str] = []
-        # Containment: after this many symbolic-feedback failures the
-        # campaign degrades to the black-box mutation loop (the
-        # ConFuzzius-style fallback) instead of aborting.
-        self.max_feedback_failures = max_feedback_failures
         self._feedback_failures = 0
         self.divergence_check = divergence_check
         # Caller wall-clock deadline (absolute epoch seconds).  The
@@ -162,12 +162,11 @@ class WasaiFuzzer:
         # once per round, never inside one (a round is the atomic unit
         # of fuzzing work).
         self.deadline_epoch_s = deadline_epoch_s
-        self._wall_clock = wall_clock
         self._started_wall_s: float | None = None
 
     # -- campaign ----------------------------------------------------------
     def run(self) -> FuzzReport:
-        self._started_wall_s = self._wall_clock()
+        self._started_wall_s = time.time()
         self._check_deadline()
         self._initiate()
         while not self.clock.expired(self.timeout_ms):
@@ -181,7 +180,7 @@ class WasaiFuzzer:
     def _check_deadline(self) -> None:
         if self.deadline_epoch_s is None:
             return
-        now = self._wall_clock()
+        now = time.time()
         if now >= self.deadline_epoch_s:
             elapsed = now - (self._started_wall_s
                              if self._started_wall_s is not None else now)
@@ -303,7 +302,7 @@ class WasaiFuzzer:
         stage = exc.stage or "symback"
         self.report.feedback_failure_stages[stage] = \
             self.report.feedback_failure_stages.get(stage, 0) + 1
-        if (self._feedback_failures >= self.max_feedback_failures
+        if (self._feedback_failures >= MAX_FEEDBACK_FAILURES
                 and self.feedback):
             self.feedback = False
             self.report.degraded = True

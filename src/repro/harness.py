@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from .baselines.eosafe import EosafeAnalyzer
 from .baselines.eosfuzzer import EosfuzzerCampaign, eosfuzzer_scan
 from .benchgen.corpus import BenchmarkSample
-from .engine import (FuzzReport, FuzzTarget, VirtualClock, WasaiFuzzer,
-                     deploy_target, setup_chain)
+from .engine import (FuzzReport, FuzzTarget, WasaiFuzzer, deploy_target,
+                     setup_chain)
 from .eosio.abi import Abi
 from .metrics import MetricsTable, ThroughputStats
 from .parallel import CampaignTask, run_campaign_task
@@ -64,21 +64,42 @@ def _charge_stage(timings: "dict[str, float] | None", stage: str,
     return now
 
 
-def _deploy(account: str, module: Module, abi: Abi, limits=None):
-    """Chain + instrumented deployment, typed on failure."""
+def _stage(error_cls: type[CampaignError], fn, *args, **kwargs):
+    """Call ``fn``; an exception outside the taxonomy becomes
+    ``error_cls`` (a :class:`CampaignError` passes through as is)."""
     try:
-        chain = setup_chain(limits=limits)
-        target = deploy_target(chain, account, module, abi)
+        return fn(*args, **kwargs)
     except CampaignError:
         raise
     except Exception as exc:
-        raise DeployError.wrap(exc)
-    return chain, target
+        raise error_cls.wrap(exc)
+
+
+def _campaign(module: Module, abi: Abi, account: str, limits,
+              timings: "dict[str, float] | None", fuzz, scan) -> WasaiRun:
+    """Deploy -> fuzz -> scan, the stages every fuzzing tool runs.
+
+    ``fuzz(chain, target)`` returns the campaign's report and
+    ``scan(report, target)`` its scan.  Each stage's wall-clock is
+    charged to ``timings`` ("setup", "fuzz", "scan") and its failures
+    are typed (:class:`DeployError`, :class:`FuzzError`,
+    :class:`ScanError`).
+    """
+    started = time.perf_counter()
+    chain = _stage(DeployError, setup_chain, limits=limits)
+    target = _stage(DeployError, deploy_target, chain, account, module, abi)
+    started = _charge_stage(timings, "setup", started)
+    faultinject.inject("fuzz")
+    report = _stage(FuzzError, fuzz, chain, target)
+    started = _charge_stage(timings, "fuzz", started)
+    faultinject.inject("scan")
+    result = _stage(ScanError, scan, report, target)
+    _charge_stage(timings, "scan", started)
+    return WasaiRun(report, result, target)
 
 
 def run_wasai(module: Module, abi: Abi, account: str = "victim",
               timeout_ms: float = DEFAULT_TIMEOUT_MS, rng_seed: int = 1,
-              clock: VirtualClock | None = None,
               smt_max_conflicts: int = 20_000,
               address_pool: bool = False,
               feedback: bool = True,
@@ -92,15 +113,17 @@ def run_wasai(module: Module, abi: Abi, account: str = "victim",
 
     ``timings``, when given, accumulates real per-stage wall-clock
     seconds under the keys "setup", "fuzz" and "scan".  ``feedback``
-    toggles the symbolic feedback loop — ``False`` is the black-box
-    degradation mode the resilience layer falls back to when the
-    symbolic/solver stage is lost.  ``divergence_check`` toggles the
-    concolic divergence sentinel (cross-checking the symbolic replay's
-    concrete shadow state against the recorded trace); ``limits`` is
-    an optional :class:`~repro.wasm.ExecutionLimits` for the chain's
-    Wasm interpreter.  ``trace_dir`` redirects every observation's
-    trace to its own offline ``.tir`` file (§3.3.1) in the given
-    directory.
+    toggles the symbolic feedback loop — ``False`` runs the black-box
+    mutation loop from the start, as the scan service does while a
+    breaker on a degradable stage is open.  With feedback on, the
+    fuzzer itself falls back to that loop when symbolic replay or the
+    solver keeps failing, and marks ``report.degraded``.
+    ``divergence_check`` toggles the concolic divergence sentinel
+    (cross-checking the symbolic replay's concrete shadow state
+    against the recorded trace); ``limits`` is an optional
+    :class:`~repro.wasm.ExecutionLimits` for the chain's Wasm
+    interpreter.  ``trace_dir`` redirects every observation's trace to
+    its own offline ``.tir`` file (§3.3.1) in the given directory.
     ``oracles`` selects the enabled oracle families (any spec
     :func:`repro.semoracle.resolve_oracles` accepts; None = the
     paper's five).  ``deadline_epoch_s`` is the caller's absolute
@@ -109,65 +132,32 @@ def run_wasai(module: Module, abi: Abi, account: str = "victim",
     passes, cutting the campaign short instead of finishing its
     virtual budget for a caller that already gave up.
     """
-    started = time.perf_counter()
-    chain, target = _deploy(account, module, abi, limits=limits)
-    started = _charge_stage(timings, "setup", started)
-    faultinject.inject("fuzz")
-    fuzzer = WasaiFuzzer(chain, target, rng=random.Random(rng_seed),
-                         clock=clock, timeout_ms=timeout_ms,
-                         smt_max_conflicts=smt_max_conflicts,
-                         address_pool=address_pool,
-                         feedback=feedback,
-                         trace_dir=trace_dir,
-                         divergence_check=divergence_check,
-                         deadline_epoch_s=deadline_epoch_s)
-    try:
-        report = fuzzer.run()
-    except CampaignError:
-        raise
-    except Exception as exc:
-        raise FuzzError.wrap(exc)
-    started = _charge_stage(timings, "fuzz", started)
-    faultinject.inject("scan")
-    try:
-        scan = scan_report(report, target, oracles=oracles)
-    except CampaignError:
-        raise
-    except Exception as exc:
-        raise ScanError.wrap(exc)
-    _charge_stage(timings, "scan", started)
-    return WasaiRun(report, scan, target)
+    def fuzz(chain, target):
+        return WasaiFuzzer(chain, target, rng=random.Random(rng_seed),
+                           timeout_ms=timeout_ms,
+                           smt_max_conflicts=smt_max_conflicts,
+                           address_pool=address_pool,
+                           feedback=feedback,
+                           trace_dir=trace_dir,
+                           divergence_check=divergence_check,
+                           deadline_epoch_s=deadline_epoch_s).run()
+
+    def scan(report, target):
+        return scan_report(report, target, oracles=oracles)
+    return _campaign(module, abi, account, limits, timings, fuzz, scan)
 
 
 def run_eosfuzzer(module: Module, abi: Abi, account: str = "victim",
                   timeout_ms: float = DEFAULT_TIMEOUT_MS,
                   rng_seed: int = 1,
-                  clock: VirtualClock | None = None,
                   timings: "dict[str, float] | None" = None) -> WasaiRun:
     """Run the EOSFuzzer baseline on one contract."""
-    started = time.perf_counter()
-    chain, target = _deploy(account, module, abi)
-    started = _charge_stage(timings, "setup", started)
-    faultinject.inject("fuzz")
-    campaign = EosfuzzerCampaign(chain, target,
+    def fuzz(chain, target):
+        return EosfuzzerCampaign(chain, target,
                                  rng=random.Random(rng_seed),
-                                 clock=clock, timeout_ms=timeout_ms)
-    try:
-        report = campaign.run()
-    except CampaignError:
-        raise
-    except Exception as exc:
-        raise FuzzError.wrap(exc)
-    started = _charge_stage(timings, "fuzz", started)
-    faultinject.inject("scan")
-    try:
-        scan = eosfuzzer_scan(report, target)
-    except CampaignError:
-        raise
-    except Exception as exc:
-        raise ScanError.wrap(exc)
-    _charge_stage(timings, "scan", started)
-    return WasaiRun(report, scan, target)
+                                 timeout_ms=timeout_ms).run()
+    return _campaign(module, abi, account, None, timings, fuzz,
+                     eosfuzzer_scan)
 
 
 def run_eosafe(module: Module, account: int = 0) -> ScanResult:

@@ -15,10 +15,12 @@ meaningfully in the parent.
 Containment happens here, inside the worker: every tool run executes
 under the task's :class:`~repro.resilience.ResiliencePolicy` — typed
 :class:`~repro.resilience.CampaignError` failures are retried when
-transient, a WASAI run that lost its symbolic/solver stage is re-run
-as a pure black-box mutation campaign instead of failing the sample,
-and whatever still fails is carried in ``CampaignResult.errors`` (with
-the child traceback) rather than aborting the whole task.
+transient, and whatever still fails is carried in
+``CampaignResult.errors`` (with the child traceback) rather than
+aborting the whole task.  A WASAI campaign that lost its
+symbolic/solver stage is not re-run: the fuzzer already fell back to
+black-box mutation, and the task reports that fallback as a degraded
+verdict with the failing stage in its error doc.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..eosio.abi import Abi
 from ..resilience import faultinject
@@ -143,53 +146,56 @@ def _fresh_provenance(oracles=None) -> dict:
             "source": "fresh"}
 
 
-def _tool_runner(tool: str, task: CampaignTask,
-                 stage_seconds: dict[str, float], harness,
-                 feedback: bool = True,
-                 coverage: "dict[str, dict] | None" = None,
-                 report_cell: "dict | None" = None):
-    """A zero-argument closure running one tool once."""
-    def run():
-        if tool == "wasai":
-            run_ = harness.run_wasai(
-                task.module, task.abi,
-                timeout_ms=task.timeout_ms,
-                rng_seed=task.rng_seed,
-                address_pool=task.address_pool,
-                timings=stage_seconds,
-                feedback=feedback,
-                divergence_check=task.divergence_check,
-                oracles=task.oracles,
-                deadline_epoch_s=task.deadline_epoch_s)
-            if coverage is not None:
-                coverage[tool] = _coverage_summary(run_.report)
-            if report_cell is not None:
-                report_cell["report"] = run_.report
-                report_cell["target"] = run_.target
-            return run_.scan
-        if tool == "eosfuzzer":
-            run_ = harness.run_eosfuzzer(task.module, task.abi,
-                                         timeout_ms=task.timeout_ms,
-                                         rng_seed=task.rng_seed,
-                                         timings=stage_seconds)
-            if coverage is not None:
-                coverage[tool] = _coverage_summary(run_.report)
-            return run_.scan
-        if tool == "eosafe":
-            started = time.perf_counter()
-            try:
-                scan = harness.run_eosafe(task.module)
-            except CampaignError:
-                raise
-            except Exception as exc:
-                raise ScanError.wrap(exc, sample_id=task.sample_key
-                                     or None)
-            finally:
-                stage_seconds["scan"] = stage_seconds.get("scan", 0.0) \
-                    + time.perf_counter() - started
-            return scan
+def _degraded_doc(report, sample_key: str) -> dict:
+    """The breaker-visible error doc of a campaign the fuzzer degraded
+    to black-box mid-run: containment keeps the sample alive, but the
+    failing stage must still be visible at the campaign level — the
+    scan service's circuit breakers key off it."""
+    stages = report.feedback_failure_stages
+    stage = max(stages, key=stages.get) if stages else "symback"
+    return {
+        "type": "SolverError" if stage == "solve" else "SymbackError",
+        "stage": stage,
+        "message": ("campaign degraded to black-box after "
+                    f"{sum(stages.values())} contained {stage} failures"),
+        "sample_id": sample_key or None,
+        "retryable": False,
+        "degraded": True,
+    }
+
+
+def _run_tool(tool: str, task: CampaignTask,
+              stage_seconds: dict[str, float], harness):
+    """Run one tool once: a ``WasaiRun`` for the two fuzzers, a bare
+    ``ScanResult`` for the static EOSAFE baseline."""
+    if tool == "wasai":
+        return harness.run_wasai(
+            task.module, task.abi,
+            timeout_ms=task.timeout_ms,
+            rng_seed=task.rng_seed,
+            address_pool=task.address_pool,
+            timings=stage_seconds,
+            feedback=not task.blackbox,
+            divergence_check=task.divergence_check,
+            oracles=task.oracles,
+            deadline_epoch_s=task.deadline_epoch_s)
+    if tool == "eosfuzzer":
+        return harness.run_eosfuzzer(task.module, task.abi,
+                                     timeout_ms=task.timeout_ms,
+                                     rng_seed=task.rng_seed,
+                                     timings=stage_seconds)
+    if tool != "eosafe":
         raise ValueError(f"unknown tool {tool!r}")
-    return run
+    started = time.perf_counter()
+    try:
+        return harness.run_eosafe(task.module)
+    except CampaignError:
+        raise
+    except Exception as exc:
+        raise ScanError.wrap(exc, sample_id=task.sample_key or None)
+    finally:
+        stage_seconds["scan"] = stage_seconds.get("scan", 0.0) \
+            + time.perf_counter() - started
 
 
 def run_campaign_task(task: CampaignTask) -> CampaignResult:
@@ -197,7 +203,8 @@ def run_campaign_task(task: CampaignTask) -> CampaignResult:
 
     Module-level so it is importable under any multiprocessing start
     method.  The harness import is deferred to break the
-    harness -> parallel -> harness cycle.
+    harness -> parallel -> harness cycle, and the tools are looked up
+    on the harness module at call time.
     """
     from .. import harness
 
@@ -224,70 +231,33 @@ def run_campaign_task(task: CampaignTask) -> CampaignResult:
                     sample_id=task.sample_key or None,
                     deadline_epoch_s=task.deadline_epoch_s).to_doc()
                 continue
-            forced_blackbox = task.blackbox and tool == "wasai"
-            report_cell: dict = {}
-            runner = _tool_runner(tool, task, stage_seconds, harness,
-                                  feedback=not forced_blackbox,
-                                  coverage=coverage,
-                                  report_cell=report_cell)
-            scan, error, attempts = run_with_retry(runner, policy)
-            if forced_blackbox and error is None:
-                degraded.append(tool)
+            outcome, error, attempts = run_with_retry(
+                partial(_run_tool, tool, task, stage_seconds, harness),
+                policy)
             retries += attempts - 1
-            if error is not None and tool == "wasai" \
-                    and policy.should_degrade(error):
-                # The symbolic side is gone; the black-box mutation
-                # loop (what EOSFuzzer always runs) still works —
-                # degrade instead of dropping the sample.
-                fallback = _tool_runner(tool, task, stage_seconds,
-                                        harness, feedback=False,
-                                        coverage=coverage)
-                scan, fb_error, fb_attempts = run_with_retry(fallback,
-                                                             policy)
-                retries += fb_attempts - 1
-                if fb_error is None:
-                    degraded.append(tool)
-                    errors[tool] = error.to_doc() | {"degraded": True}
-                    error = None
-                else:
-                    error = fb_error
             if error is not None:
                 errors[tool] = error.to_doc()
                 continue
-            fuzz_report = report_cell.get("report")
-            if tool == "wasai" and tool not in degraded \
-                    and fuzz_report is not None and fuzz_report.degraded:
-                # The fuzzer absorbed repeated symbolic-feedback
-                # failures and fell back to black-box mid-campaign.
-                # Containment keeps the sample alive, but the failing
-                # stage must still be visible at the campaign level —
-                # the scan service's circuit breakers key off it.
-                stages = fuzz_report.feedback_failure_stages
-                stage = max(stages, key=stages.get) if stages \
-                    else "symback"
+            if tool == "eosafe":
+                scans[tool] = outcome
+                continue
+            coverage[tool] = _coverage_summary(outcome.report)
+            scans[tool] = outcome.scan
+            if tool != "wasai":
+                continue
+            if task.blackbox:
                 degraded.append(tool)
-                errors[tool] = {
-                    "type": ("SolverError" if stage == "solve"
-                             else "SymbackError"),
-                    "stage": stage,
-                    "message": ("campaign degraded to black-box after "
-                                f"{sum(stages.values())} contained "
-                                f"{stage} failures"),
-                    "sample_id": task.sample_key or None,
-                    "retryable": False,
-                    "degraded": True,
-                }
-            scans[tool] = scan
-            if task.capture_traces and tool == "wasai" \
-                    and tool not in degraded \
-                    and report_cell.get("report") is not None \
-                    and report_cell.get("target") is not None:
+            elif outcome.report.degraded:
+                degraded.append(tool)
+                errors[tool] = _degraded_doc(outcome.report,
+                                             task.sample_key)
+            elif task.capture_traces:
                 # Degraded campaigns are excluded on purpose: their
                 # verdicts are never cached, so a replay pack for
                 # them would only ever disagree with a fresh scan.
                 from ..traceir import build_trace_pack, encode_pack
                 traces[tool] = encode_pack(build_trace_pack(
-                    report_cell["report"], report_cell["target"]))
+                    outcome.report, outcome.target))
         after = _cache_counters()
         return CampaignResult(
             scans=scans,

@@ -57,10 +57,9 @@ class TaskResult:
     ``error_type`` is the failure's type name — the exception class
     for a task that raised, ``"TaskTimeout"`` for a worker killed by
     the wall-clock cap, ``"WorkerCrash"`` for a worker that died —
-    so callers can dispatch on failure kind without string matching
-    (``repro.resilience.task_result_error`` lifts it back into the
-    typed taxonomy).  ``traceback`` carries the child's formatted
-    traceback across the process boundary for raised exceptions.
+    so callers can dispatch on failure kind without string matching.
+    ``traceback`` carries the child's formatted traceback across the
+    process boundary for raised exceptions.
     """
 
     index: int

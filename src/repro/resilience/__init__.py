@@ -10,8 +10,9 @@ This package makes every corpus-scale pipeline survivable:
   captured traceback) the whole pipeline raises instead of ad-hoc
   exceptions;
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` (bounded
-  retry with deterministic backoff, black-box degradation,
-  quarantine thresholds) and the :class:`Quarantine` ledger;
+  immediate retry, quarantine threshold, and the one retry rule,
+  :meth:`ResiliencePolicy.after_failure`, that the task runner and the
+  scan service share) and the :class:`Quarantine` ledger;
 * :mod:`repro.resilience.journal` — the append-only JSONL
   checkpoint/resume journal keyed by sample + config hash;
 * :mod:`repro.resilience.runner` — :func:`run_resilient_tasks`, the
@@ -25,8 +26,7 @@ from .errors import (CampaignError, DEGRADABLE_STAGES, DeadlineExceeded,
                      DeployError, DivergenceError, FuzzError,
                      InstrumentError, MalformedModule, STAGES, ScanError,
                      SolverError, SymbackError, TaskTimeout,
-                     TraceCorruption, TrapStorm, WorkerCrash,
-                     task_result_error)
+                     TraceCorruption, TrapStorm, WorkerCrash)
 from .faultinject import (Fault, FaultPlan, WorkerKill,
                           clear_fault_plan, fault_plan, fault_scope,
                           inject, install_fault_plan, set_fault_scope)
@@ -40,7 +40,6 @@ __all__ = [
     "FuzzError", "TrapStorm", "SymbackError", "SolverError",
     "DivergenceError", "ScanError", "TraceCorruption", "TaskTimeout",
     "WorkerCrash", "DeadlineExceeded", "STAGES", "DEGRADABLE_STAGES",
-    "task_result_error",
     "Fault", "FaultPlan", "WorkerKill", "install_fault_plan",
     "clear_fault_plan",
     "fault_plan", "set_fault_scope", "fault_scope", "inject",

@@ -23,7 +23,6 @@ __all__ = [
     "FuzzError", "TrapStorm", "SymbackError", "SolverError",
     "DivergenceError", "ScanError", "TraceCorruption", "TaskTimeout",
     "WorkerCrash", "DeadlineExceeded", "STAGES", "DEGRADABLE_STAGES",
-    "task_result_error",
 ]
 
 # Pipeline stages, in execution order, plus the executor envelope.
@@ -39,27 +38,44 @@ STAGES = ("ingest", "instrument", "deploy", "fuzz", "symback", "solve",
 
 # Stages whose failure leaves the black-box mutation loop intact: a
 # campaign that cannot replay or solve can still fuzz (ConFuzzius-style
-# graceful degradation; EOSFuzzer *is* that loop).
-DEGRADABLE_STAGES = frozenset({"symback", "solve"})
+# graceful degradation; EOSFuzzer *is* that loop).  The scan service
+# gates forced black-box mode on these stages' breakers, probing them
+# in this order.
+DEGRADABLE_STAGES = ("symback", "solve")
 
 
 class CampaignError(Exception):
-    """Base of the taxonomy; subclasses pin ``stage`` / ``retryable``."""
+    """Base of the taxonomy; subclasses pin ``stage`` / ``retryable``.
+
+    A subclass declares its payload once: ``FIELDS`` maps each field
+    name to its default, in ``to_doc`` order, and ``CONTEXT`` lists the
+    ``(label, field)`` pairs ``__str__`` appends as ``(label=value,
+    ...)`` when set.  Construction, serialization and the round trip
+    through :meth:`from_doc` all follow from those two declarations.
+    """
 
     stage: str = "campaign"
     retryable: bool = False
+    FIELDS: dict = {}
+    CONTEXT: tuple = ()
 
     def __init__(self, message: str = "", *, stage: str | None = None,
                  sample_id: str | None = None,
                  retryable: bool | None = None,
-                 traceback_str: str | None = None):
+                 traceback_str: str | None = None, **fields):
         super().__init__(message)
+        unknown = fields.keys() - self.FIELDS.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no field(s) "
+                            f"{', '.join(sorted(unknown))}")
         if stage is not None:
             self.stage = stage
         if retryable is not None:
             self.retryable = retryable
         self.sample_id = sample_id
         self.traceback_str = traceback_str
+        for name, default in self.FIELDS.items():
+            setattr(self, name, fields.get(name, default))
 
     @classmethod
     def wrap(cls, exc: BaseException, *, sample_id: str | None = None,
@@ -87,30 +103,29 @@ class CampaignError(Exception):
             "sample_id": self.sample_id,
             "retryable": self.retryable,
             "traceback": self.traceback_str,
+            **{name: getattr(self, name) for name in self.FIELDS},
         }
 
     @staticmethod
     def from_doc(doc: dict) -> "CampaignError":
         cls = _REGISTRY.get(doc.get("type", ""), CampaignError)
-        error = cls(doc.get("message", ""), stage=doc.get("stage"),
-                    sample_id=doc.get("sample_id"),
-                    retryable=doc.get("retryable"),
-                    traceback_str=doc.get("traceback"))
-        # Subclass payload fields (offset/section, pc/opcode, ...)
-        # round-trip without each subclass writing its own from_doc.
-        for extra in ("offset", "section", "func_index", "pc", "opcode",
-                      "shadow", "traced", "elapsed_s", "exitcode",
-                      "path", "line", "deadline_epoch_s"):
-            if extra in doc and hasattr(error, extra):
-                setattr(error, extra, doc[extra])
-        return error
+        return cls(doc.get("message", ""), stage=doc.get("stage"),
+                   sample_id=doc.get("sample_id"),
+                   retryable=doc.get("retryable"),
+                   traceback_str=doc.get("traceback"),
+                   **{name: doc[name] for name in cls.FIELDS
+                      if name in doc})
 
     def __str__(self) -> str:
         base = super().__str__()
         where = f"[{self.stage}"
         if self.sample_id:
             where += f" {self.sample_id}"
-        return f"{where}] {base}"
+        context = [f"{label}={getattr(self, name)}"
+                   for label, name in self.CONTEXT
+                   if getattr(self, name) is not None]
+        text = f"{where}] {base}"
+        return f"{text} ({', '.join(context)})" if context else text
 
 
 class MalformedModule(CampaignError):
@@ -128,27 +143,8 @@ class MalformedModule(CampaignError):
 
     stage = "ingest"
     retryable = False
-
-    def __init__(self, message: str = "", *, offset: int | None = None,
-                 section: str | None = None, **kwargs):
-        super().__init__(message, **kwargs)
-        self.offset = offset
-        self.section = section
-
-    def to_doc(self) -> dict:
-        doc = super().to_doc()
-        doc["offset"] = self.offset
-        doc["section"] = self.section
-        return doc
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        context = []
-        if self.section is not None:
-            context.append(f"section={self.section}")
-        if self.offset is not None:
-            context.append(f"byte={self.offset}")
-        return f"{base} ({', '.join(context)})" if context else base
+    FIELDS = {"offset": None, "section": None}
+    CONTEXT = (("section", "section"), ("byte", "offset"))
 
 
 class InstrumentError(CampaignError):
@@ -202,26 +198,8 @@ class DivergenceError(CampaignError):
 
     stage = "divergence"
     retryable = False
-
-    def __init__(self, message: str = "", *, func_index: int | None = None,
-                 pc: int | None = None, opcode: str | None = None,
-                 shadow: int | None = None, traced: int | None = None,
-                 **kwargs):
-        super().__init__(message, **kwargs)
-        self.func_index = func_index
-        self.pc = pc
-        self.opcode = opcode
-        self.shadow = shadow
-        self.traced = traced
-
-    def to_doc(self) -> dict:
-        doc = super().to_doc()
-        doc["func_index"] = self.func_index
-        doc["pc"] = self.pc
-        doc["opcode"] = self.opcode
-        doc["shadow"] = self.shadow
-        doc["traced"] = self.traced
-        return doc
+    FIELDS = {"func_index": None, "pc": None, "opcode": None,
+              "shadow": None, "traced": None}
 
     def __str__(self) -> str:
         base = super().__str__()
@@ -254,36 +232,9 @@ class TraceCorruption(CampaignError):
 
     stage = "trace"
     retryable = False
-
-    def __init__(self, message: str = "", *, path: str | None = None,
-                 line: int | None = None, section: str | None = None,
-                 offset: int | None = None, **kwargs):
-        super().__init__(message, **kwargs)
-        self.path = path
-        self.line = line
-        self.section = section
-        self.offset = offset
-
-    def to_doc(self) -> dict:
-        doc = super().to_doc()
-        doc["path"] = self.path
-        doc["line"] = self.line
-        doc["section"] = self.section
-        doc["offset"] = self.offset
-        return doc
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        context = []
-        if self.path is not None:
-            context.append(f"path={self.path}")
-        if self.line is not None:
-            context.append(f"line={self.line}")
-        if self.section is not None:
-            context.append(f"section={self.section}")
-        if self.offset is not None:
-            context.append(f"byte={self.offset}")
-        return f"{base} ({', '.join(context)})" if context else base
+    FIELDS = {"path": None, "line": None, "section": None, "offset": None}
+    CONTEXT = (("path", "path"), ("line", "line"), ("section", "section"),
+               ("byte", "offset"))
 
 
 class TaskTimeout(CampaignError):
@@ -291,16 +242,7 @@ class TaskTimeout(CampaignError):
 
     stage = "task"
     retryable = True
-
-    def __init__(self, message: str = "", *, elapsed_s: float = 0.0,
-                 **kwargs):
-        super().__init__(message, **kwargs)
-        self.elapsed_s = elapsed_s
-
-    def to_doc(self) -> dict:
-        doc = super().to_doc()
-        doc["elapsed_s"] = self.elapsed_s
-        return doc
+    FIELDS = {"elapsed_s": 0.0}
 
 
 class DeadlineExceeded(CampaignError):
@@ -320,19 +262,7 @@ class DeadlineExceeded(CampaignError):
 
     stage = "deadline"
     retryable = False
-
-    def __init__(self, message: str = "", *,
-                 deadline_epoch_s: float | None = None,
-                 elapsed_s: float = 0.0, **kwargs):
-        super().__init__(message, **kwargs)
-        self.deadline_epoch_s = deadline_epoch_s
-        self.elapsed_s = elapsed_s
-
-    def to_doc(self) -> dict:
-        doc = super().to_doc()
-        doc["deadline_epoch_s"] = self.deadline_epoch_s
-        doc["elapsed_s"] = self.elapsed_s
-        return doc
+    FIELDS = {"deadline_epoch_s": None, "elapsed_s": 0.0}
 
 
 class WorkerCrash(CampaignError):
@@ -340,16 +270,7 @@ class WorkerCrash(CampaignError):
 
     stage = "task"
     retryable = True
-
-    def __init__(self, message: str = "", *, exitcode: int | None = None,
-                 **kwargs):
-        super().__init__(message, **kwargs)
-        self.exitcode = exitcode
-
-    def to_doc(self) -> dict:
-        doc = super().to_doc()
-        doc["exitcode"] = self.exitcode
-        return doc
+    FIELDS = {"exitcode": None}
 
 
 _REGISTRY = {cls.__name__: cls for cls in (
@@ -358,22 +279,3 @@ _REGISTRY = {cls.__name__: cls for cls in (
     ScanError, TraceCorruption, TaskTimeout, WorkerCrash,
     DeadlineExceeded)}
 
-
-def task_result_error(result) -> CampaignError | None:
-    """Materialise the typed error of a failed ``TaskResult``.
-
-    The executor stays layer-agnostic (it reports ``error_type`` as a
-    string); this is where those strings come back to the taxonomy.
-    Returns None for a successful result.
-    """
-    if result.ok:
-        return None
-    kind = result.error_type or ""
-    message = result.error or "task failed"
-    if kind == "TaskTimeout":
-        return TaskTimeout(message, elapsed_s=result.elapsed_s,
-                           traceback_str=result.traceback)
-    if kind == "WorkerCrash":
-        return WorkerCrash(message, traceback_str=result.traceback)
-    cls = _REGISTRY.get(kind, CampaignError)
-    return cls(message, traceback_str=result.traceback)

@@ -1,11 +1,17 @@
-"""Containment policies: bounded retry, degradation, quarantine.
+"""Containment policies: bounded retry and quarantine.
 
-:class:`ResiliencePolicy` is the single knob bundle threaded through
-the evaluation pipeline (and surfaced on the CLI as ``--max-retries``
-/ ``--quarantine-after``).  Backoff is *deterministic* — a fixed
-exponential schedule with no jitter — so retried runs reproduce
-byte-for-byte; the default base of 0 s means "retry immediately",
-which is right for the in-process deterministic workloads here.
+:class:`ResiliencePolicy` is the knob bundle threaded through the
+evaluation pipeline and the scan service (surfaced on the CLI as
+``--max-retries`` / ``--quarantine-after``).  Retries are immediate:
+campaigns are deterministic in their inputs, so waiting between
+attempts buys nothing, and retried runs reproduce byte-for-byte.
+:meth:`ResiliencePolicy.after_failure` is the one retry-or-quarantine
+rule; the task runner and the scan service both call it.
+
+Black-box degradation is not a policy knob.  When symbolic replay or
+the solver keeps failing, the fuzzer itself falls back to the
+black-box mutation loop (:data:`repro.engine.fuzzer.MAX_FEEDBACK_FAILURES`)
+and the campaign layer reports the fallback as a degraded verdict.
 
 :class:`Quarantine` tracks repeatedly failing samples across retry
 rounds.  A quarantined sample is never dropped silently: it is carried
@@ -14,36 +20,36 @@ into the metrics table as a *skipped* entry with its failure history.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .errors import DEGRADABLE_STAGES, CampaignError
+from .errors import CampaignError
 
 __all__ = ["ResiliencePolicy", "Quarantine", "run_with_retry"]
-
-# Module-level so tests can monkeypatch sleeping away entirely.
-_sleep = time.sleep
 
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Per-stage containment knobs for one evaluation run."""
+    """Per-run containment knobs."""
 
     max_retries: int = 1          # extra attempts after the first
-    backoff_base_s: float = 0.0   # base of the 1x/2x/4x... schedule
     quarantine_after: int = 3     # failures before a sample is benched
-    degrade: bool = True          # fall back to black-box on symbolic loss
 
-    def backoff_s(self, attempt: int) -> float:
-        """Deterministic exponential backoff before retry ``attempt``
-        (1-based): base * 2**(attempt-1)."""
-        if attempt <= 0:
-            return 0.0
-        return self.backoff_base_s * (2 ** (attempt - 1))
+    def after_failure(self, quarantine: "Quarantine", key: str,
+                      reason: str, failures: int) -> str:
+        """Record one failure of ``key`` and decide what happens next.
 
-    def should_degrade(self, error: CampaignError) -> bool:
-        return self.degrade and error.stage in DEGRADABLE_STAGES
+        ``failures`` counts the failed attempts of this task or job so
+        far, this one included.  Returns ``"quarantined"`` when ``key``
+        has reached the quarantine threshold, ``"retry"`` while
+        ``failures <= max_retries``, and ``"failed"`` otherwise.
+        """
+        quarantine.record_failure(key, reason)
+        if quarantine.is_quarantined(key):
+            return "quarantined"
+        if failures <= self.max_retries:
+            return "retry"
+        return "failed"
 
 
 class Quarantine:
@@ -74,9 +80,9 @@ class Quarantine:
 
 
 def run_with_retry(fn: Callable[[], Any], policy: ResiliencePolicy,
-                   *, sleep: Callable[[float], None] | None = None,
                    ) -> tuple[Any, CampaignError | None, int]:
-    """Run ``fn`` under the policy's bounded-retry rule.
+    """Run ``fn``, retrying a retryable error up to ``policy.max_retries``
+    times.
 
     Returns ``(value, error, attempts)``: on success ``error`` is None;
     after exhausting retries (or on a non-retryable error) ``value`` is
@@ -84,16 +90,11 @@ def run_with_retry(fn: Callable[[], Any], policy: ResiliencePolicy,
     outside the taxonomy propagate — the executor's process isolation
     is the containment of last resort for those.
     """
-    do_sleep = sleep or _sleep
     attempts = 0
     while True:
         attempts += 1
         try:
             return fn(), None, attempts
         except CampaignError as exc:
-            if exc.retryable and attempts <= policy.max_retries:
-                delay = policy.backoff_s(attempts)
-                if delay > 0:
-                    do_sleep(delay)
-                continue
-            return None, exc, attempts
+            if not exc.retryable or attempts > policy.max_retries:
+                return None, exc, attempts

@@ -10,11 +10,14 @@ with the campaign-level containment the corpus drivers need:
   verbatim (no recomputation) before any worker starts;
 * **bounded retry** — samples whose *task* failed (worker crash,
   wall-clock timeout, an exception that escaped the taxonomy) are
-  re-run up to ``policy.max_retries`` times with deterministic
-  backoff;
+  re-run in the next round, immediately, up to ``policy.max_retries``
+  times;
 * **quarantine** — a sample that keeps failing is benched after
   ``policy.quarantine_after`` failures and reported, never silently
   dropped.
+
+Both decisions are :meth:`ResiliencePolicy.after_failure`, the same
+rule the scan service applies to a failed job.
 
 Determinism: retry rounds re-run the *same* task payloads (same RNG
 seeds), results are keyed by global task index, and reused journal
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import policy as _policy_mod
 from .journal import (CampaignJournal, campaign_result_from_doc,
                       campaign_result_to_doc, campaign_task_key)
 from .policy import Quarantine, ResiliencePolicy
@@ -40,11 +42,10 @@ class ResilientRun:
 
     results: list              # one TaskResult per task, in task order
     quarantine: Quarantine
-    reused: int = 0            # results served from the journal
     retries: int = 0           # task-level re-runs performed
     failed_attempts: int = 0   # task attempts that did not complete
     sample_keys: list = field(default_factory=list)
-    reused_indices: set = field(default_factory=set)
+    reused_indices: set = field(default_factory=set)  # from the journal
 
     def skip_reason(self, index: int) -> str | None:
         """Why task ``index`` has no usable result (None = it has one)."""
@@ -89,7 +90,6 @@ def run_resilient_tasks(worker, tasks, *, jobs: int = 1,
             run.results[index] = TaskResult(
                 index, True, campaign_result_from_doc(doc["result"]))
             run.reused_indices.add(index)
-        run.reused = len(run.reused_indices)
 
     pending = [i for i in range(len(tasks)) if run.results[i] is None]
     attempt = 0
@@ -116,18 +116,13 @@ def run_resilient_tasks(worker, tasks, *, jobs: int = 1,
                 run.results[global_index] = rebased
                 continue
             run.failed_attempts += 1
-            key = keys[global_index]
-            run.quarantine.record_failure(
-                key, result.error or "task failed")
-            if (run.quarantine.is_quarantined(key)
-                    or attempt >= policy.max_retries):
-                run.results[global_index] = rebased
-            else:
+            if policy.after_failure(run.quarantine, keys[global_index],
+                                    result.error or "task failed",
+                                    attempt + 1) == "retry":
                 pending.append(global_index)
+            else:
+                run.results[global_index] = rebased
         if pending:
             attempt += 1
             run.retries += len(pending)
-            delay = policy.backoff_s(attempt)
-            if delay > 0:
-                _policy_mod._sleep(delay)
     return run

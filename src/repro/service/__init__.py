@@ -56,8 +56,7 @@ from .backend import (BackendUnavailable, CoordinatorBackend, HashRing,
 from .chaos import CHAOS_SCHEDULES, ChaosReport, run_chaos_drill
 from .client import ServiceClient, ServiceError
 from .fleet import FleetConfig, FleetJob, ScanFleet
-from .health import (BLACKBOX_GATED_STAGES, BREAKER_STAGES, BreakerBoard,
-                     CircuitBreaker)
+from .health import BREAKER_STAGES, BreakerBoard, CircuitBreaker
 from .integrity import (StoreBudgetExceeded, StoreCorruption,
                         content_checksum)
 from .queue import JOB_STATES, Job, JobQueue, QueueFull
@@ -75,7 +74,6 @@ __all__ = [
     "Job", "JobQueue", "QueueFull", "JOB_STATES",
     "WorkerRecord", "WorkerSupervisor",
     "CircuitBreaker", "BreakerBoard", "BREAKER_STAGES",
-    "BLACKBOX_GATED_STAGES",
     "ScanService", "ScanServiceConfig", "Submission",
     "DEFAULT_SCAN_CONFIG", "NodePartitioned",
     "ServiceApi", "ScanServer", "make_server", "serve_forever",

@@ -31,18 +31,15 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+from ..resilience.errors import DEGRADABLE_STAGES
+
 __all__ = ["CircuitBreaker", "BreakerBoard", "BREAKER_STAGES",
-           "BLACKBOX_GATED_STAGES", "PRESSURE_LEVELS", "pressure_rank"]
+           "PRESSURE_LEVELS", "pressure_rank"]
 
 # Pipeline stages the service tracks breakers for.  These are the
 # taxonomy's stage names ("symback" is the symbolic-replay stage).
 BREAKER_STAGES = ("ingest", "instrument", "deploy", "fuzz", "symback",
                   "solve")
-
-# Stages whose open breaker degrades new jobs to black-box-only
-# scanning (mirrors resilience.DEGRADABLE_STAGES: the mutation loop
-# works without them).
-BLACKBOX_GATED_STAGES = ("symback", "solve")
 
 # Cap on the doubling probe cooldown (the scan service uses this one).
 MAX_COOLDOWN_S = 300.0
@@ -188,11 +185,11 @@ class BreakerBoard:
                 if breaker.state != "closed"]
 
     def force_blackbox(self) -> bool:
-        """Should a new job skip the symbolic side?  True when any
-        black-box-gated breaker is open — except that one job per
+        """Should a new job skip the symbolic side?  True when the
+        breaker of any degradable stage is open — except that one job per
         half-open window is let through as the recovery probe."""
         forced = False
-        for stage in BLACKBOX_GATED_STAGES:
+        for stage in DEGRADABLE_STAGES:
             breaker = self.breakers.get(stage)
             if breaker is None:
                 continue

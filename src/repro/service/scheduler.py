@@ -58,9 +58,12 @@ Self-healing (this PR's tentpole) has four pillars:
   healing path against a live daemon.
 
 Failure containment reuses the resilience policy end to end:
-``run_campaign_task`` retries/degrades *inside* the job, and the
-service retries whole failed jobs up to ``policy.max_retries`` before
-benching the scan key after ``policy.quarantine_after`` failures.
+``run_campaign_task`` retries *inside* the job (the fuzzer degrades to
+black-box on its own), and the service retries whole failed jobs under
+the same rule as the batch runner,
+:meth:`~repro.resilience.ResiliencePolicy.after_failure`: up to
+``policy.max_retries`` retries, the scan key benched after
+``policy.quarantine_after`` failures.
 
 The :class:`ArtifactStore` is the only durable interface: it logs every
 verdict write, rewrite and drop for rebuilds and read replicas, and
@@ -90,7 +93,7 @@ from pathlib import Path
 from ..eosio.abi import Abi
 from ..metrics import ThroughputStats
 from ..parallel.campaigns import CampaignTask, run_campaign_task
-from ..resilience import (MalformedModule, Quarantine,
+from ..resilience import (DEGRADABLE_STAGES, MalformedModule, Quarantine,
                           ResiliencePolicy, WorkerKill,
                           campaign_task_key)
 from ..resilience.faultinject import inject
@@ -98,8 +101,7 @@ from ..resilience.journal import (campaign_result_from_doc,
                                   campaign_result_to_doc)
 from ..scanner.report import report_to_json
 from ..wasm.hardening import load_untrusted_module
-from .health import (BLACKBOX_GATED_STAGES, BREAKER_STAGES,
-                     BreakerBoard)
+from .health import BREAKER_STAGES, BreakerBoard
 from .integrity import StoreBudgetExceeded, StoreCorruption
 from .overload import SHED_KINDS, OverloadController
 from .queue import Job, JobQueue, QueueFull
@@ -922,8 +924,9 @@ class ScanService:
                 job.result_doc = result_doc
             if state == "failed":
                 job.attempts += 1
-                self.quarantine.record_failure(job.scan_key, error)
-                if self.quarantine.is_quarantined(job.scan_key):
+                decision = self.policy.after_failure(
+                    self.quarantine, job.scan_key, error, job.attempts)
+                if decision == "quarantined":
                     state = "quarantined"
                     try:
                         self._healed(lambda: self.store.put_quarantine(
@@ -932,8 +935,7 @@ class ScanService:
                                 job.scan_key, [])))
                     except StoreBudgetExceeded:
                         pass
-                elif job.attempts <= self.policy.max_retries \
-                        and not self._draining:
+                elif decision == "retry" and not self._draining:
                     job.state = "queued"
                     self.queue.put(job)  # containment re-queue
                     return True
@@ -985,7 +987,7 @@ class ScanService:
         """Feed per-stage outcomes of one campaign to the breaker
         board (service lock held).  A stage named in an error doc is a
         failure.  A *completed* campaign is a success for every other
-        stage it exercised — with one carve-out: the black-box-gated
+        stage it exercised — with one carve-out: the degradable
         stages (symbolic replay, solver) only count as successes when
         the campaign actually ran the full pipeline, i.e. it was
         neither breaker-forced into black-box mode nor internally
@@ -1004,7 +1006,7 @@ class ScanService:
         for stage in BREAKER_STAGES:
             if stage in failed_stages:
                 continue
-            if stage in BLACKBOX_GATED_STAGES and not ran_full:
+            if stage in DEGRADABLE_STAGES and not ran_full:
                 continue
             self.breakers.record_success(stage)
 

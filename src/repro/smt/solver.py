@@ -211,14 +211,12 @@ class Solver:
     """Check satisfiability of a conjunction of boolean terms."""
 
     def __init__(self, max_conflicts: int = 20_000,
-                 stats: SolverStats | None = None,
-                 use_cache: bool = True):
+                 stats: SolverStats | None = None):
         self._constraints: list[Term] = []
         self._stack: list[int] = []
         self.max_conflicts = max_conflicts
         self._model: Model | None = None
         self.stats = stats or SolverStats()
-        self.use_cache = use_cache
 
     # -- z3py-flavoured interface ------------------------------------------
     def add(self, *constraints: Term) -> None:
@@ -259,7 +257,7 @@ class Solver:
         if not constraints:
             self._model = Model({})
             return SAT
-        cache = _SOLVER_CACHE if self.use_cache else None
+        cache = _SOLVER_CACHE
         key = (tuple(constraints), self.max_conflicts)
         if cache is not None:
             cached = cache.lookup(key)

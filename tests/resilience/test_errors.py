@@ -1,14 +1,10 @@
 """The structured campaign error taxonomy."""
 
-import pytest
-
-from repro.parallel import TaskResult
 from repro.resilience.errors import (CampaignError, DeployError, FuzzError,
                                      InstrumentError, ScanError,
                                      SolverError, SymbackError, TaskTimeout,
                                      TrapStorm, WorkerCrash,
-                                     DEGRADABLE_STAGES, STAGES,
-                                     task_result_error)
+                                     DEGRADABLE_STAGES, STAGES)
 
 
 def test_stage_attributes():
@@ -79,22 +75,3 @@ def test_doc_round_trip_unknown_type_degrades_gracefully():
                                       "message": "x"})
     assert isinstance(revived, CampaignError)
     assert revived.stage == "fuzz"
-
-
-@pytest.mark.parametrize("error_type, expected", [
-    ("TaskTimeout", TaskTimeout),
-    ("WorkerCrash", WorkerCrash),
-    ("SolverError", SolverError),
-    ("ValueError", CampaignError),
-    (None, CampaignError),
-])
-def test_task_result_error_mapping(error_type, expected):
-    result = TaskResult(0, False, None, "it failed", 1.0, error_type,
-                        "tb text")
-    error = task_result_error(result)
-    assert type(error) is expected
-    assert error.traceback_str == "tb text"
-
-
-def test_task_result_error_none_for_success():
-    assert task_result_error(TaskResult(0, True, 42)) is None

@@ -1,26 +1,9 @@
-"""Retry, backoff, degradation and quarantine policy units."""
+"""Retry and quarantine policy units."""
 
 import pytest
 
 from repro.resilience import Quarantine, ResiliencePolicy, run_with_retry
-from repro.resilience.errors import (FuzzError, SolverError, SymbackError,
-                                     TaskTimeout)
-
-
-def test_backoff_schedule_is_deterministic_exponential():
-    policy = ResiliencePolicy(backoff_base_s=0.5)
-    assert policy.backoff_s(0) == 0.0
-    assert [policy.backoff_s(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-    assert ResiliencePolicy().backoff_s(3) == 0.0
-
-
-def test_should_degrade_only_on_symbolic_stages():
-    policy = ResiliencePolicy()
-    assert policy.should_degrade(SolverError("x"))
-    assert policy.should_degrade(SymbackError("x"))
-    assert not policy.should_degrade(FuzzError("x"))
-    off = ResiliencePolicy(degrade=False)
-    assert not off.should_degrade(SolverError("x"))
+from repro.resilience.errors import FuzzError, TaskTimeout
 
 
 def test_run_with_retry_retries_only_retryable():
@@ -50,17 +33,13 @@ def test_run_with_retry_retries_only_retryable():
 
 
 def test_run_with_retry_bounded_and_sleeps():
-    slept = []
-
     def always():
         raise TaskTimeout("slow")
 
     value, error, attempts = run_with_retry(
-        always, ResiliencePolicy(max_retries=2, backoff_base_s=0.25),
-        sleep=slept.append)
+        always, ResiliencePolicy(max_retries=2))
     assert value is None and isinstance(error, TaskTimeout)
     assert attempts == 3           # 1 try + 2 retries
-    assert slept == [0.25, 0.5]    # deterministic backoff, no jitter
 
 
 def test_run_with_retry_propagates_foreign_exceptions():
@@ -83,3 +62,17 @@ def test_quarantine_threshold_and_report():
     quarantine.record_failure("other", "one-off")
     assert set(quarantine.quarantined()) == {"s"}
     assert quarantine.quarantined()["s"][0] == "crash 1"
+
+
+def test_after_failure_retries_then_fails_or_quarantines():
+    policy = ResiliencePolicy(max_retries=1, quarantine_after=3)
+    quarantine = Quarantine(policy.quarantine_after)
+    # One retry, then the task fails; its key is not benched yet.
+    assert policy.after_failure(quarantine, "s", "crash 1", 1) == "retry"
+    assert policy.after_failure(quarantine, "s", "crash 2", 2) == "failed"
+    # Failures count per key across tasks and jobs: the third benches
+    # it, even while the failing job still has a retry left.
+    assert policy.after_failure(quarantine, "s", "crash 3", 1) \
+        == "quarantined"
+    assert quarantine.quarantined() == {"s": ["crash 1", "crash 2",
+                                              "crash 3"]}

@@ -4,8 +4,7 @@ Pure state machines over an injectable clock — every transition is
 driven deterministically, no sleeps.
 """
 
-from repro.service import (BLACKBOX_GATED_STAGES, BreakerBoard,
-                           CircuitBreaker)
+from repro.service import BreakerBoard, CircuitBreaker
 
 
 class FakeClock:
@@ -111,8 +110,3 @@ def test_board_half_open_lets_exactly_one_probe_through():
     board.record_success("solve")
     assert board.force_blackbox() is False
     assert board.snapshot()["solve"]["state"] == "closed"
-
-
-def test_gated_stage_list_matches_degradable_taxonomy():
-    from repro.resilience import DEGRADABLE_STAGES
-    assert set(BLACKBOX_GATED_STAGES) <= set(DEGRADABLE_STAGES)

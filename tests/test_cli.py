@@ -106,8 +106,7 @@ def test_bench_resume_requires_journal(capsys):
 def test_bench_resilience_flags_accepted(capsys):
     code = main(["bench", "table4", "--scale", "0.004",
                  "--timeout-ms", "5000", "--max-retries", "2",
-                 "--quarantine-after", "4", "--backoff-s", "0.1",
-                 "--no-degrade"])
+                 "--quarantine-after", "4"])
     assert code == 0
     assert "Total" in capsys.readouterr().out
 
