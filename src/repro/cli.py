@@ -254,8 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     submit.add_argument("wasm", type=Path, help="contract .wasm file")
     submit.add_argument("--abi", type=Path, required=True)
     submit.add_argument("--url", default="http://127.0.0.1:8734",
-                        help="daemon base URL; a comma-separated list "
-                             "enables multi-endpoint failover")
+                        help="daemon base URL")
     submit.add_argument("--api-key", default=None,
                         help="tenant API key (sent as X-Api-Key)")
     submit.add_argument("--timeout-ms", type=float, default=None,
@@ -313,11 +312,10 @@ def main(argv: list[str] | None = None) -> int:
                            help="chaos-drill a live in-process daemon "
                                 "under a deterministic fault schedule")
     chaos.add_argument("--schedule",
-                       choices=("ci", "quick", "fleet", "overload"),
+                       choices=("ci", "quick", "overload"),
                        default="ci",
                        help="fault schedule: 'ci' runs every phase, "
-                            "'quick' a fast subset, 'fleet' the "
-                            "3-node coordinator drill, 'overload' "
+                            "'quick' a fast subset, 'overload' "
                             "the deadline/brownout burst drill "
                             "(default ci)")
     chaos.add_argument("--json", action="store_true",
@@ -604,7 +602,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_submit(args) -> int:
     from .service import ServiceClient, ServiceError
-    client = ServiceClient(args.url.split(","), api_key=args.api_key)
+    client = ServiceClient(args.url, api_key=args.api_key)
     config = {}
     if args.timeout_ms is not None:
         config["timeout_ms"] = args.timeout_ms
@@ -696,7 +694,7 @@ def _cmd_reverdict(args) -> int:
             store.close()
     else:
         from .service import ServiceClient, ServiceError
-        client = ServiceClient(args.url.split(","))
+        client = ServiceClient(args.url)
         try:
             doc = client.reverdict(oracle_version=args.oracle_version,
                                    wait=True,

@@ -46,9 +46,23 @@ class CampaignJournal:
         self.path = Path(path)
 
     def load(self) -> dict[str, dict]:
-        """All readable entries, last-wins per key."""
-        return {doc["key"]: doc for doc in self.read_from(0)[0]
-                if doc.get("v") == _VERSION and isinstance(doc["key"], str)}
+        """All readable entries, last-wins per key.  Only complete
+        lines count (a torn tail is skipped), and so do malformed
+        lines, foreign versions and lines without a key."""
+        try:
+            blob = self.path.read_bytes()
+        except OSError:
+            return {}
+        entries = {}
+        for line in blob[:blob.rfind(b"\n") + 1].splitlines():
+            try:
+                doc = json.loads(line)
+            except ValueError:  # incl. UnicodeDecodeError
+                continue
+            if isinstance(doc, dict) and doc.get("v") == _VERSION \
+                    and isinstance(doc.get("key"), str):
+                entries[doc["key"]] = doc
+        return entries
 
     def record(self, key: str, result_doc: dict) -> None:
         """Append one completed result (flushed line-atomically).
@@ -65,37 +79,6 @@ class CampaignJournal:
             handle.write(json.dumps(doc, sort_keys=True) + "\n")
             handle.flush()
 
-    def read_from(self, cursor: int = 0) -> tuple[list[dict], int]:
-        """Lines appended since ``cursor``; returns ``(docs, cursor)``.
-
-        A cursor counts bytes of the journal's whole history: a
-        compacted file opens with ``{"base": B}``, B being the history
-        before it, so a cursor from before a compaction (<= B) or past
-        a truncated end re-reads the whole file instead of skipping
-        lines.  A cursor only passes complete lines: a torn tail is
-        re-read next time.
-        """
-        try:
-            with open(self.path, "rb") as handle:
-                base = _base(handle.readline()) or 0
-                offset = cursor - base
-                if not 0 < offset <= handle.seek(0, 2):
-                    offset = 0
-                handle.seek(offset)
-                blob = handle.read()
-        except OSError:
-            return [], 0
-        end = blob.rfind(b"\n") + 1
-        docs = []
-        for line in blob[:end].splitlines():
-            try:
-                doc = json.loads(line)
-            except ValueError:  # incl. UnicodeDecodeError
-                continue  # malformed line: skip, keep the cursor
-            if isinstance(doc, dict) and "key" in doc:
-                docs.append(doc)
-        return docs, base + offset + end
-
     def compact(self) -> int:
         """Rewrite the journal keeping only the last-wins line per key.
 
@@ -105,32 +88,21 @@ class CampaignJournal:
         Compaction is crash-safe: the survivors are written to a
         sibling temp file which atomically replaces the journal, so a
         kill mid-compaction leaves either the old file or the new one,
-        never a mix.  The new file opens with the ``{"base": B}`` line
-        :meth:`read_from` needs.  Returns how many lines were dropped.
+        never a mix.  Returns how many lines were dropped.
         """
         if not self.path.exists():
             return 0
         entries = self.load()
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        base = _base(data.split(b"\n", 1)[0])
-        before = sum(1 for line in data.splitlines() if line.strip())
+        before = sum(1 for line in self.path.read_bytes().splitlines()
+                     if line.strip())
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"base": (base or 0) + len(data)})
-                         + "\n")
             for doc in entries.values():
                 handle.write(json.dumps(doc, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
-        return max(0, before - (base is not None) - len(entries))
-
-
-def _base(line: bytes) -> "int | None":
-    """The history base on a compacted journal's first line, or None."""
-    head, _, digits = line.rstrip().rstrip(b"}").partition(b'{"base": ')
-    return int(digits) if not head and digits.isdigit() else None
+        return max(0, before - len(entries))
 
 
 def campaign_task_key(task) -> str:

@@ -1,11 +1,11 @@
 """repro.service — WASAI as a long-lived, self-healing scan service.
 
-The serving layer the ROADMAP's "heavy traffic" north star needs on
-top of the batch pipeline: instead of one-shot ``wasai scan``
-processes whose results die with them, a daemon that continuously
-ingests untrusted modules, answers queries about them, never re-fuzzes
-work it has already done — and heals itself when workers die, pipeline
-stages fail in a loop, or its own storage corrupts.
+The serving layer on top of the batch pipeline: instead of one-shot
+``wasai scan`` processes whose results die with them, one daemon over
+one artifact store that continuously ingests untrusted modules,
+answers queries about them, never re-fuzzes work it has already done —
+and heals itself when workers die, pipeline stages fail in a loop, or
+its own storage corrupts.  Clients talk to it at one base URL.
 
 * :mod:`repro.service.store` — SQLite content-addressed artifact
   store (modules, verdicts, coverage, quarantine, drain checkpoints)
@@ -27,20 +27,14 @@ stages fail in a loop, or its own storage corrupts.
   the one job-doc renderer and the ``/stats`` counts;
 * :mod:`repro.service.api` + :mod:`repro.service.server` — the JSON
   HTTP surface (``POST /scans``, ``GET /scans/{id}``, ``/healthz``,
-  ``/stats``, ``/integrity``) on a stdlib ``ThreadingHTTPServer``;
+  ``/stats``, ``/integrity``, ``POST /reverdict``) on a stdlib
+  ``ThreadingHTTPServer``;
 * :mod:`repro.service.client` — the urllib client behind
   ``wasai submit`` / ``wasai status`` (retries 429s and connection
   failures with capped, deterministically-jittered backoff);
 * :mod:`repro.service.chaos` — the ``wasai chaos`` drill: a live
   daemon run under a deterministic fault schedule, asserting the
   liveness invariants above;
-* :mod:`repro.service.backend` — the coordinator/worker seam
-  (:class:`CoordinatorBackend`) with in-process, child-process and
-  remote-HTTP node implementations plus the consistent-hash
-  :class:`HashRing`;
-* :mod:`repro.service.fleet` — :class:`ScanFleet`: consistent-hash
-  sharding, work stealing, log-shipped read replicas,
-  exactly-once failover on node death, partition control;
 * :mod:`repro.service.tenants` — per-tenant API keys with
   admission-time rate limits and quotas (:class:`TenantBook`);
 * :mod:`repro.service.reverdict` — oracle replay over stored trace-IR
@@ -50,19 +44,15 @@ stages fail in a loop, or its own storage corrupts.
 """
 
 from .api import ServiceApi
-from .backend import (BackendUnavailable, CoordinatorBackend, HashRing,
-                      InProcessBackend, ProcessBackend, RemoteBackend,
-                      module_hash_of)
 from .chaos import CHAOS_SCHEDULES, ChaosReport, run_chaos_drill
 from .client import ServiceClient, ServiceError
-from .fleet import FleetConfig, FleetJob, ScanFleet
 from .health import BREAKER_STAGES, BreakerBoard, CircuitBreaker
 from .integrity import (StoreBudgetExceeded, StoreCorruption,
                         content_checksum)
 from .queue import JOB_STATES, Job, JobQueue, QueueFull
 from .reverdict import ReverdictReport, audit_traces, reverdict_store
-from .scheduler import (DEFAULT_SCAN_CONFIG, NodePartitioned,
-                        ScanService, ScanServiceConfig, Submission)
+from .scheduler import (DEFAULT_SCAN_CONFIG, ScanService,
+                        ScanServiceConfig, Submission)
 from .server import ScanServer, make_server, serve_forever
 from .store import ArtifactStore
 from .supervisor import WorkerRecord, WorkerSupervisor
@@ -75,14 +65,10 @@ __all__ = [
     "WorkerRecord", "WorkerSupervisor",
     "CircuitBreaker", "BreakerBoard", "BREAKER_STAGES",
     "ScanService", "ScanServiceConfig", "Submission",
-    "DEFAULT_SCAN_CONFIG", "NodePartitioned",
+    "DEFAULT_SCAN_CONFIG",
     "ServiceApi", "ScanServer", "make_server", "serve_forever",
     "ServiceClient", "ServiceError",
     "ChaosReport", "run_chaos_drill", "CHAOS_SCHEDULES",
-    "BackendUnavailable", "CoordinatorBackend", "HashRing",
-    "InProcessBackend", "ProcessBackend", "RemoteBackend",
-    "module_hash_of",
-    "ScanFleet", "FleetConfig", "FleetJob",
     "TenantBook", "TenantQuota", "QuotaExceeded", "UnknownApiKey",
     "ReverdictReport", "reverdict_store", "audit_traces",
 ]

@@ -17,11 +17,23 @@ Endpoints
     * ``202`` — admitted: ``outcome`` is ``"queued"`` (a new job) or
       ``"coalesced"`` (attached single-flight to an in-flight twin);
     * ``400`` — the upload failed sandboxed ingestion
-      (``error: "malformed_module"``) or the request itself is bad;
+      (``error: "malformed_module"``) or the request itself is bad
+      (``error: "bad_request"``: not JSON, a missing field, or a
+      ``priority``, ``ttl_s``, ``abi`` or deadline that does not
+      parse);
+    * ``401`` — a :class:`~repro.service.tenants.TenantBook` is
+      installed and the API key (``X-Api-Key`` header or ``api_key``
+      body field) is missing where required, or unknown;
     * ``429`` — typed backpressure shed (``error: "queue_full"``,
       with the saturated bound in ``kind``/``limit`` and a
       ``retry_after_s`` hint the HTTP layer mirrors as a
-      ``Retry-After`` header).
+      ``Retry-After`` header); ``kind: "quota"`` is a known tenant
+      over its rate limit or absolute quota.
+
+    A tenant is billed only for a submission answered ``200`` or
+    ``202``.  Every field is parsed before the tenant is charged, and
+    a charge the service then refuses is refunded, so a ``400``,
+    ``401`` or ``429`` costs the tenant nothing.
 
     Optional body field ``ttl_s`` is a relative deadline: admission
     turns it into ``min(caller deadline, now + ttl_s)``, so it ends in
@@ -42,8 +54,8 @@ Endpoints
 
 ``GET /scans/{id}``
     Job lifecycle doc (``queued | running | done | failed |
-    quarantined | deadline_exceeded | stolen``); terminal jobs include
-    the verdict / error.
+    quarantined | deadline_exceeded``); terminal jobs include the
+    verdict / error.
 
 ``GET /healthz``
     Readiness + health: ``status`` is ``ok`` (accepting, breakers
@@ -63,30 +75,12 @@ Endpoints
     checksum and reports (and by default repairs) corruption.
 
 ``POST /reverdict``
-    Queue a fleet-wide oracle replay over the stored trace-IR packs
-    (zero re-fuzzing).  JSON body ``{"oracle_version": N}`` (optional);
+    Queue an oracle replay over every stored trace-IR pack (zero
+    re-fuzzing).  JSON body ``{"oracle_version": N}`` (optional);
     replies ``202`` with a job whose ``result`` is the sweep report —
     replayed / rewritten / matched / drift / corrupt counts plus the
-    itemised ``verdict_drift`` / ``trace_corruption`` incidents.
-
-Fleet surface
--------------
-
-When the daemon is part of a fleet, four more endpoints carry the
-coordinator verbs on the wire — ``POST /fleet/steal`` (donate
-unclaimed queue entries as base64 recipes), ``GET
-/fleet/journal?cursor=N`` (ship the store's verdict-log lines past a
-byte cursor), ``POST /fleet/replicate`` (replay shipped writes and
-drops) and ``POST /fleet/partition`` (chaos/topology control).
-Submissions gain three admission outcomes: ``401 unauthorized`` (a
-required/unknown API key when a :class:`~repro.service.tenants.
-TenantBook` is installed), ``429`` with ``kind: "quota"`` (a known
-tenant over its rate limit or absolute quota), and ``307
-wrong_shard`` with a ``Location`` header when a shard router says a
-different node owns this module's hash arc.  A partitioned minority
-node answers every write ``503 partitioned`` with ``stale: true``
-while reads keep flowing (stale-marked).  A tenant is billed only for
-submissions answered ``200`` or ``202``: a refused one is refunded.
+    itemised ``verdict_drift`` / ``trace_corruption`` incidents, or
+    ``400`` when a field does not parse.
 """
 
 from __future__ import annotations
@@ -94,39 +88,33 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-from urllib.parse import parse_qs
 
+from ..eosio.abi import Abi
 from ..resilience import MalformedModule
 from .queue import QueueFull
-from .scheduler import NodePartitioned, ScanService
+from .scheduler import ScanService
 from .tenants import QuotaExceeded, TenantBook, UnknownApiKey
 
 __all__ = ["ServiceApi"]
 
 # Every typed way admission can refuse a request (see _refusal).
-_REFUSALS = (MalformedModule, UnknownApiKey, NodePartitioned, QueueFull)
+_REFUSALS = (MalformedModule, UnknownApiKey, QueueFull)
 
 
 class ServiceApi:
     """Route one parsed request against a :class:`ScanService`.
 
     ``tenants`` (optional) gates submissions behind API keys and
-    quotas; ``router`` (optional) is a callable mapping a module
-    content hash to the owning node's base URL, or ``None`` when this
-    node owns the shard — non-``None`` turns the submission into a
-    307 redirect.
+    quotas.
     """
 
     def __init__(self, service: ScanService,
-                 tenants: TenantBook | None = None,
-                 router=None):
+                 tenants: TenantBook | None = None):
         self.service = service
         self.tenants = tenants
-        self.router = router
 
     def handle(self, method: str, path: str, body: bytes = b"",
                headers: dict | None = None) -> tuple[int, dict]:
-        raw_path = path
         path = path.split("?", 1)[0].rstrip("/") or "/"
         if method == "GET" and path == "/healthz":
             return 200, self.service.health()
@@ -140,14 +128,6 @@ class ServiceApi:
             return self._reverdict(body)
         if method == "GET" and path.startswith("/scans/"):
             return self._status(path[len("/scans/"):])
-        if method == "POST" and path == "/fleet/steal":
-            return self._fleet_steal(body)
-        if method == "GET" and path == "/fleet/journal":
-            return self._fleet_journal(raw_path)
-        if method == "POST" and path == "/fleet/replicate":
-            return self._fleet_replicate(body)
-        if method == "POST" and path == "/fleet/partition":
-            return self._fleet_partition(body)
         return 404, {"error": "not_found", "path": path}
 
     # -- POST /scans -------------------------------------------------------
@@ -198,37 +178,28 @@ class ServiceApi:
             return 400, {"error": "bad_request",
                          "detail": "X-Deadline-Ms / deadline_epoch_ms "
                                    "must be epoch milliseconds"}
+        # Every field parses before the tenant is charged: a request
+        # that cannot be admitted as written is a 400, never a bill.
+        try:
+            priority = int(doc.get("priority", 0))
+            ttl_s = doc.get("ttl_s")
+            ttl_s = None if ttl_s is None else float(ttl_s)
+            abi = doc["abi"]
+            abi = Abi.from_json(abi if isinstance(abi, str)
+                                else json.dumps(abi))
+        except (TypeError, ValueError, KeyError, AttributeError) as exc:
+            return 400, {"error": "bad_request",
+                         "detail": f"bad submit field: "
+                                   f"{type(exc).__name__}: {exc}"}
         api_key = self._api_key(doc, headers)
         tenant = None
         try:
-            if self.service.partitioned:
-                # A minority-side node refuses every write before it
-                # costs any parsing; reads keep flowing stale-marked.
-                raise NodePartitioned("node is on the minority side of "
-                                      "a network partition")
-            if self.tenants is not None:
-                # Identity gate BEFORE any module parsing: an unknown
-                # key costs the node nothing but this lookup.
-                self.tenants.validate(api_key)
-            if self.router is not None:
-                from .backend import module_hash_of
-                location = self.router(module_hash_of(data))
-                if location is not None:
-                    # Wrong shard: this node does not own the module's
-                    # hash arc, and the owner is the one that bills.
-                    # The server layer mirrors ``location`` into a
-                    # Location header for the 307.
-                    return 307, {"error": "wrong_shard",
-                                 "location": location.rstrip("/")
-                                 + "/scans"}
             if self.tenants is not None:
                 tenant = self.tenants.admit(api_key)
-            ttl_s = doc.get("ttl_s")
             submission = self.service.submit_bytes(
-                data, doc["abi"], config=doc.get("config"),
+                data, abi, config=doc.get("config"),
                 client=str(doc.get("client", "anon")),
-                priority=int(doc.get("priority", 0)),
-                ttl_s=float(ttl_s) if ttl_s is not None else None,
+                priority=priority, ttl_s=ttl_s,
                 deadline_epoch_s=deadline_epoch_s)
         except _REFUSALS as exc:
             if tenant is not None:
@@ -260,10 +231,6 @@ class ServiceApi:
                          "detail": str(exc), "stage": "ingest"}
         if isinstance(exc, UnknownApiKey):
             return 401, {"error": "unauthorized", "detail": str(exc)}
-        if isinstance(exc, NodePartitioned):
-            return 503, {"error": "partitioned", "stale": True,
-                         "detail": str(exc),
-                         "retry_after_s": exc.retry_after_s}
         doc = {"error": "queue_full", "detail": str(exc),
                "kind": exc.kind, "depth": exc.depth, "limit": exc.limit,
                "retry_after_s": exc.retry_after_s}
@@ -274,7 +241,7 @@ class ServiceApi:
 
     # -- POST /reverdict ---------------------------------------------------
     def _reverdict(self, body: bytes) -> tuple[int, dict]:
-        """Queue a fleet-wide oracle replay over the stored traces.
+        """Queue an oracle replay over the stored traces.
 
         JSON body (all fields optional): ``{"oracle_version": N,
         "oracles": "token_arith,..." | [...], "client": ...,
@@ -291,7 +258,15 @@ class ServiceApi:
         if not isinstance(doc, dict):
             return 400, {"error": "bad_request",
                          "detail": "body must be a JSON object"}
-        oracle_version = doc.get("oracle_version")
+        try:
+            oracle_version = doc.get("oracle_version")
+            if oracle_version is not None:
+                oracle_version = int(oracle_version)
+            priority = int(doc.get("priority", 0))
+        except (TypeError, ValueError) as exc:
+            return 400, {"error": "bad_request",
+                         "detail": f"bad reverdict field: "
+                                   f"{type(exc).__name__}: {exc}"}
         oracles = doc.get("oracles")
         if oracles is not None:
             from ..semoracle import UnknownOracleFamily, resolve_oracles
@@ -302,72 +277,14 @@ class ServiceApi:
                              "detail": str(exc)}
         try:
             submission = self.service.submit_reverdict(
-                oracle_version=(int(oracle_version)
-                                if oracle_version is not None else None),
+                oracle_version=oracle_version,
                 client=str(doc.get("client", "reverdict")),
-                priority=int(doc.get("priority", 0)),
-                oracles=oracles)
+                priority=priority, oracles=oracles)
         except _REFUSALS as exc:
             return self._refusal(exc)
         job_doc = self.service.job_doc(submission.job)
         job_doc["outcome"] = submission.outcome
         return 202, job_doc
-
-    # -- fleet verbs -------------------------------------------------------
-    def _fleet_steal(self, body: bytes) -> tuple[int, dict]:
-        try:
-            doc = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return 400, {"error": "bad_request",
-                         "detail": f"body is not JSON: {exc}"}
-        recipes = self.service.steal_unclaimed(
-            max(0, int(doc.get("max_jobs", 1))),
-            thief=str(doc.get("thief", "fleet")))
-        wire = []
-        for recipe in recipes:
-            recipe = dict(recipe)
-            module = recipe.pop("module", b"")
-            recipe["module_b64"] = base64.b64encode(module) \
-                .decode("ascii")
-            wire.append(recipe)
-        return 200, {"recipes": wire, "stolen": len(wire)}
-
-    def _fleet_journal(self, raw_path: str) -> tuple[int, dict]:
-        query = parse_qs(raw_path.partition("?")[2])
-        try:
-            cursor = int(query.get("cursor", ["0"])[0])
-        except ValueError:
-            return 400, {"error": "bad_request",
-                         "detail": "cursor must be an integer"}
-        entries, new_cursor = self.service.store.read_log(cursor)
-        return 200, {"entries": entries, "cursor": new_cursor}
-
-    def _fleet_replicate(self, body: bytes) -> tuple[int, dict]:
-        try:
-            doc = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return 400, {"error": "bad_request",
-                         "detail": f"body is not JSON: {exc}"}
-        entries = doc.get("entries")
-        if not isinstance(entries, list):
-            return 400, {"error": "bad_request",
-                         "detail": "need an entries list"}
-        # Unauthenticated input: fill absent keys, never touch held ones.
-        applied = self.service.apply_replica_verdicts(entries,
-                                                      insert_only=True)
-        return 200, {"applied": applied}
-
-    def _fleet_partition(self, body: bytes) -> tuple[int, dict]:
-        try:
-            doc = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return 400, {"error": "bad_request",
-                         "detail": f"body is not JSON: {exc}"}
-        partitioned = bool(doc.get("partitioned", True))
-        reason = doc.get("reason")
-        self.service.set_partitioned(
-            partitioned, str(reason) if reason is not None else None)
-        return 200, {"ok": True, "partitioned": partitioned}
 
     # -- GET /scans/{id} ---------------------------------------------------
     def _status(self, job_id: str) -> tuple[int, dict]:

@@ -23,15 +23,9 @@ invariants the self-healing machinery promises:
 
 Faults come from the same deterministic
 :mod:`~repro.resilience.faultinject` plans the test suite uses, so a
-failing drill reproduces exactly under the same schedule.  Four
-schedules: ``ci`` (every single-daemon phase; the chaos-drill CI job
-runs this), ``quick`` (a subset for fast local runs and the unit
-test), ``fleet`` — a 3-node in-process fleet marched through
-consistent-hash routing, tenant quotas, work stealing, a network
-partition (minority refuses writes, serves stale-marked reads, heals
-by verdict-log replay) and a node kill mid-scan (every orphaned job fails
-over to a surviving shard owner exactly once), asserting fleet-wide:
-no lost job, no duplicate or changed verdict, truthful health — and
+failing drill reproduces exactly under the same schedule.  Three
+schedules: ``ci`` (every phase; the chaos-drill CI job runs this),
+``quick`` (a subset for fast local runs and the unit test) and
 ``overload``, which bursts a small daemon at 5x its capacity with
 mixed caller deadlines and clients, asserting the overload machinery:
 no deadline-exceeded job ever runs a full campaign, every refusal is
@@ -52,14 +46,11 @@ from pathlib import Path
 from ..benchgen import ContractConfig, generate_contract
 from ..resilience import Fault, clear_fault_plan, install_fault_plan
 from ..wasm import encode_module
-from .backend import InProcessBackend
 from .client import ServiceClient, ServiceError
-from .fleet import FleetConfig, ScanFleet
 from .health import pressure_rank
 from .overload import SHED_KINDS
-from .scheduler import NodePartitioned, ScanService, ScanServiceConfig
+from .scheduler import ScanService, ScanServiceConfig
 from .server import make_server
-from .tenants import QuotaExceeded, TenantBook, UnknownApiKey
 
 __all__ = ["ChaosReport", "run_chaos_drill", "CHAOS_SCHEDULES"]
 
@@ -70,8 +61,6 @@ CHAOS_SCHEDULES = {
            "breaker_cycle", "reverdict", "final_invariants"),
     "quick": ("baseline", "worker_kill", "disk_full",
               "breaker_cycle", "final_invariants"),
-    "fleet": ("fleet_baseline", "fleet_work_stealing",
-              "network_partition", "node_kill", "fleet_final"),
     "overload": ("overload_baseline", "deadline_cutoff",
                  "overload_burst", "brownout_recovery"),
 }
@@ -751,296 +740,6 @@ class _OverloadDrill(_Drill):
                 f"{stats['deadline_exceeded']} deadline-cut)")
 
 
-class _FleetDrill:
-    """Three in-process nodes under one coordinator, plus helpers.
-
-    In-proc backends keep the drill deterministic and CI-cheap while
-    exercising the identical coordinator code paths a process-pool or
-    remote fleet runs; the HTTP wire variants are covered by the
-    backend/HTTP test suites.
-    """
-
-    NODES = ("n0", "n1", "n2")
-
-    def __init__(self, root: Path, verbose: bool = False):
-        self.root = root
-        self.verbose = verbose
-        self.config = ScanServiceConfig(
-            workers=1, max_depth=64, poll_s=0.02,
-            default_timeout_ms=_DRILL_TIMEOUT_MS,
-            task_deadline_s=10.0, watchdog_poll_s=0.05,
-            max_restarts=64, restart_window_s=300.0,
-            restart_backoff_s=0.01,
-            breaker_threshold=8, breaker_cooldown_s=0.75)
-        backends = []
-        for name in self.NODES:
-            service = ScanService(
-                store=str(root / f"{name}.db"), config=self.config)
-            backends.append(InProcessBackend(name, service))
-        self.tenants = TenantBook(require_key=False)
-        self.tenants.register("drill", "drill-key",
-                              rate_per_s=10_000.0, burst=10_000)
-        self.tenants.register("capped", "capped-key",
-                              max_submissions=2)
-        self.fleet = ScanFleet(
-            backends,
-            config=FleetConfig(steal_threshold=2, steal_batch=4),
-            tenants=self.tenants)
-        self.fleet.start()
-        self.fleet_ids: list[str] = []
-        self.results: dict[int, dict] = {}   # seed -> result doc
-
-    def close(self) -> None:
-        clear_fault_plan()
-        self.fleet.stop()
-
-    # -- helpers -----------------------------------------------------------
-    def contract(self, seed: int) -> tuple[bytes, str]:
-        generated = generate_contract(
-            ContractConfig(seed=seed, fake_eos_guard=False,
-                           maze_depth=2 + seed % 4))
-        return encode_module(generated.module), generated.abi.to_json()
-
-    def owner(self, seed: int) -> str:
-        data, _abi = self.contract(seed)
-        return self.fleet.owner_of(data)[1]
-
-    def seeds_for(self, node: str, count: int,
-                  start: int) -> list[int]:
-        """The first ``count`` seeds from ``start`` whose contracts
-        the ring assigns to ``node`` — the shard math made testable."""
-        seeds: list[int] = []
-        seed = start
-        while len(seeds) < count:
-            if self.owner(seed) == node:
-                seeds.append(seed)
-            seed += 1
-            _expect(seed - start < 500,
-                    f"ring never routed {count} of 500 contracts to "
-                    f"{node}: pathologically skewed placement")
-        return seeds
-
-    def submit_seed(self, seed: int, client_name: str,
-                    api_key: "str | None" = "drill-key") -> dict:
-        data, abi = self.contract(seed)
-        doc = self.fleet.submit(data, abi, client=client_name,
-                                api_key=api_key)
-        self.fleet_ids.append(doc["fleet_id"])
-        return doc
-
-    def wait_fleet(self, fleet_id: str) -> dict:
-        doc = self.fleet.wait(fleet_id, timeout_s=_WAIT_S,
-                              poll_s=0.02)
-        _expect(doc.get("state") == "done",
-                f"fleet job {fleet_id} ended {doc.get('state')!r}; "
-                f"error={doc.get('error')!r}")
-        return doc
-
-    def stats(self) -> dict:
-        return self.fleet.stats()
-
-    # -- phases ------------------------------------------------------------
-    def fleet_baseline(self) -> str:
-        """Routing is the ring's choice, dedup stays node-local, and
-        tenant quotas shed at admission with the typed 429 schema."""
-        for node in self.NODES:
-            seed = self.seeds_for(node, 1, start=10)[0]
-            doc = self.submit_seed(seed, f"baseline-{node}")
-            _expect(doc["node"] == node,
-                    f"seed {seed} routed to {doc['node']}, but the "
-                    f"ring owns it to {node}")
-            final = self.wait_fleet(doc["fleet_id"])
-            _expect(final.get("result") is not None,
-                    f"seed {seed} completed without a result doc")
-            self.results[seed] = final["result"]
-            if node == self.NODES[0]:
-                self.baseline_seed = seed
-        redo = self.submit_seed(self.baseline_seed, "baseline-redo")
-        _expect(redo["outcome"] == "cached"
-                and redo["node"] == self.NODES[0],
-                f"identical resubmit was {redo['outcome']!r} on "
-                f"{redo['node']} — dedup did not stay on the shard "
-                "owner")
-        # Tenant quota: two admissions fit, the third sheds as a
-        # typed "quota" 429 with an honest Retry-After hint.
-        for _ in range(2):
-            self.submit_seed(self.baseline_seed, "capped",
-                             api_key="capped-key")
-        try:
-            self.submit_seed(self.baseline_seed, "capped",
-                             api_key="capped-key")
-            raise ChaosViolation("third capped submission admitted "
-                                 "past a 2-submission quota")
-        except QuotaExceeded as exc:
-            _expect(exc.kind == "quota" and exc.retry_after_s > 0,
-                    f"quota shed mistyped: kind={exc.kind!r} "
-                    f"retry_after_s={exc.retry_after_s!r}")
-        try:
-            self.submit_seed(self.baseline_seed, "nobody",
-                             api_key="no-such-key")
-            raise ChaosViolation("an unknown API key was admitted")
-        except UnknownApiKey:
-            pass
-        return "ring routing, shard-local dedup and quotas all nominal"
-
-    def fleet_work_stealing(self) -> str:
-        """A deep queue on one node drains through a peer: only
-        unclaimed entries move, and each moved job resolves exactly
-        once."""
-        victim = self.NODES[0]
-        seeds = self.seeds_for(victim, 8, start=100)
-        docs = [self.submit_seed(seed, "steal-load")
-                for seed in seeds]
-        before = {doc["fleet_id"]: (doc["node"], doc["id"])
-                  for doc in docs}
-        moved = self.fleet.rebalance_once()
-        _expect(moved >= 1,
-                f"rebalance moved {moved} jobs off a depth-"
-                f"{len(seeds)} queue")
-        victim_stats = self.fleet.backends[victim].stats()
-        _expect(victim_stats["fleet"]["stolen_away"] >= moved,
-                "victim's /stats does not account the donated jobs")
-        stolen_checked = 0
-        for doc in docs:
-            final = self.wait_fleet(doc["fleet_id"])
-            record = self.fleet._jobs[doc["fleet_id"]]
-            if record.stolen:
-                stolen_checked += 1
-                _expect(final["node"] != victim,
-                        f"stolen job {doc['fleet_id']} reports "
-                        "completion on its victim")
-                old_node, old_id = before[doc["fleet_id"]]
-                left_behind = self.fleet.backends[old_node] \
-                    .job(old_id)
-                _expect(left_behind is not None
-                        and left_behind.get("state") == "stolen",
-                        f"victim's copy of {old_id} is "
-                        f"{left_behind and left_behind.get('state')!r}"
-                        ", not a revoked 'stolen' tombstone")
-        _expect(stolen_checked >= 1,
-                "no fleet record was remapped by the steal")
-        return (f"{moved} unclaimed jobs moved to a peer, all "
-                f"{len(seeds)} resolved exactly once")
-
-    def network_partition(self) -> str:
-        """A minority node refuses writes and serves stale-marked
-        reads; healing replays the journal until it converges."""
-        minority = self.NODES[2]
-        seed = self.seeds_for(minority, 1, start=200)[0]
-        self.fleet.partition([minority])
-        data, abi = self.contract(seed)
-        try:
-            self.fleet.backends[minority].submit(data, abi)
-            raise ChaosViolation(
-                "partitioned minority accepted a write")
-        except NodePartitioned as exc:
-            _expect(exc.retry_after_s > 0,
-                    "partitioned refusal carries no retry hint")
-        health = self.fleet.backends[minority].health()
-        _expect(health["status"] == "partitioned"
-                and health.get("stale") is True,
-                f"partitioned node reads are not stale-marked: "
-                f"{health}")
-        doc = self.submit_seed(seed, "partition-era")
-        _expect(doc["node"] != minority,
-                f"seed {seed} routed to the partitioned minority")
-        final = self.wait_fleet(doc["fleet_id"])
-        self.results[seed] = final["result"]
-        applied = self.fleet.heal()
-        _expect(applied >= 1,
-                f"healing applied {applied} journal verdicts — the "
-                "rejoined replica never caught up")
-        healed = self.fleet.backends[minority].health()
-        _expect(healed.get("stale") is False
-                and healed["status"] != "partitioned",
-                f"healed node still stale: {healed}")
-        # The verdict computed elsewhere during the partition must now
-        # be served from the healed node's replica, not recomputed.
-        replayed = self.fleet.backends[minority].submit(data, abi)
-        _expect(replayed.get("outcome") == "cached"
-                and replayed.get("result") == final["result"],
-                "healed replica did not serve the partition-era "
-                "verdict from journal replay")
-        return (f"minority refused writes, served stale reads, and "
-                f"caught up {applied} verdict(s) by journal replay")
-
-    def node_kill(self) -> str:
-        """A node dies mid-scan; every orphaned job fails over to a
-        surviving shard owner exactly once, with verdicts unchanged."""
-        victim = self.NODES[1]
-        seeds = self.seeds_for(victim, 4, start=300)
-        docs = [self.submit_seed(seed, "kill-load")
-                for seed in seeds]
-        self.fleet.backends[victim].kill()
-        failed = self.fleet.check_nodes()
-        _expect(failed == [victim],
-                f"check_nodes failed {failed}, expected [{victim}]")
-        for seed, doc in zip(seeds, docs):
-            final = self.wait_fleet(doc["fleet_id"])
-            record = self.fleet._jobs[doc["fleet_id"]]
-            _expect(record.failovers <= 1,
-                    f"job {doc['fleet_id']} failed over "
-                    f"{record.failovers} times, not exactly once")
-            _expect(final["node"] != victim,
-                    f"job {doc['fleet_id']} claims completion on the "
-                    "dead node")
-            key = record.recipe["module_hash"]
-            _expect(final["node"] == self.fleet.ring.owner(key),
-                    f"job {doc['fleet_id']} recovered on "
-                    f"{final['node']}, not the surviving shard owner "
-                    f"{self.fleet.ring.owner(key)}")
-            self.results[seed] = final["result"]
-        # Deterministic campaigns: the failed-over verdict must be the
-        # one an undisturbed fleet would have produced — resubmitting
-        # now dedups against it instead of computing anything new.
-        redo = self.submit_seed(seeds[0], "post-kill-redo")
-        _expect(redo["outcome"] == "cached"
-                and redo.get("result") == self.results[seeds[0]],
-                "post-failover resubmit recomputed or changed the "
-                "verdict")
-        stats = self.fleet.stats()
-        _expect(stats["failovers"] >= 1,
-                "fleet /stats does not account the failovers")
-        return (f"node killed mid-scan, {stats['failovers']} "
-                f"job(s) failed over once each, verdicts stable")
-
-    def fleet_final(self) -> str:
-        """Converged: nothing lost, nothing duplicated, books honest."""
-        lost = []
-        for fleet_id in self.fleet_ids:
-            doc = self.fleet.job(fleet_id)
-            if doc is None or doc.get("state") != "done":
-                lost.append((fleet_id,
-                             doc and doc.get("state")))
-        _expect(not lost,
-                f"fleet jobs not completed after the drill: {lost}")
-        redo = self.submit_seed(self.baseline_seed, "final-redo")
-        _expect(redo["outcome"] == "cached"
-                and redo.get("result") == self.results[
-                    self.baseline_seed],
-                "post-drill verdict for the baseline contract changed")
-        health = self.fleet.health()
-        _expect(health["down"] == [self.NODES[1]]
-                and health["status"] == "degraded",
-                f"fleet health misreports the killed node: {health}")
-        for name in self.fleet.live_nodes():
-            node_health = health["nodes"][name]
-            _expect(node_health["status"] in ("ok", "idle"),
-                    f"survivor {name} unhealthy after the drill: "
-                    f"{node_health}")
-            _expect(node_health.get("accepting") is True,
-                    f"survivor {name} stopped accepting")
-        stats = self.stats()
-        _expect(stats["submissions"] == len(self.fleet_ids),
-                f"{len(self.fleet_ids)} submissions tracked but "
-                f"/stats counts {stats['submissions']}")
-        _expect(stats["jobs_stolen"] >= 1 and stats["failovers"] >= 1
-                and stats["replicated"] >= 1,
-                f"fleet counters missing drill events: {stats}")
-        return (f"{len(self.fleet_ids)} fleet jobs all terminal-done, "
-                "verdicts stable, survivors healthy, books balanced")
-
-
 def run_chaos_drill(schedule: str = "ci", *, verbose: bool = False,
                     keep_dir: "str | None" = None) -> ChaosReport:
     """Run one chaos schedule against a freshly booted daemon.
@@ -1055,8 +754,7 @@ def run_chaos_drill(schedule: str = "ci", *, verbose: bool = False,
         Path(tempfile.mkdtemp(prefix="wasai-chaos-"))
     root.mkdir(parents=True, exist_ok=True)
     report = ChaosReport(schedule=schedule)
-    drill_cls = (_OverloadDrill if schedule == "overload"
-                 else _FleetDrill if schedule == "fleet" else _Drill)
+    drill_cls = _OverloadDrill if schedule == "overload" else _Drill
     drill = drill_cls(root, verbose=verbose)
     try:
         for name in CHAOS_SCHEDULES[schedule]:

@@ -20,25 +20,15 @@ reproducible.  A raw :class:`urllib.error.URLError` never escapes:
 exhausted retries surface as a typed :class:`ServiceError` with
 status 503.
 
-Fleet awareness rides on the same retry loop.  The client accepts a
-*list* of base URLs and rotates to the next endpoint whenever the
-current one refuses connections or answers 5xx (single-endpoint
-behavior is unchanged: a 5xx surfaces immediately).  A 307/308 with a
-``Location`` header — the fleet's "wrong shard, ask that node"
-redirect — is followed in place, bounded by ``max_redirects`` so two
-confused nodes cannot bounce a request forever.  An optional
-``api_key`` is attached to every request as ``X-Api-Key`` for
-tenant-quota admission.
+An optional ``api_key`` is attached to every request as
+``X-Api-Key`` for tenant-quota admission.
 
-Backpressure is honored per shed *kind*: every 429 the daemon emits
-carries a measured ``Retry-After`` (how long the backlog actually
-takes to drain) which the client sleeps on, except a ``draining``
-shed against a multi-endpoint fleet, where the right move is to
-rotate to a sibling node immediately instead of waiting out a daemon
-that is shutting down.  Caller deadlines propagate as the
-``X-Deadline-Ms`` header (absolute epoch milliseconds) via
-``submit(deadline_s=...)`` — the daemon then refuses to spend fresh
-campaign budget past that instant.
+Backpressure is honored as measured: every 429 the daemon emits
+carries a ``Retry-After`` (how long the backlog actually takes to
+drain) which the client sleeps on, capped at ``backoff_cap_s``.
+Caller deadlines propagate as the ``X-Deadline-Ms`` header (absolute
+epoch milliseconds) via ``submit(deadline_s=...)`` — the daemon then
+refuses to spend fresh campaign budget past that instant.
 """
 
 from __future__ import annotations
@@ -78,46 +68,22 @@ class ServiceError(Exception):
 
 
 class ServiceClient:
-    """Talk to one ``wasai serve`` daemon — or a fleet of them."""
+    """Talk to one ``wasai serve`` daemon at ``base_url``."""
 
-    def __init__(self,
-                 base_url: "str | list[str] | tuple[str, ...]"
-                 = "http://127.0.0.1:8734",
+    def __init__(self, base_url: str = "http://127.0.0.1:8734",
                  timeout_s: float = 30.0, *,
                  max_retries: int = 3,
                  backoff_base_s: float = 0.1,
                  backoff_cap_s: float = 5.0,
-                 max_redirects: int = 3,
                  api_key: "str | None" = None,
                  sleep=time.sleep):
-        if isinstance(base_url, str):
-            base_url = [base_url]
-        self.endpoints = [url.rstrip("/") for url in base_url]
-        if not self.endpoints:
-            raise ValueError("at least one endpoint is required")
-        self._endpoint_index = 0
+        self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self.max_redirects = max_redirects
         self.api_key = api_key
         self._sleep = sleep
-
-    @property
-    def base_url(self) -> str:
-        """The endpoint currently in rotation (back-compat alias)."""
-        return self.endpoints[self._endpoint_index]
-
-    @base_url.setter
-    def base_url(self, value: str) -> None:
-        self.endpoints = [value.rstrip("/")]
-        self._endpoint_index = 0
-
-    def _rotate(self) -> None:
-        if len(self.endpoints) > 1:
-            self._endpoint_index = \
-                (self._endpoint_index + 1) % len(self.endpoints)
 
     # -- plumbing ----------------------------------------------------------
     def _retry_delay(self, path: str, attempt: int,
@@ -137,7 +103,6 @@ class ServiceClient:
 
     def _request_once(self, method: str, path: str,
                       doc: dict | None = None, *,
-                      url: "str | None" = None,
                       extra_headers: dict | None = None
                       ) -> tuple[int, dict, dict]:
         """One attempt: (status, payload, headers)."""
@@ -150,7 +115,7 @@ class ServiceClient:
             headers["X-Api-Key"] = self.api_key
         if extra_headers:
             headers.update(extra_headers)
-        request = urllib.request.Request(url or (self.base_url + path),
+        request = urllib.request.Request(self.base_url + path,
                                          data=body, headers=headers,
                                          method=method)
         try:
@@ -169,19 +134,11 @@ class ServiceClient:
                  doc: dict | None = None,
                  extra_headers: dict | None = None) -> tuple[int, dict]:
         last_connect_error: Exception | None = None
-        url: "str | None" = None        # set while following a redirect
-        redirects = 0
-        attempt = 0
-        while attempt <= self.max_retries:
+        for attempt in range(self.max_retries + 1):
+            retry_after = None
             try:
-                if url is None:
-                    status, payload, headers = self._request_once(
-                        method, path, doc,
-                        extra_headers=extra_headers)
-                else:
-                    status, payload, headers = self._request_once(
-                        method, path, doc, url=url,
-                        extra_headers=extra_headers)
+                status, payload, headers = self._request_once(
+                    method, path, doc, extra_headers=extra_headers)
             except urllib.error.URLError as exc:
                 reason = getattr(exc, "reason", None)
                 if not isinstance(reason, _TRANSIENT_EXCS):
@@ -190,61 +147,15 @@ class ServiceClient:
                         "detail": f"{type(exc).__name__}: {exc}",
                     }) from exc
                 last_connect_error = exc
-                self._rotate()
-                url = None
-                if attempt >= self.max_retries:
-                    break
-                self._sleep(self._retry_delay(path, attempt))
-                attempt += 1
-                continue
             except _TRANSIENT_EXCS as exc:
                 # A reset can also surface bare (mid-body, keep-alive).
                 last_connect_error = exc
-                self._rotate()
-                url = None
-                if attempt >= self.max_retries:
-                    break
-                self._sleep(self._retry_delay(path, attempt))
-                attempt += 1
-                continue
-            if status in (307, 308) and headers.get("Location") \
-                    and redirects < self.max_redirects:
-                # Shard redirect: the node we asked does not own this
-                # module's hash arc; retry against the owner.  Does
-                # not consume the retry budget — it is routing, not
-                # failure — but is bounded by max_redirects.
-                redirects += 1
-                location = str(headers["Location"])
-                if location.startswith(("http://", "https://")):
-                    url = location
-                else:
-                    path, url = location, None
-                continue
-            if status == 429 and attempt < self.max_retries:
-                if payload.get("kind") == "draining" \
-                        and len(self.endpoints) > 1:
-                    # A draining node will not recover for this
-                    # request's lifetime; a fleet sibling might take
-                    # it right now — rotate instead of waiting out
-                    # the (long) drain hint.
-                    self._rotate()
-                    url = None
-                    self._sleep(self._retry_delay(path, attempt))
-                else:
-                    self._sleep(self._retry_delay(
-                        path, attempt, headers.get("Retry-After")))
-                attempt += 1
-                continue
-            if status >= 500 and len(self.endpoints) > 1 \
-                    and attempt < self.max_retries:
-                # A sick-but-talking node: fail over to the next
-                # endpoint (with one endpoint, surface it untouched).
-                self._rotate()
-                url = None
-                self._sleep(self._retry_delay(path, attempt))
-                attempt += 1
-                continue
-            return status, payload
+            else:
+                if status != 429 or attempt >= self.max_retries:
+                    return status, payload
+                retry_after = headers.get("Retry-After")
+            if attempt < self.max_retries:
+                self._sleep(self._retry_delay(path, attempt, retry_after))
         raise ServiceError(503, {
             "error": "unavailable",
             "detail": (f"daemon unreachable after "
@@ -311,8 +222,8 @@ class ServiceClient:
                   wait: bool = False,
                   timeout_s: float = 300.0,
                   oracles=None) -> dict:
-        """Queue a fleet-wide oracle replay over the stored trace-IR
-        packs; returns the job doc.  With ``wait`` the call polls
+        """Queue an oracle replay over every stored trace-IR pack;
+        returns the job doc.  With ``wait`` the call polls
         until the sweep is terminal, so the returned doc carries the
         sweep report (replayed / drift / corrupt counts).  ``oracles``
         selects the enabled families (names, aliases, or a

@@ -125,8 +125,9 @@ class OverloadController:
         return percentile(recent, 95.0) if recent else 0.0
 
     def expected_job_s(self) -> float:
-        """Median recent job latency — the headroom one more job needs
-        (deadline-aware admission and work-stealing use this)."""
+        """Median recent job latency, reported as
+        ``overload.expected_job_s`` in ``/stats``; no admission
+        decision reads it."""
         recent = self._recent_latencies()
         return percentile(recent, 50.0) if recent else 0.0
 

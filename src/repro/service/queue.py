@@ -31,9 +31,8 @@ daemon quiescent — still expires jobs promptly instead of discovering
 staleness only when demand returns.
 
 Job lifecycle: ``queued → running → done | failed | quarantined |
-deadline_exceeded`` (or ``stolen`` by a fleet peer while queued).
-The :class:`Job` record itself is the single source of truth the HTTP
-layer renders for ``GET /scans/{id}``.
+deadline_exceeded``.  The :class:`Job` record itself is the single
+source of truth the HTTP layer renders for ``GET /scans/{id}``.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ from typing import Any, Callable
 
 __all__ = ["Job", "JobQueue", "QueueFull", "JOB_STATES", "TERMINAL_STATES"]
 
-TERMINAL_STATES = ("done", "failed", "quarantined", "deadline_exceeded",
-                   "stolen")
+TERMINAL_STATES = ("done", "failed", "quarantined", "deadline_exceeded")
 JOB_STATES = ("queued", "running") + TERMINAL_STATES
 
 
@@ -57,8 +55,8 @@ class QueueFull(Exception):
     saturated; the submission was shed.  ``retry_after_s`` is the
     server's hint for when a retry is worth attempting (emitted as
     ``Retry-After``).  Every 429 the service emits carries the same
-    schema: ``kind`` names the saturated bound so clients and fleet
-    peers can dispatch without string-matching the message."""
+    schema: ``kind`` names the saturated bound so clients can
+    dispatch without string-matching the message."""
 
     def __init__(self, message: str, *, depth: int, limit: int,
                  kind: str = "queue", retry_after_s: float = 1.0):
@@ -97,7 +95,6 @@ class Job:
     brownout: str | None = None  # pressure level the run degraded under
     claim: str | None = None  # worker token currently owning the run
     requeues: int = 0         # watchdog reap re-queues (exactly-once)
-    stolen_by: str | None = None  # fleet thief token once work-stolen
 
     @property
     def terminal(self) -> bool:
@@ -127,8 +124,6 @@ class Job:
         }
         if self.requeues:
             doc["requeues"] = self.requeues
-        if self.stolen_by is not None:
-            doc["stolen_by"] = self.stolen_by
         if self.deadline_epoch_s is not None:
             doc["deadline_epoch_s"] = self.deadline_epoch_s
         if self.brownout is not None:
@@ -279,51 +274,6 @@ class JobQueue:
         if oldest is None:
             return None
         return oldest[1], oldest[2]
-
-    def steal(self, max_jobs: int, *,
-              min_headroom_s: float = 0.0) -> list[Job]:
-        """Remove and return up to ``max_jobs`` queued entries for a
-        fleet peer to run instead (work stealing).
-
-        Only *unclaimed* queue entries can ever be here — a claimed
-        job left the queue at ``get``, so stealing can never touch an
-        in-flight claim by construction.  Stealing takes the youngest
-        jobs of the lowest priority band first: those would have run
-        last locally, so the donor's latency profile is disturbed the
-        least while the thief gets real backlog off this node.
-
-        ``min_headroom_s`` makes stealing deadline-aware: a job whose
-        remaining wall-clock deadline budget is below the headroom is
-        skipped — shipping it across the fleet just to have it expire
-        on the thief wastes the transfer and a campaign slot.  Jobs
-        without a deadline are always eligible."""
-        out: list[Job] = []
-        with self._lock:
-            wall_now = self._wall_clock()
-            for priority in sorted(self._bands):
-                band = self._bands[priority]
-                for client in list(reversed(band)):
-                    jobs = band[client]
-                    remaining: deque[Job] = deque()
-                    for job in reversed(jobs):
-                        if len(out) < max_jobs \
-                                and job.deadline_remaining_s(wall_now) \
-                                >= min_headroom_s:
-                            out.append(job)
-                        else:
-                            remaining.appendleft(job)
-                    if remaining:
-                        band[client] = remaining
-                    else:
-                        del band[client]
-                    if len(out) >= max_jobs:
-                        break
-                if not band and priority in self._bands:
-                    del self._bands[priority]
-                if len(out) >= max_jobs:
-                    break
-            self._depth -= len(out)
-        return out
 
     def drain(self) -> list[Job]:
         """Remove and return every queued job (checkpoint path)."""

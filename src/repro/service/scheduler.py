@@ -11,12 +11,11 @@ travels::
           -> in-flight twin?   -> coalesce onto the running job
           -> admission gate    -> typed QueueFull shed
           -> queued -> running -> done | failed | quarantined
-                                  | deadline_exceeded | stolen
+                                  | deadline_exceeded
 
 A per-job ``ttl_s`` (or the ``job_ttl_s`` default) is a relative
 deadline: admission folds it into the absolute one, so a single clock
-is checked at every hand-off and travels with drain checkpoints and
-steal recipes.
+is checked at every hand-off and travels with drain checkpoints.
 
 Dedup levels:
 
@@ -66,8 +65,8 @@ the same rule as the batch runner,
 ``policy.quarantine_after`` failures.
 
 The :class:`ArtifactStore` is the only durable interface: it logs every
-verdict write, rewrite and drop for rebuilds and read replicas, and
-holds the drain checkpoints that :meth:`ScanService.resume` (run by
+verdict write, rewrite and drop for rebuilds, and holds the drain
+checkpoints that :meth:`ScanService.resume` (run by
 :meth:`~ScanService.start`) resubmits once each and deletes.
 
 Every count ``GET /stats`` shows is kept once, by whoever sees the
@@ -109,19 +108,7 @@ from .store import ArtifactStore
 from .supervisor import WorkerRecord, WorkerSupervisor
 
 __all__ = ["ScanService", "ScanServiceConfig", "Submission",
-           "NodePartitioned", "DEFAULT_SCAN_CONFIG"]
-
-
-class NodePartitioned(Exception):
-    """This node believes it is on the minority side of a network
-    partition: it refuses writes (new submissions) so a split brain
-    can never produce two authoritative verdict histories, and serves
-    reads marked ``stale`` until the partition heals and the verdict
-    log replay catches it back up."""
-
-    def __init__(self, message: str, *, retry_after_s: float = 5.0):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
+           "DEFAULT_SCAN_CONFIG"]
 
 DEFAULT_SCAN_CONFIG = {
     "tool": "wasai",
@@ -236,9 +223,6 @@ class ScanService:
         self._storm = False
         self._accepting = True
         self._draining = False
-        self._dead = False            # chaos kill(): node is gone
-        self._partitioned = False
-        self._partition_reason: str | None = None
         # -- housekeeping (sweeps + AIMD tick) ---------------------------
         self._housekeeper: threading.Thread | None = None
         self._housekeeper_stop = threading.Event()
@@ -313,42 +297,6 @@ class ScanService:
         checkpointed = self.drain(wait_s)
         self.store.close()
         return checkpointed
-
-    def kill(self) -> None:
-        """Abrupt chaos-style death: no drain, no checkpoint, no
-        store close.  Worker loops exit at their next poll; a worker
-        mid-campaign becomes a zombie whose result is never consulted
-        because the node is dead to its fleet.  The in-proc backend
-        uses this to rehearse node-kill without a real process."""
-        with self._lock:
-            self._accepting = False
-            self._draining = True
-            self._dead = True
-        if self.supervisor is not None:
-            self.supervisor.abandon_all()
-
-    @property
-    def dead(self) -> bool:
-        return self._dead
-
-    # -- partition tolerance -----------------------------------------------
-    def set_partitioned(self, partitioned: bool,
-                        reason: str | None = None) -> None:
-        """Enter/leave minority-partition mode.  While set, new
-        submissions are refused with the typed
-        :class:`NodePartitioned` and every health/stats read carries
-        ``stale: true`` — the node keeps serving what it already
-        knows, clearly labelled, but never diverges the write
-        history.  Healing is the fleet's verdict-log replay, not a local
-        state change, so leaving the mode is just clearing the flag."""
-        with self._lock:
-            self._partitioned = partitioned
-            self._partition_reason = reason if partitioned else None
-
-    @property
-    def partitioned(self) -> bool:
-        with self._lock:
-            return self._partitioned
 
     # -- storage self-healing ----------------------------------------------
     def _healed(self, op, default=None):
@@ -434,13 +382,8 @@ class ScanService:
 
     # -- admission ---------------------------------------------------------
     def _check_writable(self) -> None:
-        """The partition/drain gate every write passes first."""
+        """The drain gate every write passes first."""
         with self._lock:
-            if self._partitioned:
-                raise NodePartitioned(
-                    "node is on the minority side of a network "
-                    f"partition ({self._partition_reason or 'unknown'});"
-                    " writes refused until the partition heals")
             if not self._accepting:
                 raise self._refuse("draining", "service is draining",
                                    floor=30.0)
@@ -461,12 +404,14 @@ class ScanService:
                 retry_after_s=max(floor,
                                   self.overload.retry_after_s(queued)))
 
-    def submit_bytes(self, data: bytes, abi_json: "str | dict",
+    def submit_bytes(self, data: bytes, abi_json: "Abi | str | dict",
                      config: dict | None = None, client: str = "anon",
                      priority: int = 0,
                      ttl_s: float | None = None,
                      deadline_epoch_s: float | None = None) -> Submission:
-        """Admit one scan request from raw (untrusted) contract bytes.
+        """Admit one scan request from raw (untrusted) contract bytes;
+        ``abi_json`` is the ABI as JSON text, a dict, or a parsed
+        :class:`~repro.eosio.abi.Abi`.
 
         Raises :class:`~repro.resilience.MalformedModule` when the
         bytes fail sandboxed ingestion (the hostile upload never
@@ -492,7 +437,8 @@ class ScanService:
             raise
         if isinstance(abi_json, dict):
             abi_json = json.dumps(abi_json)
-        abi = Abi.from_json(abi_json)
+        abi = (abi_json if isinstance(abi_json, Abi)
+               else Abi.from_json(abi_json))
         merged = dict(DEFAULT_SCAN_CONFIG,
                       timeout_ms=self.config.default_timeout_ms,
                       oracles=self.config.oracles)
@@ -627,7 +573,7 @@ class ScanService:
                          client: str = "reverdict",
                          priority: int = 0,
                          oracles=None) -> Submission:
-        """Queue a fleet-wide re-verdict sweep as a first-class job.
+        """Queue a store-wide re-verdict sweep as a first-class job.
 
         The sweep replays the scanner oracles over every stored
         trace-IR pack (see :mod:`repro.service.reverdict`) — zero
@@ -939,9 +885,8 @@ class ScanService:
                     job.state = "queued"
                     self.queue.put(job)  # containment re-queue
                     return True
-            if state in ("deadline_exceeded", "stolen"):
-                job.outcome = state
             if state == "deadline_exceeded":
+                job.outcome = state
                 self.count("shed.deadline")
             job.state = state
             job.finished_s = time.time()
@@ -1017,13 +962,12 @@ class ScanService:
             self.overload.observe_latency(job.finished_s - job.started_s)
         self.perf.add_result(result)
 
-    # -- checkpoint / resume / steal: one recipe -----------------------------
+    # -- checkpoint / resume ------------------------------------------------
     def _recipe(self, job: Job) -> dict:
-        """What re-running ``job`` elsewhere or later takes: drain
-        checkpoints store it, work stealing ships it to a peer.  The
-        module bytes live in the store and are referenced by hash.
-        The deadline is absolute wall-clock, so it survives restarts
-        and hops unchanged and is re-checked wherever the job lands."""
+        """The drain checkpoint of ``job``: what re-running it after a
+        restart takes.  The module bytes live in the store and are
+        referenced by hash.  The deadline is absolute wall-clock, so it
+        survives the restart unchanged and is re-checked at resume."""
         recipe = {
             "module_hash": job.module_hash,
             "abi": job.task.abi.to_json() if job.task is not None else "",
@@ -1063,58 +1007,6 @@ class ScanService:
             self._healed(lambda k=key: self.store.delete_pending(k))
         return replayed
 
-    def steal_unclaimed(self, max_jobs: int,
-                        thief: str = "fleet") -> list[dict]:
-        """Donate up to ``max_jobs`` *unclaimed* queue entries to a
-        fleet peer; returns self-contained recipes the thief can
-        resubmit (module bytes + ABI + config + client + priority +
-        deadline).
-
-        Only queued, unclaimed jobs are eligible — a claimed job left
-        the queue when its worker took it, so stealing can never race
-        an in-flight campaign.  Each stolen job is stamped with a
-        thief claim token in the same ``owner#generation`` shape
-        workers use: if the job ever reappears here (a zombie worker
-        from an earlier hang-requeue cycle waking up late), the claim
-        check discards its result exactly like any other revoked
-        claim, so a stolen job resolves exactly once fleet-wide.
-
-        Stealing is deadline-aware: jobs whose remaining wall-clock
-        budget is below the controller's expected per-job latency are
-        left with the donor — shipping them to a peer just to expire
-        there wastes the transfer."""
-        with self._lock:
-            recipes: list[dict] = []
-            for job in self.queue.steal(
-                    max_jobs,
-                    min_headroom_s=self.overload.expected_job_s()):
-                data = self._healed(
-                    lambda h=job.module_hash: self.store.get_module(h))
-                if data is None:
-                    # No module bytes to ship (a store rebuild raced
-                    # the steal, or a re-verdict sweep): the donor
-                    # still holds the parsed task, so the job stays.
-                    self.queue.put(job)
-                    continue
-                token = f"{thief}#{self._counts['settled.stolen'] + 1}"
-                self._settle(job, None, "stolen")
-                job.claim = job.stolen_by = token
-                recipes.append(dict(self._recipe(job), module=data,
-                                    job_id=job.job_id,
-                                    scan_key=job.scan_key))
-        return recipes
-
-    # -- fleet seam: read replicas ----------------------------------------
-    def apply_replica_verdicts(self, entries: list[dict],
-                               insert_only: bool = False) -> int:
-        """Apply a peer's shipped verdict-log lines to this node's
-        store (read-replica ingestion) through the same replay loop a
-        store rebuild uses; ``insert_only`` fills absent keys alone."""
-        applied = self._healed(
-            lambda: self.store.replay(entries, insert_only), default=0)
-        self.count("replica_applied", applied)
-        return applied
-
     # -- health / stats ----------------------------------------------------
     def count(self, key: str, n: int = 1) -> None:
         """Bump one of the service's own event counts by ``n``.
@@ -1128,25 +1020,20 @@ class ScanService:
             self._counts[key] += n
 
     def _status_locked(self) -> str:
-        """The health ladder (service lock held): ``partitioned`` over
-        ``draining`` (not accepting: graceful drain or a restart storm)
-        over ``degraded`` (some breaker not closed) over ``ok``."""
-        if self._partitioned:
-            return "partitioned"
+        """The health ladder (service lock held): ``draining`` (not
+        accepting: graceful drain or a restart storm) over ``degraded``
+        (some breaker not closed) over ``ok``."""
         if not self._accepting:
             return "draining"
         return "degraded" if self.breakers.open_stages() else "ok"
 
     def health(self) -> dict:
         """The liveness/readiness doc behind ``GET /healthz``; see
-        :meth:`_status_locked` for ``status``.  Partition-mode reads
-        are served but marked ``stale``: the node cannot know what the
-        majority decided since."""
+        :meth:`_status_locked` for ``status``."""
         with self._lock:
             return {
                 "status": self._status_locked(),
-                "accepting": self._accepting and not self._partitioned,
-                "stale": self._partitioned,
+                "accepting": self._accepting,
                 "storm": self._storm,
                 "pressure": self.overload.pressure,
                 "breakers": {"open": self.breakers.open_stages()},
@@ -1202,8 +1089,7 @@ class ScanService:
                 "running": len(self._running_jobs),
                 "inflight_budget": self.config.inflight_budget(),
                 "workers": self.config.workers,
-                "accepting": self._accepting and not self._partitioned,
-                "stale": self._partitioned,
+                "accepting": self._accepting,
                 "health": self._status_locked(),
                 "submissions": submissions,
                 "jobs": dict(states),
@@ -1220,10 +1106,6 @@ class ScanService:
                 "overload": self.overload.snapshot(),
                 "replay_served": counts["replay_served"],
                 "browned_out": counts["browned_out"],
-                "fleet": {
-                    "stolen_away": counts["settled.stolen"],
-                    "replica_applied": counts["replica_applied"],
-                },
                 "dedup": {
                     "cache_hits": counts["cache_hits"],
                     "coalesce_hits": counts["coalesce_hits"],

@@ -58,11 +58,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
-        if status in (307, 308) and doc.get("location"):
-            # Shard redirect: clients retry the same request verbatim
-            # against the owning node.
-            self.send_header("Location", str(doc["location"]))
-        if status in (429, 503) and doc.get("retry_after_s") is not None:
+        if status == 429 and doc.get("retry_after_s") is not None:
             # The shed hint clients honor before retrying (RFC 9110
             # allows a delay in seconds; round up so 0.5s isn't "0").
             self.send_header(
@@ -88,23 +84,23 @@ class ScanServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], service: ScanService,
-                 verbose: bool = False, tenants=None, router=None):
+                 verbose: bool = False, tenants=None):
         super().__init__(address, _Handler)
         self.service = service
-        self.api = ServiceApi(service, tenants=tenants, router=router)
+        self.api = ServiceApi(service, tenants=tenants)
         self.verbose = verbose
 
 
 def make_server(service: ScanService, host: str = "127.0.0.1",
                 port: int = 0, verbose: bool = False,
-                tenants=None, router=None) -> ScanServer:
+                tenants=None) -> ScanServer:
     """Bind (port 0 = ephemeral) and start the scan workers.
 
-    ``tenants`` installs API-key/quota admission; ``router`` installs
-    shard redirects (see :class:`~repro.service.api.ServiceApi`).
+    ``tenants`` installs API-key/quota admission (see
+    :class:`~repro.service.api.ServiceApi`).
     """
     server = ScanServer((host, port), service, verbose=verbose,
-                        tenants=tenants, router=router)
+                        tenants=tenants)
     service.start()
     return server
 

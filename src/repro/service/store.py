@@ -23,8 +23,7 @@ apart in what a "result" means.
 A file store also appends every verdict write, rewrite and drop to a
 sibling ``<store>.jsonl`` verdict log (a
 :class:`~repro.resilience.CampaignJournal`): the one history that
-:meth:`ArtifactStore.replay` rebuilds a quarantined database from and
-that read replicas tail (:meth:`~ArtifactStore.read_log`) and replay.
+:meth:`ArtifactStore.replay` rebuilds a quarantined database from.
 The ``pending`` table holds graceful-drain checkpoints.
 
 Integrity: every row carries an end-to-end sha256 content checksum
@@ -276,7 +275,7 @@ class ArtifactStore:
     def delete_verdict(self, scan_key: str) -> None:
         """Drop one verdict (marks the module re-scannable after its
         backing trace was quarantined).  The log line keeps the dropped
-        row's provenance, so a replica drops only a row no newer."""
+        row's provenance, so a replay drops only a row no newer."""
         held = self.get_verdict(scan_key) or {}
         self._set_verdict(scan_key, None, {
             "verdict": None, "provenance": held.get("provenance")})
@@ -284,8 +283,8 @@ class ArtifactStore:
     def _set_verdict(self, scan_key: str, verdict: "dict | None",
                      entry: "dict | None" = None) -> None:
         """Write, or for ``None`` drop, one verdict row; with a log
-        ``entry`` also append it to the verdict log, so neither a
-        rebuild nor a replica can bring back an older state."""
+        ``entry`` also append it to the verdict log, so a rebuild
+        cannot bring back an older state."""
         with self._lock:
             if verdict is None:
                 with self._conn:
@@ -469,8 +468,8 @@ class ArtifactStore:
             self._execute("DELETE FROM pending WHERE scan_key = ?",
                           (scan_key,))
 
-    # -- verdict log: replay, shipping, compaction --------------------------
-    def replay(self, entries=None, insert_only: bool = False) -> int:
+    # -- verdict log: replay, compaction ------------------------------------
+    def replay(self, entries=None) -> int:
         """Bring every scan key in ``entries`` (verdict-log lines in
         log order; default: this store's own log, which is how a
         rebuilt store restores itself) to its last logged state.
@@ -479,8 +478,8 @@ class ArtifactStore:
         re-verdicts (``source: "replay"`` at a higher oracle version);
         a logged drop removes a held row no newer than the one dropped.
         So no older line reverts a re-verdict, and a second replay of a
-        history applies nothing.  ``insert_only`` fills absent keys
-        alone.  Never writes the log; returns how many keys changed."""
+        history applies nothing.  Never writes the log; returns how
+        many keys changed."""
         if entries is None:
             entries = self.log.load().values() if self.log else ()
         last: dict[str, dict] = {}
@@ -497,15 +496,14 @@ class ArtifactStore:
                 result = verdict["result"]
                 # (a version above the held one implies a provenance dict)
                 if held is not None and (
-                        insert_only or _oracle_version(result)
-                        <= _oracle_version(held)
+                        _oracle_version(result) <= _oracle_version(held)
                         or result["provenance"].get("source") != "replay"):
                     continue
                 verdict = {"module_hash": str(verdict.get("module_hash",
                                                           "")),
                            "config": verdict.get("config") or {},
                            "result": result}
-            elif verdict is not None or held is None or insert_only \
+            elif verdict is not None or held is None \
                     or _oracle_version(held) > _oracle_version(inner):
                 continue
             try:
@@ -514,13 +512,6 @@ class ArtifactStore:
                 break
             applied += 1
         return applied
-
-    def read_log(self, cursor: int = 0) -> tuple[list[dict], int]:
-        """Verdict-log lines past ``cursor`` and the next cursor (see
-        :meth:`~repro.resilience.CampaignJournal.read_from`)."""
-        if self.log is None:
-            return [], cursor
-        return self.log.read_from(cursor)
 
     def compact_log(self) -> int:
         """Drop superseded verdict-log lines; returns how many."""

@@ -129,18 +129,6 @@ class WorkerSupervisor:
         if self._watchdog is not None:
             self._watchdog.join(timeout=2.0)
 
-    def abandon_all(self) -> None:
-        """Chaos-style abrupt death: revoke every worker's slot at
-        once, with no drain and no reaping.  Each loop exits at its
-        next poll; a worker mid-campaign becomes a zombie whose claim
-        token no longer matters because the whole node is dead to its
-        fleet — its eventual result is simply never consulted."""
-        self._stop.set()
-        for record in list(self._records):
-            record.abandoned = True
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=2.0)
-
     def join(self, deadline_s: float) -> None:
         deadline = time.monotonic() + deadline_s
         for record in list(self._records):

@@ -1,9 +1,9 @@
 """Per-tenant API keys with admission-time quota enforcement.
 
-A fleet serving many teams cannot let one hot client starve the rest
-or silently burn the whole capacity budget, so admission (the fleet
-coordinator's ``submit`` and each node's ``POST /scans``) consults a
-:class:`TenantBook` *before* any module is parsed or queued:
+A daemon serving many teams cannot let one hot client starve the
+rest or silently burn the whole capacity budget, so ``POST /scans``
+(``wasai serve --tenants``) consults a :class:`TenantBook` *before*
+any module is parsed or queued:
 
 * an unknown (or missing, when keys are required) API key is refused
   with the typed :class:`UnknownApiKey` — HTTP 401, never a scan;
@@ -65,7 +65,7 @@ class TenantQuota:
 
 
 class TenantBook:
-    """API-key registry + admission gate for a node or a fleet."""
+    """API-key registry + admission gate for one daemon."""
 
     def __init__(self, *, require_key: bool = False,
                  clock: Callable[[], float] = time.monotonic):
@@ -106,22 +106,6 @@ class TenantBook:
             self._by_key[api_key] = TenantQuota(
                 name, rate_per_s=rate_per_s, burst=burst,
                 max_submissions=max_submissions)
-
-    def validate(self, api_key: str | None) -> None:
-        """Cheap identity check without charging anything: raises
-        :class:`UnknownApiKey` exactly when :meth:`admit` would.  Used
-        where a request might be redirected elsewhere (wrong shard) —
-        the owning node is the one that charges the quota, so a
-        redirect must cost the tenant nothing here."""
-        if api_key is None:
-            if self.require_key:
-                raise UnknownApiKey(
-                    "an API key is required (X-Api-Key header or "
-                    "api_key body field)")
-            return
-        with self._lock:
-            if api_key not in self._by_key:
-                raise UnknownApiKey("unknown API key")
 
     def admit(self, api_key: str | None) -> str | None:
         """Charge one submission against ``api_key``'s tenant.
@@ -185,7 +169,7 @@ class TenantBook:
                                     tenant.tokens + 1.0)
 
     def snapshot(self) -> dict:
-        """Per-tenant admission counters for ``/stats``."""
+        """Per-tenant admission counters (admitted and shed)."""
         with self._lock:
             return {
                 tenant.name: {

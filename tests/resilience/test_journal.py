@@ -65,6 +65,7 @@ def test_load_tolerates_truncated_tail(tmp_path):
 def test_load_skips_foreign_versions_and_noise(tmp_path):
     path = tmp_path / "journal.jsonl"
     path.write_text('\n'.join([
+        '{"base": 123}',
         '{"v": 99, "key": "future", "result": {}}',
         '[1, 2, 3]',
         '',

@@ -1,6 +1,6 @@
 """The transport-free API surface: the typed 429 schema everywhere a
-submission can shed, tenant admission, shard redirects, partition
-refusal, and the fleet wire verbs.
+submission can shed, tenant admission and billing, and the 400 for a
+field that does not parse.
 
 ``ServiceApi.handle`` is driven directly — no sockets — so every
 response shape is asserted byte-for-byte deterministically.
@@ -8,6 +8,7 @@ response shape is asserted byte-for-byte deterministically.
 
 import base64
 import json
+import time
 
 import pytest
 
@@ -23,12 +24,11 @@ _429_KEYS = {"error", "detail", "kind", "depth", "limit",
 _KINDS = {"queue", "inflight", "draining", "disk", "quota"}
 
 
-def _api(tmp_path=None, tenants=None, router=None,
-         **config) -> ServiceApi:
+def _api(tenants=None, **config) -> ServiceApi:
     knobs = dict(workers=1, max_depth=2, poll_s=0.02)
     knobs.update(config)
     service = ScanService(config=ScanServiceConfig(**knobs))
-    return ServiceApi(service, tenants=tenants, router=router)
+    return ServiceApi(service, tenants=tenants)
 
 
 def _body(seed: int = 0, **extra) -> bytes:
@@ -96,16 +96,17 @@ def test_refused_submission_does_not_bill_the_tenant():
     book.register("team", "team-key", max_submissions=1)
     book.register("other", "other-key")
     api = _api(tenants=book, max_depth=1, max_inflight=100)
-    status, _doc = api.handle("POST", "/scans", _body(seed=0),
+    status, _doc = api.handle("POST", "/scans", _body(seed=0, ttl_s=0.05),
                               headers={"X-Api-Key": "other-key"})
     assert status == 202
     status, doc = api.handle("POST", "/scans", _body(seed=1),
                              headers={"X-Api-Key": "team-key"})
     _assert_429(status, doc, "queue")
     assert book.snapshot()["team"]["admitted"] == 0
-    # Capacity frees (a fleet peer takes the queued job).  The retry
-    # is the tenant's first admitted submission, not a quota refusal.
-    assert len(api.service.steal_unclaimed(1)) == 1
+    # Capacity frees (the queued job's TTL runs out).  The retry is
+    # the tenant's first admitted submission, not a quota refusal.
+    time.sleep(0.1)
+    assert api.service.housekeeping_once()["swept"] == 1
     status, doc = api.handle("POST", "/scans", _body(seed=1),
                              headers={"X-Api-Key": "team-key"})
     assert status == 202 and doc["tenant"] == "team"
@@ -139,126 +140,49 @@ def test_optional_keys_admit_anonymous_submissions():
     assert status == 202
 
 
-# -- shard redirect ---------------------------------------------------------
-
-def test_wrong_shard_submission_is_redirected_with_location():
-    routed_keys = []
-
-    def router(module_hash):
-        routed_keys.append(module_hash)
-        return "http://owner.example:8734"
-
-    api = _api(router=router)
-    status, doc = api.handle("POST", "/scans", _body())
-    assert status == 307
-    assert doc["error"] == "wrong_shard"
-    assert doc["location"] == "http://owner.example:8734/scans"
-    assert len(routed_keys) == 1 and routed_keys[0]
-    # Nothing was admitted locally.
-    assert api.service.stats()["submissions"] == 0
-
-
-def test_owned_shard_submission_is_served_locally():
-    api = _api(router=lambda module_hash: None)
-    status, _doc = api.handle("POST", "/scans", _body())
-    assert status == 202
-
-
-# -- partition --------------------------------------------------------------
-
-def test_partitioned_node_refuses_writes_and_serves_stale_reads():
-    api = _api()
-    status, admitted = api.handle("POST", "/scans", _body(seed=0))
-    assert status == 202
-    api.service.set_partitioned(True, "minority side")
-    status, doc = api.handle("POST", "/scans", _body(seed=1))
-    assert status == 503
-    assert doc["error"] == "partitioned" and doc["stale"] is True
-    assert doc["retry_after_s"] > 0
-    status, health = api.handle("GET", "/healthz")
-    assert status == 200
-    assert health["status"] == "partitioned" and health["stale"]
-    status, job = api.handle("GET", f"/scans/{admitted['id']}")
-    assert status == 200 and job["id"] == admitted["id"]
-
-
-# -- fleet wire verbs -------------------------------------------------------
-
-def test_fleet_steal_ships_base64_recipes():
-    api = _api(max_depth=8)
-    for seed in range(2):
-        status, _doc = api.handle("POST", "/scans", _body(seed=seed))
+def test_tenant_rate_limit_refills_its_token_bucket():
+    clock = {"t": 0.0}
+    book = TenantBook(require_key=True, clock=lambda: clock["t"])
+    book.register("team", "team-key", rate_per_s=1.0, burst=2)
+    api = _api(tenants=book)
+    key = {"X-Api-Key": "team-key"}
+    for _ in range(2):              # the full burst fits
+        status, _doc = api.handle("POST", "/scans", _body(), headers=key)
         assert status == 202
-    status, doc = api.handle(
-        "POST", "/fleet/steal",
-        json.dumps({"max_jobs": 1, "thief": "fleet:peer"})
-        .encode("utf-8"))
-    assert status == 200 and doc["stolen"] == 1
-    recipe = doc["recipes"][0]
-    assert base64.b64decode(recipe["module_b64"])
-    assert recipe["scan_key"] and recipe["abi"]
-    assert "module" not in recipe   # raw bytes never cross the wire
+    status, doc = api.handle("POST", "/scans", _body(), headers=key)
+    _assert_429(status, doc, "quota")
+    assert doc["retry_after_s"] == pytest.approx(1.0)
+    clock["t"] += 1.0               # one token refills
+    status, doc = api.handle("POST", "/scans", _body(), headers=key)
+    assert status == 202 and doc["tenant"] == "team"
+    for headers in ({}, {"X-Api-Key": "wrong"}):
+        status, doc = api.handle("POST", "/scans", _body(),
+                                 headers=headers)
+        assert status == 401 and doc["error"] == "unauthorized"
+    assert book.snapshot()["team"]["admitted"] == 3
+    assert book.snapshot()["team"]["shed"] == 1
 
 
-def test_fleet_journal_and_replicate_round_trip(tmp_path):
-    source = ScanService(
-        store=str(tmp_path / "source.db"),
-        config=ScanServiceConfig(workers=1, poll_s=0.02))
-    source.store.put_verdict("scan-key-1", "mh", {"tool": "wasai"},
-                             {"scans": {}})
-    source_api = ServiceApi(source)
-    status, shipped = source_api.handle("GET",
-                                        "/fleet/journal?cursor=0")
-    assert status == 200 and len(shipped["entries"]) == 1
-    assert shipped["cursor"] > 0
-    # Re-shipping from the returned cursor is empty: monotonic.
-    status, again = source_api.handle(
-        "GET", f"/fleet/journal?cursor={shipped['cursor']}")
-    assert status == 200 and again["entries"] == []
-    replica_api = _api()
-    status, applied = replica_api.handle(
-        "POST", "/fleet/replicate",
-        json.dumps({"entries": shipped["entries"]}).encode("utf-8"))
-    assert status == 200 and applied["applied"] == 1
-    assert replica_api.service.store.get_verdict("scan-key-1") \
-        == {"scans": {}}
-    # Idempotent: replay applies nothing new.
-    status, rerun = replica_api.handle(
-        "POST", "/fleet/replicate",
-        json.dumps({"entries": shipped["entries"]}).encode("utf-8"))
-    assert status == 200 and rerun["applied"] == 0
+# -- malformed fields -------------------------------------------------------
 
-
-def test_replicate_over_http_never_rewrites_or_drops_a_verdict():
-    # The fleet endpoints carry no key, so shipped lines may fill a
-    # key the node lacks but never touch one it holds.
-    api = _api()
-    held = {"scans": {}, "provenance": {"oracle_version": 2,
-                                        "source": "fresh"}}
-    api.service.store.put_verdict("k", "h", {}, held)
-    rewrite = {"module_hash": "h", "config": {}, "result": {
-        "scans": {"forged": {}},
-        "provenance": {"oracle_version": 99, "source": "replay"}}}
-    for inner in ({"verdict": rewrite},
-                  {"verdict": None,
-                   "provenance": {"oracle_version": 99}}):
-        status, doc = api.handle(
-            "POST", "/fleet/replicate",
-            json.dumps({"entries": [{"v": 1, "key": "k",
-                                     "result": inner}]}).encode("utf-8"))
-        assert status == 200 and doc["applied"] == 0
-        assert api.service.store.get_verdict("k") == held
-
-
-def test_fleet_partition_toggles_over_the_wire():
-    api = _api()
-    status, doc = api.handle(
-        "POST", "/fleet/partition",
-        json.dumps({"partitioned": True,
-                    "reason": "drill"}).encode("utf-8"))
-    assert status == 200 and doc["partitioned"] is True
-    assert api.service.partitioned
-    status, doc = api.handle(
-        "POST", "/fleet/partition",
-        json.dumps({"partitioned": False}).encode("utf-8"))
-    assert status == 200 and not api.service.partitioned
+@pytest.mark.parametrize("path, field, value", [
+    ("/scans", "priority", "high"),
+    ("/scans", "ttl_s", "soon"),
+    ("/scans", "abi", "{not json"),
+    ("/scans", "abi", "[]"),
+    ("/reverdict", "priority", "x"),
+    ("/reverdict", "oracle_version", "v3"),
+])
+def test_malformed_field_is_400_and_bills_nobody(path, field, value):
+    book = TenantBook(require_key=True)
+    book.register("team", "team-key", max_submissions=1)
+    api = _api(tenants=book)
+    key = {"X-Api-Key": "team-key"}
+    body = (_body(**{field: value}) if path == "/scans"
+            else json.dumps({field: value}).encode("utf-8"))
+    status, doc = api.handle("POST", path, body, headers=key)
+    assert status == 400 and doc["error"] == "bad_request"
+    assert book.snapshot()["team"]["admitted"] == 0
+    # The tenant's one submission is still there to spend.
+    status, doc = api.handle("POST", "/scans", _body(), headers=key)
+    assert status == 202 and doc["tenant"] == "team"

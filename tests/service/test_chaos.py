@@ -31,8 +31,9 @@ def test_quick_chaos_drill_passes(tmp_path, schedule):
 
 
 def test_unknown_schedule_is_rejected():
-    with pytest.raises(ValueError):
-        run_chaos_drill("nonsense")
+    for schedule in ("nonsense", "fleet"):
+        with pytest.raises(ValueError):
+            run_chaos_drill(schedule)
 
 
 def test_report_format_names_every_phase(tmp_path):
@@ -44,18 +45,3 @@ def test_report_format_names_every_phase(tmp_path):
     doc = report.to_doc()
     assert doc["ok"] is True
     assert doc["schedule"] == "quick"
-
-
-def test_fleet_chaos_drill_passes(tmp_path):
-    report = run_chaos_drill("fleet", keep_dir=str(tmp_path / "d"))
-    assert report.ok, report.format()
-    assert [p["name"] for p in report.phases] == \
-        list(CHAOS_SCHEDULES["fleet"])
-    # The coordinator counters prove the fleet machinery actually
-    # fired: work moved, a node's jobs failed over, replicas caught
-    # up — a green drill with zero fleet events tested nothing.
-    assert report.stats["jobs_stolen"] >= 1
-    assert report.stats["failovers"] >= 1
-    assert report.stats["replicated"] >= 1
-    # Per-node artifacts survive for post-mortem.
-    assert (tmp_path / "d" / "n0.db.jsonl").exists()

@@ -123,54 +123,7 @@ def test_http_error_status_is_not_retried():
     assert sleeps == []
 
 
-# -- multi-endpoint failover and shard redirects ----------------------------
-
-class FleetScriptedTransport(ScriptedTransport):
-    """ScriptedTransport that also records which endpoint (or
-    redirect URL) each attempt actually targeted."""
-
-    def __init__(self, client, outcomes):
-        super().__init__(client, outcomes)
-        self.client = client
-        self.targets = []
-
-    def _step(self, method, path, doc=None, url=None,
-              extra_headers=None):
-        self.targets.append(url or self.client.base_url + path)
-        return super()._step(method, path, doc)
-
-
-def _fleet_client(**kwargs):
-    sleeps = []
-    kwargs.setdefault("max_retries", 3)
-    kwargs.setdefault("backoff_base_s", 0.1)
-    kwargs.setdefault("backoff_cap_s", 5.0)
-    client = ServiceClient(["http://a.invalid", "http://b.invalid"],
-                           sleep=sleeps.append, **kwargs)
-    return client, sleeps
-
-
-def test_connection_failure_rotates_to_the_next_endpoint():
-    client, _sleeps = _fleet_client()
-    transport = FleetScriptedTransport(client, [
-        _refused(),
-        (200, {"ok": True}, {}),
-    ])
-    assert client._checked("GET", "/stats") == {"ok": True}
-    assert transport.targets == ["http://a.invalid/stats",
-                                 "http://b.invalid/stats"]
-
-
-def test_5xx_fails_over_when_another_endpoint_exists():
-    client, _sleeps = _fleet_client()
-    transport = FleetScriptedTransport(client, [
-        (500, {"error": "internal"}, {}),
-        (200, {"ok": True}, {}),
-    ])
-    assert client._checked("GET", "/stats") == {"ok": True}
-    assert transport.targets == ["http://a.invalid/stats",
-                                 "http://b.invalid/stats"]
-
+# -- server errors and headers ---------------------------------------------
 
 def test_5xx_surfaces_immediately_on_a_single_endpoint():
     client, sleeps = _client()
@@ -181,45 +134,6 @@ def test_5xx_surfaces_immediately_on_a_single_endpoint():
         client._checked("GET", "/stats")
     assert excinfo.value.status == 500
     assert transport.calls == 1 and sleeps == []
-
-
-def test_shard_redirect_follows_the_location_header():
-    client, sleeps = _client()
-    transport = FleetScriptedTransport(client, [
-        (307, {"error": "wrong_shard"},
-         {"Location": "http://owner.invalid:8734/scans"}),
-        (202, {"id": "j1", "state": "queued"}, {}),
-    ])
-    status, doc = client._request("POST", "/scans", {"x": 1})
-    assert status == 202 and doc["id"] == "j1"
-    # The redirect is routing, not failure: no backoff was paid.
-    assert sleeps == []
-    assert transport.targets == ["http://test.invalid/scans",
-                                 "http://owner.invalid:8734/scans"]
-
-
-def test_relative_redirect_stays_on_the_same_endpoint():
-    client, _sleeps = _client()
-    transport = FleetScriptedTransport(client, [
-        (307, {"error": "wrong_shard"}, {"Location": "/scans-v2"}),
-        (202, {"id": "j1", "state": "queued"}, {}),
-    ])
-    status, _doc = client._request("POST", "/scans", {"x": 1})
-    assert status == 202
-    assert transport.targets == ["http://test.invalid/scans",
-                                 "http://test.invalid/scans-v2"]
-
-
-def test_redirect_loops_are_bounded():
-    client, _sleeps = _client(max_redirects=2)
-    bounce = (307, {"error": "wrong_shard"},
-              {"Location": "http://owner.invalid/scans"})
-    transport = FleetScriptedTransport(client, [bounce] * 4)
-    status, doc = client._request("POST", "/scans", {"x": 1})
-    # Two bounces were followed; the third 307 surfaces untouched so
-    # two confused nodes can never ping-pong a request forever.
-    assert status == 307 and doc["error"] == "wrong_shard"
-    assert transport.calls == 3
 
 
 def test_api_key_travels_as_header():

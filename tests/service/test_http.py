@@ -53,6 +53,11 @@ def test_unknown_routes_and_jobs_are_404(daemon):
     assert excinfo.value.status == 404
     status, _doc = client._request("GET", "/nope")
     assert status == 404
+    # The /fleet/* paths are unknown routes like any other.
+    status, _doc = client._request("POST", "/fleet/steal", {})
+    assert status == 404
+    status, _doc = client._request("GET", "/fleet/journal?cursor=0")
+    assert status == 404
 
 
 def test_bad_request_bodies_are_400(daemon):
@@ -145,8 +150,8 @@ def test_submit_returns_json_with_correct_content_type(
 
 
 @pytest.fixture
-def fleet_daemon(tmp_path):
-    """A daemon with tenant admission and a shard router installed."""
+def tenant_daemon(tmp_path):
+    """A daemon with tenant admission installed."""
     from repro.service import TenantBook
     book = TenantBook(require_key=True)
     book.register("team", "team-key", max_submissions=1)
@@ -154,23 +159,21 @@ def fleet_daemon(tmp_path):
         store=str(tmp_path / "store.db"),
         config=ScanServiceConfig(workers=1, max_depth=8, poll_s=0.02,
                                  default_timeout_ms=FAST_TIMEOUT_MS))
-    redirect = {"to": None}
     server = make_server(service, host="127.0.0.1", port=0,
-                         tenants=book,
-                         router=lambda module_hash: redirect["to"])
+                         tenants=book)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield ServiceClient(f"http://{host}:{port}"), service, redirect
+    yield ServiceClient(f"http://{host}:{port}")
     server.shutdown()
     server.server_close()
     service.stop(wait_s=5)
 
 
-def test_fleet_headers_cross_the_wire(fleet_daemon, sample_contract):
-    client, service, redirect = fleet_daemon
+def test_tenant_headers_cross_the_wire(tenant_daemon, sample_contract):
+    client = tenant_daemon
     data, abi = sample_contract
     body = json.dumps({
         "module_b64": base64.b64encode(data).decode("ascii"),
@@ -189,25 +192,12 @@ def test_fleet_headers_cross_the_wire(fleet_daemon, sample_contract):
             return exc.code, dict(exc.headers), \
                 json.loads(exc.read())
 
-    # No key → 401; wrong-shard → 307 with a real Location header;
-    # over-quota → typed 429 with kind=quota and Retry-After.
+    # No key → 401; the first keyed submission is admitted; the next
+    # one is over quota → typed 429 with kind=quota and Retry-After.
     status, _headers, doc = post({})
     assert status == 401 and doc["error"] == "unauthorized"
-    redirect["to"] = "http://owner.invalid:8734"
-    status, headers, doc = post({"X-Api-Key": "team-key"})
-    assert status == 307 and doc["error"] == "wrong_shard"
-    assert headers["Location"] == "http://owner.invalid:8734/scans"
-    # The redirect consumed no quota: this same admission succeeds
-    # once the router says the shard is local again...
-    redirect["to"] = None
     status, _headers, doc = post({"X-Api-Key": "team-key"})
     assert status in (200, 202)
-    # ...and the next one is the 2nd against a 1-submission quota.
     status, headers, doc = post({"X-Api-Key": "team-key"})
     assert status == 429 and doc["kind"] == "quota"
     assert int(headers["Retry-After"]) >= 1
-    # Partitioned: writes are 503 + Retry-After, stale-marked.
-    service.set_partitioned(True, "split")
-    status, headers, doc = post({"X-Api-Key": "team-key"})
-    assert status == 503 and doc["error"] == "partitioned"
-    assert doc["stale"] is True and "Retry-After" in headers

@@ -3,8 +3,8 @@
 Three layers under test.  The :class:`OverloadController` is a pure
 state machine over a fake clock, so AIMD sizing, the pressure ladder,
 drain-rate Retry-After and cost-based shedding are asserted without a
-single sleep.  The queue's deadline/TTL sweep and deadline-aware
-stealing run against an idle :class:`JobQueue`.  The service-level
+single sleep.  The queue's deadline/TTL sweep runs against an idle
+:class:`JobQueue`.  The service-level
 tests drive real campaigns (tiny budgets) to pin the end-to-end
 contract: an expired caller deadline never buys a fresh campaign, a
 browned-out verdict is honestly tagged and never cached, and drain /
@@ -150,7 +150,7 @@ def test_snapshot_carries_the_operator_story():
                                "draining"}
 
 
-# -- the queue: idle sweep and deadline-aware stealing ----------------------
+# -- the queue: idle sweep --------------------------------------------------
 
 def _queued_job(job_id: str, *, deadline_epoch_s=None,
                 priority: int = 0) -> Job:
@@ -177,17 +177,6 @@ def test_idle_queue_sweep_expires_without_a_get():
     # One clock, one book.
     assert len(reaped) == 2
     assert queue.depth == 1
-
-
-def test_steal_skips_jobs_whose_deadline_is_hopeless():
-    wall = FakeClock(start=5_000.0)
-    queue = JobQueue(wall_clock=wall)
-    queue.put(_queued_job("doomed", deadline_epoch_s=wall.now + 0.5))
-    queue.put(_queued_job("roomy", deadline_epoch_s=wall.now + 60.0))
-    queue.put(_queued_job("free"))
-    stolen = queue.steal(3, min_headroom_s=2.0)
-    assert {job.job_id for job in stolen} == {"roomy", "free"}
-    assert queue.depth == 1             # the doomed one stays home
 
 
 # -- the service: deadlines end to end --------------------------------------
@@ -457,11 +446,10 @@ def test_drain_never_resurrects_an_expired_deadline(tmp_path):
         resumed.stop(wait_s=5)
 
 
-def test_ttl_rides_drain_checkpoints_and_steal_recipes(tmp_path,
-                                                      sample_contract):
+def test_ttl_rides_drain_checkpoints(tmp_path, sample_contract):
     """A TTL is a relative deadline fixed at admission, so it travels
-    wherever the job does: an expired drain checkpoint is deleted at
-    resume instead of re-run, and a steal recipe carries it."""
+    with the drain checkpoint: an expired checkpoint is deleted at
+    resume instead of re-run."""
     data, abi = sample_contract
     service = _service(tmp_path, start=False, housekeeping_s=None)
     try:
@@ -479,18 +467,6 @@ def test_ttl_rides_drain_checkpoints_and_steal_recipes(tmp_path,
         assert resumed.store.pending() == []
     finally:
         resumed.store.close()
-
-    donor = _service(start=False, housekeeping_s=None)
-    try:
-        before = time.time()
-        queued = donor.submit_bytes(data, abi, ttl_s=60.0)
-        [recipe] = donor.steal_unclaimed(1, thief="peer")
-        assert recipe["deadline_epoch_s"] \
-            == pytest.approx(queued.job.deadline_epoch_s)
-        assert before + 59.0 < recipe["deadline_epoch_s"] \
-            <= time.time() + 60.0
-    finally:
-        donor.stop(wait_s=1)
 
 
 # -- the HTTP edge: X-Deadline-Ms -------------------------------------------

@@ -44,7 +44,7 @@ breakers.symback.recoveries breakers.symback.state
 breakers.symback.threshold breakers.symback.trips
 browned_out completed deadline_exceeded
 dedup.cache_hits dedup.coalesce_hits dedup.hit_rate
-failed fleet.replica_applied fleet.stolen_away health inflight_budget
+failed health inflight_budget
 jobs.deadline_exceeded jobs.done
 latency.fuzz.max_s latency.fuzz.n latency.fuzz.p50_s latency.fuzz.p95_s
 latency.job.max_s latency.job.n latency.job.p50_s latency.job.p95_s
@@ -62,7 +62,7 @@ resilience.forced_blackbox resilience.integrity_repairs
 resilience.journal_compactions resilience.store_recoveries
 resilience.worker_restarts
 running shed shed_by_kind.deadline shed_by_kind.disk
-shed_by_kind.draining shed_by_kind.quota stale
+shed_by_kind.draining shed_by_kind.quota
 store.coverage store.modules store.pending store.quarantine
 store.traces store.verdicts submissions
 supervisor.alive supervisor.configured supervisor.max_heartbeat_age_s
@@ -87,8 +87,7 @@ _BREAKERS.update({"breakers.solve.trips": 1,
 STATS_INTS = _BREAKERS | {
     "admission_rejected": 1, "browned_out": 0, "completed": 4,
     "deadline_exceeded": 1, "dedup.cache_hits": 1,
-    "dedup.coalesce_hits": 1, "failed": 0, "fleet.replica_applied": 0,
-    "fleet.stolen_away": 0, "inflight_budget": 65,
+    "dedup.coalesce_hits": 1, "failed": 0, "inflight_budget": 65,
     "jobs.deadline_exceeded": 1, "jobs.done": 5,
     "latency.fuzz.n": 3, "latency.job.n": 3, "latency.scan.n": 3,
     "latency.setup.n": 3,

@@ -97,8 +97,7 @@ def test_replay_brings_each_key_to_its_last_logged_state(tmp_path):
     source.put_verdict("b", "hb", {}, _doc(2))
     source.put_verdict("a", "ha", {}, _doc(99, "replay"))  # re-verdict
     source.delete_verdict("b")                              # drop
-    entries, cursor = source.read_log()
-    assert len(entries) == 4 and source.read_log(cursor) == ([], cursor)
+    entries = list(source.log.load().values())
     replica = ArtifactStore(tmp_path / "replica.db")
     replica.put_verdict("a", "ha", {}, _doc(2, worker_id=7))
     replica.put_verdict("b", "hb", {}, _doc(2))
@@ -107,7 +106,7 @@ def test_replay_brings_each_key_to_its_last_logged_state(tmp_path):
     assert replica.get_verdict("b") is None
     assert replica.replay(entries) == 0        # already converged
     # Replaying never writes the replica's own log.
-    assert [doc["key"] for doc in replica.read_log()[0]] == ["a", "b"]
+    assert len(replica.log.path.read_text().splitlines()) == 2
     # A rebuild from the source's own log restores the last states.
     rebuilt = ArtifactStore(tmp_path / "rebuilt.db")
     assert rebuilt.replay(source.log.load().values()) == 1
@@ -116,54 +115,42 @@ def test_replay_brings_each_key_to_its_last_logged_state(tmp_path):
 
 
 def test_an_older_line_never_reverts_a_reverdict(tmp_path):
-    # Two nodes scanned the same key; their docs differ only in
-    # per-run fields.  Node a then re-verdicts it.
+    # Two stores scanned the same key; their docs differ only in
+    # per-run fields.  Store a then re-verdicts it.
     a = ArtifactStore(tmp_path / "a.db")
     b = ArtifactStore(tmp_path / "b.db")
     a.put_verdict("k", "h", {}, _doc(2, worker_id=1))
     b.put_verdict("k", "h", {}, _doc(2, worker_id=2))
-    assert a.replay(b.read_log()[0]) == 0    # a peer's scan never lands
+    assert a.replay(b.log.load().values()) == 0  # a peer's scan never lands
     a.put_verdict("k", "h", {}, _doc(99, "replay"))
     a.compact_log()
-    assert b.replay(a.read_log()[0]) == 1    # the rewrite reaches b
-    # b's log reshipped from zero (say, its cursor reset) leaves the
-    # rewrite standing, and so does another node's drop of an older
-    # row.
+    assert b.replay(a.log.load().values()) == 1  # the rewrite reaches b
+    # b's log replayed again leaves the rewrite standing, and so does
+    # another store's drop of an older row.
     c = ArtifactStore(tmp_path / "c.db")
     c.put_verdict("k", "h", {}, _doc(2))
     c.delete_verdict("k")
     for peer in (b, c):
-        assert a.replay(peer.read_log(0)[0]) == 0
+        assert a.replay(peer.log.load().values()) == 0
         assert a.get_verdict("k") == _doc(99, "replay")
     assert b.get_verdict("k") == _doc(99, "replay")
     # Only a newer re-verdict rewrites a held row.
     b.put_verdict("k", "h", {}, _doc(100, "replay"))
-    assert a.replay(b.read_log()[0]) == 1
+    assert a.replay(b.log.load().values()) == 1
     assert a.get_verdict("k") == _doc(100, "replay")
 
 
-def test_a_cursor_from_before_a_compaction_misses_no_line(tmp_path):
+def test_compaction_keeps_the_last_line_per_key(tmp_path):
     store = ArtifactStore(tmp_path / "s.db")
     for key in "abc":
         store.put_verdict(key, "h", {}, _doc(2))
-    _, old_cursor = store.read_log()
     store.put_verdict("a", "h", {}, _doc(99, "replay"))
     assert store.compact_log() == 1
     fresh = [f"new-{index}" for index in range(4)]
-    for key in fresh:
+    for key in fresh + ["d"]:
         store.put_verdict(key, "h", {}, _doc(2))
-    # The compacted file has grown past the old cursor, so the cursor
-    # alone cannot tell that it points into a rewritten file.
-    assert store.log.path.stat().st_size > old_cursor
-    entries, cursor = store.read_log(old_cursor)
-    shipped = [doc["key"] for doc in entries]
-    assert "a" in shipped and all(key in shipped for key in fresh)
-    assert entries[shipped.index("a")]["result"]["verdict"]["result"] \
-        == _doc(99, "replay")
-    # Cursors stay monotonic across compactions and exact after them.
-    assert cursor > old_cursor and store.read_log(cursor) == ([], cursor)
-    store.put_verdict("d", "h", {}, _doc(2))
-    assert [doc["key"] for doc in store.read_log(cursor)[0]] == ["d"]
     assert store.compact_log() == 0
-    assert len(store.read_log(cursor)[0]) == 8  # a, b, c, 4 new, d
-    assert set(store.log.load()) == {"a", "b", "c", "d", *fresh}
+    entries = store.log.load()
+    assert set(entries) == {"a", "b", "c", "d", *fresh}
+    assert entries["a"]["result"]["verdict"]["result"] \
+        == _doc(99, "replay")
