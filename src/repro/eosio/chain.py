@@ -357,7 +357,14 @@ class Chain:
                 error=f"{type(error).__name__}: {error}" if error else None)
             records.append(record)
             if error is not None:
-                raise error
+                # Drop the local once raised: the traceback holds this
+                # frame, and a frame holding its own exception is a
+                # cycle that keeps the whole failed call stack and its
+                # trace alive until a full garbage collection.
+                try:
+                    raise error
+                finally:
+                    error = None
             for recipient in ctx.new_recipients:
                 if recipient not in notified:
                     queue.append((recipient, True))

@@ -376,7 +376,7 @@ class _Drill:
 
     def reverdict(self) -> str:
         """Oracle replay over stored trace-IR packs: with one stored
-        trace corrupted and the oracle version bumped, a fleet-wide
+        trace corrupted and the oracle version bumped, a store-wide
         re-verdict must reproduce every intact verdict byte-for-byte
         except provenance, quarantine the corrupt trace (typed, never
         crashed on) and leave its module re-scannable."""
@@ -410,7 +410,7 @@ class _Drill:
         rep = doc.get("result") or {}
         _expect(rep.get("replayed", 0) >= 3,
                 f"sweep replayed only {rep.get('replayed')} traces — "
-                "the fleet's stored packs were not covered")
+                "the store's trace packs were not covered")
         _expect(rep.get("corrupt") == 1,
                 f"sweep quarantined {rep.get('corrupt')} traces, "
                 "expected exactly the one corrupted")

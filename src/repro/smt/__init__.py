@@ -12,7 +12,7 @@ DESIGN.md, "Substitutions").  It provides:
 """
 
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
-from .solver import (Model, Solver, SolverCache, SolverStats,
+from .solver import (BlastedPrefix, Model, Solver, SolverCache, SolverStats,
                      configure_solver_cache, solver_cache)
 from .terms import (And, BitVec, BitVecVal, BoolVal, Clz, Concat, Ctz, Eq,
                     Extract, FALSE, Implies, Ite, Ne, Not, Or, Popcnt, Rotl,
@@ -23,7 +23,7 @@ from .terms import AShr, SDiv, SRem, UDiv, URem
 
 __all__ = [
     "SAT", "UNKNOWN", "UNSAT", "SatSolver", "Model", "Solver", "SolverStats",
-    "SolverCache", "solver_cache", "configure_solver_cache",
+    "BlastedPrefix", "SolverCache", "solver_cache", "configure_solver_cache",
     "And", "BitVec", "BitVecVal", "BoolVal", "Clz", "Concat", "Ctz", "Eq",
     "Extract", "FALSE", "Implies", "Ite", "Ne", "Not", "Or", "Popcnt",
     "Rotl", "Rotr", "SGE", "SGT", "SLE", "SLT", "SignExt", "TRUE", "Term",

@@ -14,6 +14,8 @@ three layers, cheapest first:
 3. **Bit-blasting + CDCL** — the complete fallback
    (:mod:`repro.smt.bitblast` + :mod:`repro.smt.sat`), budgeted by a
    conflict limit that plays the role of the paper's 3,000 ms cap.
+   Solvers that share a :class:`BlastedPrefix` blast a common path
+   prefix once.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .interval import Interval, propagate_comparison
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 from .terms import (FALSE, TRUE, Term, evaluate, free_variables, mask)
 
-__all__ = ["Solver", "Model", "SolverStats", "SolverCache", "solver_cache",
-           "configure_solver_cache", "constraint_digest",
+__all__ = ["Solver", "BlastedPrefix", "Model", "SolverStats", "SolverCache",
+           "solver_cache", "configure_solver_cache", "constraint_digest",
            "SAT", "UNSAT", "UNKNOWN"]
 
 
@@ -207,16 +209,86 @@ def configure_solver_cache(enabled: bool = True,
     return _SOLVER_CACHE
 
 
+def _declaration_order(constraints: list[Term]) -> list[Term]:
+    """The free variables of ``constraints`` in the order a blast
+    numbers their bits: constraint by constraint, and within one in its
+    :func:`free_variables` set's iteration order."""
+    order: dict[Term, None] = {}
+    for constraint in constraints:
+        order.update(dict.fromkeys(free_variables(constraint)))
+    return list(order)
+
+
+class BlastedPrefix:
+    """A path prefix bit-blasted once for a batch of queries.
+
+    Symback (§3.4.4) poses one query per input-dependent branch of a
+    replayed trace, "path prefix ∧ flipped branch", each prefix
+    extending the one before.  Every :class:`Solver` given the same
+    instance blasts through it: a pristine :class:`SatSolver` and
+    :class:`BitBlaster` are extended by only the prefix constraints
+    they lack, and each query solves a :meth:`SatSolver.copy` with just
+    its last constraint asserted.
+
+    A SAT model follows from variable numbering, clause order and the
+    level-0 state, so the copy must hold exactly what a fresh blast of
+    the query holds.  A fresh blast numbers every free variable of the
+    query before it blasts any gate.  The state therefore starts over
+    whenever a query's declared-variable order differs from its own, or
+    its prefix does not extend the constraints already blasted.
+    ``builds`` counts those starts.
+    """
+
+    def __init__(self) -> None:
+        self.builds = 0
+        self._order: list[Term] | None = None
+        self._blasted: list[Term] = []
+        self._sat: SatSolver | None = None          # set by the first build
+        self._blaster: BitBlaster | None = None
+
+    def blast(self, constraints: list[Term]) -> tuple[SatSolver, BitBlaster]:
+        """A solver and blaster holding what a fresh blast of the
+        non-empty ``constraints`` holds; raises ``ValueError`` for a
+        term the blaster cannot encode, as the blaster does."""
+        order = _declaration_order(constraints)
+        prefix = constraints[:-1]
+        done = len(self._blasted)
+        if order != self._order or prefix[:done] != self._blasted:
+            self.builds += 1
+            self._sat = SatSolver()
+            self._blaster = BitBlaster(self._sat)
+            # Declared up front so the model covers every variable.
+            for var in order:
+                self._blaster.blast_bv(var)
+            self._blasted = []
+            done = 0
+        self._order = None      # unusable until the prefix is complete
+        for constraint in prefix[done:]:
+            self._blaster.assert_term(constraint)
+            self._blasted.append(constraint)
+        self._order = order
+        sat_solver = self._sat.copy()
+        blaster = self._blaster.copy(sat_solver)
+        blaster.assert_term(constraints[-1])
+        return sat_solver, blaster
+
+
 class Solver:
-    """Check satisfiability of a conjunction of boolean terms."""
+    """Check satisfiability of a conjunction of boolean terms.
+
+    ``prefix`` shares one :class:`BlastedPrefix` between the solvers of
+    a query batch; without it each check blasts its query afresh.
+    Either way the answer and model are the same."""
 
     def __init__(self, max_conflicts: int = 20_000,
-                 stats: SolverStats | None = None):
+                 stats: SolverStats | None = None,
+                 prefix: BlastedPrefix | None = None):
         self._constraints: list[Term] = []
         self._stack: list[int] = []
         self.max_conflicts = max_conflicts
         self._model: Model | None = None
         self.stats = stats or SolverStats()
+        self._prefix = prefix
 
     # -- z3py-flavoured interface ------------------------------------------
     def add(self, *constraints: Term) -> None:
@@ -358,15 +430,9 @@ class Solver:
     # -- layer 3: bit-blasting -----------------------------------------------
     def _check_sat(self, constraints: list[Term]) -> str:
         self.stats.sat_calls += 1
-        sat_solver = SatSolver()
-        blaster = BitBlaster(sat_solver)
-        # Pre-declare free variables so the model covers all of them.
-        for constraint in constraints:
-            for var in free_variables(constraint):
-                blaster.blast_bv(var)
+        prefix = self._prefix or BlastedPrefix()
         try:
-            for constraint in constraints:
-                blaster.assert_term(constraint)
+            sat_solver, blaster = prefix.blast(constraints)
         except ValueError:
             self.stats.unknowns += 1
             return UNKNOWN

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..smt import And, SAT, Solver, SolverStats, Term, free_variables
+from ..smt import (SAT, BlastedPrefix, Solver, SolverStats, Term,
+                   free_variables)
 from .calling import SeedLayout
 from .simulate import BranchRecord, ReplayResult
 
@@ -73,13 +74,17 @@ def solve_flips(queries: list[FlipQuery], layout: SeedLayout,
 
     ``max_conflicts`` is the per-query budget standing in for the
     paper's 3,000 ms SMT cap; queries that exceed it return unknown and
-    produce no seed (the FN mechanism §5 describes).
+    produce no seed (the FN mechanism §5 describes).  The queries share
+    one :class:`~repro.smt.BlastedPrefix`, so the path is bit-blasted
+    once per batch rather than once per query.
     """
     seeds: list[AdaptiveSeed] = []
+    prefix = BlastedPrefix()
     for query in queries:
         if max_seeds is not None and len(seeds) >= max_seeds:
             break
-        solver = Solver(max_conflicts=max_conflicts, stats=stats)
+        solver = Solver(max_conflicts=max_conflicts, stats=stats,
+                        prefix=prefix)
         for constraint in query.constraints:
             solver.add(constraint)
         if solver.check() != SAT:

@@ -1,10 +1,13 @@
 """Integration tests for the local blockchain and eosio.token."""
 
+import weakref
+
 import pytest
 
 from repro.eosio import (Action, ApplyContext, Asset, Chain, Encoder, N,
                          NativeContract, TokenContract, deploy_token,
                          issue_to, token_balance)
+from repro.eosio.errors import AssertionFailure
 
 
 @pytest.fixture
@@ -154,6 +157,35 @@ def test_failed_transaction_rolls_back_inline_effects(chain):
     assert token_balance(chain, "eosio.token", "bob").amount == 0
     assert token_balance(chain, "eosio.token", "attacker") \
         == Asset.from_string("10.0000 EOS")
+
+
+class TrackedFailure(AssertionFailure):
+    """An assertion failure that records a weak reference to itself."""
+
+    raised: list = []
+
+    def __init__(self, message):
+        super().__init__(message)
+        TrackedFailure.raised.append(weakref.ref(self))
+
+
+class FailingContract(NativeContract):
+    def apply(self, chain, ctx):
+        if ctx.receiver == ctx.code:
+            raise TrackedFailure("always fails")
+
+
+def test_failed_action_leaves_no_reference_cycle(chain):
+    """A failed action's exception dies with its transaction.  A frame
+    of the failed call stack that kept it would close a cycle through
+    the traceback, holding the whole stack and its trace until a full
+    garbage collection."""
+    TrackedFailure.raised.clear()
+    chain.set_contract("failer", FailingContract())
+    result = chain.push_action("failer", "poke", ["bob"], b"")
+    assert "always fails" in result.error
+    assert len(TrackedFailure.raised) == 1
+    assert TrackedFailure.raised[0]() is None
 
 
 class DeferredRewarder(NativeContract):
