@@ -12,54 +12,38 @@ reproduced by the benchmark generator.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..eosio.database import DbOperation
 
 __all__ = ["DatabaseDependencyGraph"]
 
 
 class DatabaseDependencyGraph:
-    """A bipartite graph between action names and table keys."""
+    """A bipartite graph between action names and table keys.
+
+    Only predecessors are ever asked for, so the graph is two maps: the
+    actions that write each table, and the tables each action reads."""
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
-
-    @staticmethod
-    def _table_node(table_key: tuple) -> tuple:
-        return ("table", table_key)
-
-    @staticmethod
-    def _action_node(action_name: str) -> tuple:
-        return ("action", action_name)
+        self._writers: dict[tuple, set[str]] = {}
+        self._reads: dict[str, set[tuple]] = {}
 
     def record(self, action_name: str, ops: list[DbOperation]) -> None:
         """Update the graph with one execution's database journal."""
-        action = self._action_node(action_name)
-        self.graph.add_node(action)
+        reads = self._reads.setdefault(action_name, set())
         for op in ops:
-            table = self._table_node(op.table_key)
-            self.graph.add_node(table)
             if op.kind == "write":
                 # action -> table: the action can populate the table.
-                self.graph.add_edge(action, table, kind="write")
+                self._writers.setdefault(op.table_key, set()).add(
+                    action_name)
             else:
                 # table -> action: the action depends on the table.
-                self.graph.add_edge(table, action, kind="read")
+                reads.add(op.table_key)
 
     def writers_of(self, table_key: tuple) -> list[str]:
-        table = self._table_node(table_key)
-        if table not in self.graph:
-            return []
-        return sorted(name for kind, name in self.graph.predecessors(table)
-                      if kind == "action")
+        return sorted(self._writers.get(table_key, ()))
 
     def tables_read_by(self, action_name: str) -> list[tuple]:
-        action = self._action_node(action_name)
-        if action not in self.graph:
-            return []
-        return sorted(key for kind, key in self.graph.predecessors(action)
-                      if kind == "table")
+        return sorted(self._reads.get(action_name, ()))
 
     def dependency_writers(self, action_name: str) -> list[str]:
         """Actions that write any table ``action_name`` reads — the
@@ -71,5 +55,4 @@ class DatabaseDependencyGraph:
         return sorted(writers)
 
     def known_actions(self) -> list[str]:
-        return sorted(name for kind, name in self.graph.nodes
-                      if kind == "action")
+        return sorted(self._reads)

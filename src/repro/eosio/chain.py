@@ -183,11 +183,7 @@ class WasmContract(Contract):
         # the host-import dict (bound through a ContextCell so it is
         # constructed once, not per action) and the instance template
         # that rewinds one cached Instance instead of re-instantiating.
-        self._bound_chain: "Chain | None" = None
-        self._cell: ContextCell | None = None
-        self._imports: dict | None = None
-        self._limits: ExecutionLimits | None = None
-        self._template: InstanceTemplate | None = None
+        self.unbind()
 
     @property
     def abi(self) -> Abi:
@@ -211,6 +207,17 @@ class WasmContract(Contract):
             instance = Instance(self.module, self._imports,
                                 limits=self._limits)
         instance.invoke("apply", [ctx.receiver, ctx.code, ctx.action_name])
+
+    def unbind(self) -> None:
+        """Drop the per-chain execution state; the next apply rebuilds
+        it.  The binding refers back to the chain (the chain holds this
+        contract), so dropping it lets the chain, its linear memories
+        and its translations be freed by reference counting."""
+        self._bound_chain: "Chain | None" = None
+        self._cell: ContextCell | None = None
+        self._imports: dict | None = None
+        self._limits: ExecutionLimits | None = None
+        self._template: InstanceTemplate | None = None
 
     def _bind(self, chain: "Chain") -> None:
         cell = ContextCell()
@@ -292,6 +299,17 @@ class Chain:
 
     def is_account(self, name: "int | str") -> bool:
         return int(Name(name)) in self.accounts
+
+    def unbind_contracts(self) -> None:
+        """Drop every Wasm contract's cached binding to this chain.
+
+        A bound contract and the chain refer to each other, so without
+        this a finished chain is cyclic garbage that only a full
+        collection frees.  Each binding is rebuilt on the contract's
+        next apply, so the chain stays usable."""
+        for contract in self.accounts.values():
+            if isinstance(contract, WasmContract):
+                contract.unbind()
 
     # -- transaction engine -------------------------------------------------
     def push_action(self, account, action_name, authorization, data: bytes,

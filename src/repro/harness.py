@@ -83,19 +83,25 @@ def _campaign(module: Module, abi: Abi, account: str, limits,
     ``scan(report, target)`` its scan.  Each stage's wall-clock is
     charged to ``timings`` ("setup", "fuzz", "scan") and its failures
     are typed (:class:`DeployError`, :class:`FuzzError`,
-    :class:`ScanError`).
+    :class:`ScanError`).  However the campaign ends, its chain's
+    contracts are unbound, so the chain is freed by reference counting
+    once the caller drops it.
     """
     started = time.perf_counter()
     chain = _stage(DeployError, setup_chain, limits=limits)
-    target = _stage(DeployError, deploy_target, chain, account, module, abi)
-    started = _charge_stage(timings, "setup", started)
-    faultinject.inject("fuzz")
-    report = _stage(FuzzError, fuzz, chain, target)
-    started = _charge_stage(timings, "fuzz", started)
-    faultinject.inject("scan")
-    result = _stage(ScanError, scan, report, target)
-    _charge_stage(timings, "scan", started)
-    return WasaiRun(report, result, target)
+    try:
+        target = _stage(DeployError, deploy_target, chain, account, module,
+                        abi)
+        started = _charge_stage(timings, "setup", started)
+        faultinject.inject("fuzz")
+        report = _stage(FuzzError, fuzz, chain, target)
+        started = _charge_stage(timings, "fuzz", started)
+        faultinject.inject("scan")
+        result = _stage(ScanError, scan, report, target)
+        _charge_stage(timings, "scan", started)
+        return WasaiRun(report, result, target)
+    finally:
+        chain.unbind_contracts()
 
 
 def run_wasai(module: Module, abi: Abi, account: str = "victim",

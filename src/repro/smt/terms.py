@@ -801,17 +801,27 @@ def render(term: Term) -> str:
 def evaluate(term: Term, assignment: dict[str, int]) -> int | bool:
     """Evaluate ``term`` under a concrete assignment (unsigned ints for
     bitvector variables).  Used by tests and by model validation."""
-    cache: dict[int, int | bool] = {}
+    return _Evaluator(assignment)(term)
 
-    def walk(t: Term) -> int | bool:
-        hit = cache.get(id(t))
+
+class _Evaluator:
+    """The memoised walk of :func:`evaluate`.  A callable object, not a
+    recursive closure: a closure that calls itself is a reference cycle
+    that only the garbage collector frees."""
+
+    __slots__ = ("assignment", "cache")
+
+    def __init__(self, assignment: dict[str, int]):
+        self.assignment = assignment
+        self.cache: dict[int, int | bool] = {}
+
+    def __call__(self, t: Term) -> int | bool:
+        hit = self.cache.get(id(t))
         if hit is not None:
             return hit
-        result = _eval_node(t, walk, assignment)
-        cache[id(t)] = result
+        result = _eval_node(t, self, self.assignment)
+        self.cache[id(t)] = result
         return result
-
-    return walk(term)
 
 
 def _eval_node(t: Term, walk, assignment: dict[str, int]) -> int | bool:

@@ -188,15 +188,6 @@ class Instance:
         self.host_imports = host_imports or {}
         self._call_depth = 0
         self._deadline: float | None = None
-        # Resolve the translation opt-in once; the lazy import breaks
-        # the interpreter <-> translate module cycle.
-        wants_translate = self.limits.translate
-        if wants_translate is None:
-            wants_translate = _TRANSLATE_DEFAULT
-        self._translated_for = None
-        if wants_translate:
-            from .translate import translated_function
-            self._translated_for = translated_function
         # Resolve imported functions in index order.
         self._imported: list[HostFunc] = []
         for imp in module.imports:
@@ -261,6 +252,15 @@ class Instance:
                 raise TrapMemoryOutOfBounds("data segment out of bounds")
             self.memory[offset:end] = segment.data
         self._jump_tables: dict[int, dict[int, tuple[int, int | None]]] = {}
+        # Translations sit beside the jump tables, keyed the same way:
+        # id(func) -> TranslatedFunction, or None for a function the
+        # translator punted on; None when translation is off.  The
+        # module keeps its functions alive, so an id is never reused
+        # while this instance exists, and the translations die with it.
+        wants_translate = self.limits.translate
+        if wants_translate is None:
+            wants_translate = _TRANSLATE_DEFAULT
+        self._translations: dict | None = {} if wants_translate else None
         if module.start is not None:
             self.invoke_index(module.start, [])
 
@@ -332,8 +332,15 @@ class Instance:
             for valtype in func.locals:
                 locals_list.append(0.0 if valtype.is_float else 0)
             code = None
-            if self._translated_for is not None:
-                code = self._translated_for(self.module, func)
+            translations = self._translations
+            if translations is not None:
+                code = translations.get(id(func), False)
+                if code is False:
+                    # The lazy import breaks the interpreter <->
+                    # translate module cycle.
+                    from .translate import translated_function
+                    code = translations[id(func)] = translated_function(
+                        self.module, func)
             if code is not None:
                 result = code.run(self, locals_list)
             else:

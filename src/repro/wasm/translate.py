@@ -1,4 +1,4 @@
-"""Direct-threaded translation of Wasm functions to closure chains.
+"""Direct-threaded translation of Wasm functions to step chains.
 
 The generic interpreter (:meth:`repro.wasm.interpreter.Instance._execute`)
 pays a per-step decode cost for every executed instruction: fetch the
@@ -10,13 +10,14 @@ control and the callee of a direct ``call`` are all fixed once the
 function body exists.
 
 :func:`translated_function` therefore compiles a function body ONCE into
-a list of per-instruction closures ("direct-threaded" dispatch): each
-closure has its operands, jump targets, local slots, memory offsets and
-masks pre-bound, executes its instruction against ``(instance, stack,
-control, locals)`` and returns the next program counter.  The driver
-loop in :class:`TranslatedFunction` then only meters fuel (and the
-optional wall-clock deadline) and threads the pc — everything else was
-resolved at translation time.
+a list of per-instruction step functions ("direct-threaded" dispatch):
+each step has its operands, jump targets, local slots, memory offsets
+and masks pre-bound as default arguments (so a step is one function
+object, with no closure cells), executes its instruction against
+``(instance, stack, control, locals)`` and returns the next program
+counter.  The driver loop in :class:`TranslatedFunction` then only
+meters fuel (and the optional wall-clock deadline) and threads the pc —
+everything else was resolved at translation time.
 
 Semantics are bit-for-bit those of the generic interpreter: the control
 stack, branch unwinding, trap types and messages, fuel accounting and
@@ -28,76 +29,46 @@ conversions, ``memory.grow`` ...) reuse the generic handler table with
 the instruction pre-bound, so there is exactly one implementation of
 their semantics.
 
-Translations are memoised per :class:`~repro.wasm.module.Function` in a
-process-wide LRU (the memo keeps the function object alive, so ``id``
-reuse cannot alias entries).  A function the translator cannot handle
-falls back to the generic interpreter — translation can change speed,
-never behaviour.
+Translations live on the :class:`~repro.wasm.interpreter.Instance` that
+runs them, beside its jump tables: each deployed contract translates a
+function on its first call, and the translations die with the
+contract's instance.  A function the translator cannot handle falls
+back to the generic interpreter — translation can change speed, never
+behaviour.
 """
 
 from __future__ import annotations
 
 import struct
 import time as _time
-from collections import OrderedDict
 
 from .interpreter import (MASK32, MASK64, _SIMPLE_OPS, _ControlEntry,
-                          _build_jump_table, _f32, _signed, Trap,
-                          TrapDeadline, TrapIndirectCall, TrapOutOfFuel,
-                          TrapUnreachable)
+                          _build_jump_table, _f32, _signed, TrapDeadline,
+                          TrapIndirectCall, TrapMemoryOutOfBounds,
+                          TrapOutOfFuel, TrapUnreachable)
 from .module import Function, Module
 from .opcodes import memory_access_size
 
-__all__ = ["TranslatedFunction", "translated_function",
-           "clear_translation_cache", "translation_cache_info"]
+__all__ = ["TranslatedFunction", "translated_function"]
 
 # The sentinel pc the generic interpreter uses for a branch that exits
 # the function body; any value >= the body length ends the driver loop.
 _RETURN_PC = 1 << 30
 
-# Process-wide translation memo: id(func) -> (func, TranslatedFunction
-# | None).  The function reference keeps the object alive so a reused
-# id can never resolve to a stale translation; None records a function
-# the translator punted on, so the fallback decision is also memoised.
-_MAX_TRANSLATIONS = 4096
-_TRANSLATIONS: "OrderedDict[int, tuple[Function, TranslatedFunction | None]]" \
-    = OrderedDict()
-
 
 def translated_function(module: Module,
                         func: Function) -> "TranslatedFunction | None":
-    """The memoised translation of ``func`` (None: use the generic
-    interpreter).  Modules are immutable once they execute, so the
-    translation is valid for the function's lifetime."""
-    key = id(func)
-    hit = _TRANSLATIONS.get(key)
-    if hit is not None and hit[0] is func:
-        _TRANSLATIONS.move_to_end(key)
-        return hit[1]
+    """The translation of ``func`` (None: use the generic interpreter).
+    Modules are immutable once they execute, so the caller may keep the
+    translation for as long as it keeps the module."""
     try:
-        code = _translate(module, func)
+        return _translate(module, func)
     except Exception:
-        code = None  # untranslatable: the generic loop is the answer
-    _TRANSLATIONS[key] = (func, code)
-    while len(_TRANSLATIONS) > _MAX_TRANSLATIONS:
-        _TRANSLATIONS.popitem(last=False)
-    return code
-
-
-def clear_translation_cache() -> None:
-    _TRANSLATIONS.clear()
-
-
-def translation_cache_info() -> dict[str, int]:
-    entries = len(_TRANSLATIONS)
-    translated = sum(1 for _, code in _TRANSLATIONS.values()
-                     if code is not None)
-    return {"entries": entries, "translated": translated,
-            "fallbacks": entries - translated}
+        return None  # untranslatable: the generic loop is the answer
 
 
 class TranslatedFunction:
-    """A compiled function body: one closure per instruction plus the
+    """A compiled function body: one step per instruction plus the
     metering driver loop."""
 
     __slots__ = ("steps", "size")
@@ -107,7 +78,7 @@ class TranslatedFunction:
         self.size = len(steps)
 
     def run(self, inst, locals_list: list) -> list:
-        """Execute the closure chain; mirrors ``Instance._execute``.
+        """Execute the step chain; mirrors ``Instance._execute``.
 
         Fuel is checked then decremented before every instruction, and
         the wall-clock deadline is probed on the same ``fuel & 2047``
@@ -143,62 +114,72 @@ class TranslatedFunction:
 
 
 # ---------------------------------------------------------------------------
-# Per-instruction closure factories.  Every factory pre-binds the
-# instruction's immediates and the next pc; the returned closures all
-# share the (inst, stack, control, locals_list) -> next_pc signature.
+# Per-instruction step factories.  Every factory pre-binds the
+# instruction's immediates and the next pc as default arguments rather
+# than closure cells, so a step is one function object instead of a
+# function, a closure tuple and a cell per operand.  An instruction
+# with no operands and no fall-through pc shares one module-level step.
+# The steps all share the (inst, stack, control, locals_list) -> next_pc
+# call signature; callers never pass the defaults.
 # ---------------------------------------------------------------------------
 
 def _const(value, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list,
+             value=value, next_pc=next_pc):
         stack.append(value)
         return next_pc
     return step
 
 
 def _local_get(index, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list,
+             index=index, next_pc=next_pc):
         stack.append(locals_list[index])
         return next_pc
     return step
 
 
 def _local_set(index, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list,
+             index=index, next_pc=next_pc):
         locals_list[index] = stack.pop()
         return next_pc
     return step
 
 
 def _local_tee(index, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list,
+             index=index, next_pc=next_pc):
         locals_list[index] = stack[-1]
         return next_pc
     return step
 
 
 def _global_get(index, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list,
+             index=index, next_pc=next_pc):
         stack.append(inst.globals[index])
         return next_pc
     return step
 
 
 def _global_set(index, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list,
+             index=index, next_pc=next_pc):
         inst.globals[index] = stack.pop()
         return next_pc
     return step
 
 
 def _drop(next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, next_pc=next_pc):
         stack.pop()
         return next_pc
     return step
 
 
 def _select(next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, next_pc=next_pc):
         cond = stack.pop()
         second = stack.pop()
         first = stack.pop()
@@ -208,7 +189,8 @@ def _select(next_pc):
 
 
 def _binop(fn, m, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list,
+             fn=fn, m=m, next_pc=next_pc):
         rhs = stack.pop()
         lhs = stack.pop()
         stack.append(fn(lhs, rhs) & m)
@@ -217,7 +199,7 @@ def _binop(fn, m, next_pc):
 
 
 def _relop(fn, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, fn=fn, next_pc=next_pc):
         rhs = stack.pop()
         lhs = stack.pop()
         stack.append(1 if fn(lhs, rhs) else 0)
@@ -226,16 +208,16 @@ def _relop(fn, next_pc):
 
 
 def _eqz(next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, next_pc=next_pc):
         stack.append(1 if stack.pop() == 0 else 0)
         return next_pc
     return step
 
 
 def _load_int(offset, size, bits, signed, m, op_name, next_pc):
-    from .interpreter import TrapMemoryOutOfBounds
-
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, offset=offset, size=size,
+             bits=bits, signed=signed, m=m, op_name=op_name,
+             next_pc=next_pc):
         addr = stack.pop() + offset
         memory = inst.memory
         if addr + size > len(memory) or addr < 0:
@@ -249,10 +231,9 @@ def _load_int(offset, size, bits, signed, m, op_name, next_pc):
 
 
 def _load_float(offset, size, fmt, op_name, next_pc):
-    from .interpreter import TrapMemoryOutOfBounds
-    unpack = struct.Struct(fmt).unpack
-
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, offset=offset, size=size,
+             unpack=struct.Struct(fmt).unpack, op_name=op_name,
+             next_pc=next_pc):
         addr = stack.pop() + offset
         memory = inst.memory
         if addr + size > len(memory) or addr < 0:
@@ -263,9 +244,8 @@ def _load_float(offset, size, fmt, op_name, next_pc):
 
 
 def _store_int(offset, size, vmask, op_name, next_pc):
-    from .interpreter import TrapMemoryOutOfBounds
-
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, offset=offset, size=size,
+             vmask=vmask, op_name=op_name, next_pc=next_pc):
         value = stack.pop()
         addr = stack.pop() + offset
         memory = inst.memory
@@ -277,10 +257,9 @@ def _store_int(offset, size, vmask, op_name, next_pc):
 
 
 def _store_float(offset, size, fmt, op_name, next_pc):
-    from .interpreter import TrapMemoryOutOfBounds
-    pack = struct.Struct(fmt).pack
-
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, offset=offset, size=size,
+             pack=struct.Struct(fmt).pack, op_name=op_name,
+             next_pc=next_pc):
         value = stack.pop()
         addr = stack.pop() + offset
         memory = inst.memory
@@ -295,33 +274,41 @@ def _via_handler(handler, instr, next_pc):
     """Fallback for rare opcodes: the generic handler with the
     instruction pre-bound — one shared implementation of the
     semantics, minus the per-step dispatch."""
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, handler=handler,
+             instr=instr, next_pc=next_pc):
         handler(inst, instr, stack, locals_list)
         return next_pc
+    return step
+
+
+def _not_implemented(op):
+    def step(inst, stack, control, locals_list, op=op):  # pragma: no cover
+        raise NotImplementedError(f"opcode {op} not implemented")
     return step
 
 
 # -- control flow ----------------------------------------------------------
 
 def _block(end_pc, arity, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, end_pc=end_pc, arity=arity,
+             next_pc=next_pc):
         control.append(_ControlEntry("block", end_pc, arity, len(stack)))
         return next_pc
     return step
 
 
 def _loop(head_pc, arity, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, head_pc=head_pc,
+             arity=arity, next_pc=next_pc):
         control.append(_ControlEntry("loop", head_pc, arity, len(stack)))
         return next_pc
     return step
 
 
 def _if(end_pc, else_pc, arity, next_pc):
-    end_next = end_pc + 1
-    else_next = None if else_pc is None else else_pc + 1
-
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, end_pc=end_pc,
+             else_next=None if else_pc is None else else_pc + 1,
+             end_next=end_pc + 1, arity=arity, next_pc=next_pc):
         if stack.pop():
             control.append(_ControlEntry("if", end_pc, arity, len(stack)))
             return next_pc
@@ -332,16 +319,14 @@ def _if(end_pc, else_pc, arity, next_pc):
     return step
 
 
-def _else(next_pc):
+def _else(inst, stack, control, locals_list):
     # Reached after the then-arm: pop the label, jump past the end.
-    def step(inst, stack, control, locals_list):
-        entry = control.pop()
-        return entry.target + 1
-    return step
+    entry = control.pop()
+    return entry.target + 1
 
 
 def _end(next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, next_pc=next_pc):
         if control:
             control.pop()
         return next_pc
@@ -366,44 +351,40 @@ def _unwind(stack, control, depth):
     return entry.target + 1
 
 
-def _br(depth, next_pc):
-    def step(inst, stack, control, locals_list):
+def _br(depth):
+    def step(inst, stack, control, locals_list, depth=depth):
         return _unwind(stack, control, depth)
     return step
 
 
 def _br_if(depth, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, depth=depth,
+             next_pc=next_pc):
         if stack.pop():
             return _unwind(stack, control, depth)
         return next_pc
     return step
 
 
-def _br_table(labels, default, next_pc):
-    count = len(labels)
-
-    def step(inst, stack, control, locals_list):
+def _br_table(labels, default):
+    def step(inst, stack, control, locals_list, labels=labels,
+             count=len(labels), default=default):
         index = stack.pop()
         depth = labels[index] if index < count else default
         return _unwind(stack, control, depth)
     return step
 
 
-def _return(next_pc):
-    def step(inst, stack, control, locals_list):
-        return _RETURN_PC
-    return step
+def _return(inst, stack, control, locals_list):
+    return _RETURN_PC
 
 
-def _unreachable(next_pc):
-    def step(inst, stack, control, locals_list):
-        raise TrapUnreachable("unreachable executed")
-    return step
+def _unreachable(inst, stack, control, locals_list):
+    raise TrapUnreachable("unreachable executed")
 
 
 def _nop(next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, next_pc=next_pc):
         return next_pc
     return step
 
@@ -412,7 +393,7 @@ def _raise_keyerror(pc):
     # An unmatched block/loop/if: the generic interpreter raises
     # KeyError from its jump-table lookup only if the instruction is
     # actually reached, so the translated body must do the same.
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, pc=pc):
         raise KeyError(pc)
     return step
 
@@ -420,7 +401,8 @@ def _raise_keyerror(pc):
 # -- calls -----------------------------------------------------------------
 
 def _call_host(func_index, count, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, func_index=func_index,
+             count=count, next_pc=next_pc):
         if count:
             args = stack[-count:]
             del stack[-count:]
@@ -434,7 +416,8 @@ def _call_host(func_index, count, next_pc):
 
 
 def _call_local_fn(func, count, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, func=func, count=count,
+             next_pc=next_pc):
         if count:
             args = stack[-count:]
             del stack[-count:]
@@ -449,7 +432,8 @@ def _call_dynamic(func_index, next_pc):
     # The callee index did not resolve at translation time; defer to
     # the runtime lookup so the failure (and its exception) happens at
     # execution, exactly as the generic interpreter would.
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, func_index=func_index,
+             next_pc=next_pc):
         results = inst.invoke_index(func_index,
                                     inst._pop_args(stack, func_index))
         stack.extend(results)
@@ -458,7 +442,8 @@ def _call_dynamic(func_index, next_pc):
 
 
 def _call_indirect(expected, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, expected=expected,
+             next_pc=next_pc):
         table_slot = stack.pop()
         table = inst.table
         if table_slot >= len(table) or table[table_slot] is None:
@@ -540,20 +525,20 @@ def _translate_instr(module: Module, jumps, pc: int, instr):
             return _loop(pc, arity, next_pc)
         return _if(end_pc, else_pc, arity, next_pc)
     if op == "else":
-        return _else(next_pc)
+        return _else
     if op == "end":
         return _end(next_pc)
     if op == "br":
-        return _br(instr.args[0], next_pc)
+        return _br(instr.args[0])
     if op == "br_if":
         return _br_if(instr.args[0], next_pc)
     if op == "br_table":
         labels, default = instr.args
-        return _br_table(tuple(labels), default, next_pc)
+        return _br_table(tuple(labels), default)
     if op == "return":
-        return _return(next_pc)
+        return _return
     if op == "unreachable":
-        return _unreachable(next_pc)
+        return _unreachable
     if op == "nop":
         return _nop(next_pc)
     if op == "call":
@@ -631,21 +616,18 @@ def _translate_instr(module: Module, jumps, pc: int, instr):
     handler = _SIMPLE_OPS.get(op)
     if handler is not None:
         return _via_handler(handler, instr, next_pc)
-
-    def step(inst, stack, control, locals_list):  # pragma: no cover
-        raise NotImplementedError(f"opcode {op} not implemented")
-    return step
+    return _not_implemented(op)
 
 
 def _binop_unary_mask(m, next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, m=m, next_pc=next_pc):
         stack.append(stack.pop() & m)
         return next_pc
     return step
 
 
 def _extend_s(next_pc):
-    def step(inst, stack, control, locals_list):
+    def step(inst, stack, control, locals_list, next_pc=next_pc):
         stack.append(_signed(stack.pop(), 32) & MASK64)
         return next_pc
     return step

@@ -15,7 +15,7 @@ import pytest
 from repro.benchgen.corpus import build_table4_corpus, obfuscated_variant
 from repro.benchgen.hostile import (build_hostile_corpus,
                                     build_resource_hostile_modules)
-from repro.engine.deploy import setup_chain
+from repro.engine.deploy import deploy_target, setup_chain
 from repro.eosio.chain import Action, ApplyContext, WasmContract
 from repro.eosio.errors import ChainError
 from repro.eosio.host import build_host_imports
@@ -24,7 +24,6 @@ from repro.harness import run_wasai
 from repro.instrument import instrument_module
 from repro.wasm import (ExecutionLimits, HostFunc, Instance, Trap,
                         parse_module, validate_module)
-from repro.wasm.translate import clear_translation_cache
 
 
 @pytest.fixture(scope="module")
@@ -169,13 +168,48 @@ def test_hostile_mutants_differential():
     assert checked > 0, "no hostile mutant survived to be executed"
 
 
-def test_translation_cache_memoises():
-    clear_translation_cache()
-    from repro.wasm.translate import translation_cache_info
-    corpus_sample = build_table4_corpus(scale=0.01)[0]
-    module = corpus_sample.module
-    limits = ExecutionLimits(translate=True)
-    _apply_fingerprint(module, corpus_sample.contract.abi, translate=True)
-    info = translation_cache_info()
-    assert info["entries"] > 0
-    assert info["translated"] > 0
+def test_translation_cache_memoises(monkeypatch):
+    """Translations live on the instance that runs them: repeated
+    applies through one ``InstanceTemplate`` translate each executed
+    function once, a deployment on a fresh chain translates afresh
+    (even of the same cached instrumented module), and no translated
+    step carries closure cells."""
+    import repro.engine.deploy as deploy
+    import repro.wasm.translate as translate
+    calls = []
+    original = translate.translated_function
+
+    def counting(module, func):
+        calls.append(id(func))
+        return original(module, func)
+    monkeypatch.setattr(translate, "translated_function", counting)
+    monkeypatch.setattr(deploy, "_INSTRUMENT_CACHE",
+                        deploy.InstrumentationCache())
+    sample = build_table4_corpus(scale=0.01)[0]
+
+    def deploy_and_apply(times):
+        chain = setup_chain(limits=ExecutionLimits(translate=True))
+        target = deploy_target(chain, "victim", sample.module,
+                               sample.contract.abi)
+        for _ in range(times):
+            chain.push_action(target.account, N("transfer"),
+                              [target.account], b"\x00" * 32)
+        contract = chain.get_contract(target.account)
+        return contract.module, contract._template.instance._translations
+
+    module, translations = deploy_and_apply(3)
+    assert translations
+    assert sorted(calls) == sorted(translations)
+    local = {id(func) for func in module.functions}
+    assert set(translations) <= local
+    compiled = [code for code in translations.values() if code is not None]
+    assert compiled
+    for code in compiled:
+        assert all(step.__closure__ is None for step in code.steps)
+
+    first = sorted(calls)
+    calls.clear()
+    again, fresh = deploy_and_apply(3)
+    assert again is module      # the instrumentation cache's entry
+    assert fresh is not translations
+    assert sorted(calls) == sorted(fresh) == first
