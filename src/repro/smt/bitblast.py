@@ -7,6 +7,23 @@ literals, over a shared :class:`~repro.smt.sat.SatSolver` instance.
 Encodings are the textbook ones — ripple-carry adders, shift-add
 multipliers, barrel shifters for variable shift amounts, and an adder
 tree for ``popcnt`` (which the paper's obfuscation benchmark leans on).
+
+Constants are folded at every gate.  A constant is the one literal
+:meth:`BitBlaster.true_lit` or its negation, and a gate fed it returns
+an existing literal (``a AND true`` is ``a``, ``a XOR true`` is ``NOT
+a``, a multiplexer on a constant selector is one of its inputs) or a
+smaller gate, so the constant operands of flip queries (``x == K``,
+``x < K``, constant shift fill) never become SAT variables.  A wide
+AND, and so an OR, is one gate: one variable and n + 1 clauses, not a
+chain of n - 1 binary gates.
+
+Folding changes the CNF but keeps the model of every search without a
+conflict.  Input bits are numbered first, in declaration order, and the
+solver decides the lowest unassigned variable, false first, so such a
+search sets each input bit to what unit propagation forces given the
+bits before it, or else to false.  Propagation is sound, so it can only
+force a bit to its value in that model; each folded encoding propagates
+at least what the gates it replaces did, so it forces no fewer bits.
 """
 
 from __future__ import annotations
@@ -62,54 +79,88 @@ class BitBlaster:
         return self.solver.new_var()
 
     # -- gates -------------------------------------------------------------
+    # ``t`` is the true literal, or None before any constant exists; a
+    # literal ``x`` is a constant when ``abs(x) == t``.
+
     def gate_and(self, a: int, b: int) -> int:
-        if a == b:
+        t = self._true_lit
+        if a == b or b == t:
             return a
-        if a == -b:
+        if a == t:
+            return b
+        if a == -b or abs(a) == t or abs(b) == t:
             return self.false_lit()
         out = self.fresh()
-        self.solver.add_clause([-out, a])
-        self.solver.add_clause([-out, b])
-        self.solver.add_clause([out, -a, -b])
+        add = self.solver.add_clause
+        add([-out, a])
+        add([-out, b])
+        add([out, -a, -b])
         return out
 
     def gate_or(self, a: int, b: int) -> int:
         return -self.gate_and(-a, -b)
 
     def gate_xor(self, a: int, b: int) -> int:
+        t = self._true_lit
+        if abs(b) == t:
+            return a if b < 0 else -a
+        if abs(a) == t:
+            return b if a < 0 else -b
         if a == b:
             return self.false_lit()
         if a == -b:
             return self.true_lit()
         out = self.fresh()
-        self.solver.add_clause([-out, a, b])
-        self.solver.add_clause([-out, -a, -b])
-        self.solver.add_clause([out, -a, b])
-        self.solver.add_clause([out, a, -b])
+        add = self.solver.add_clause
+        add([-out, a, b])
+        add([-out, -a, -b])
+        add([out, -a, b])
+        add([out, a, -b])
         return out
 
     def gate_mux(self, sel: int, then: int, other: int) -> int:
         """``sel ? then : other``."""
+        t = self._true_lit
         if then == other:
             return then
+        if abs(sel) == t:
+            return then if sel > 0 else other
+        if abs(then) == t:      # sel OR other / NOT sel AND other
+            return (self.gate_or(sel, other) if then > 0
+                    else self.gate_and(-sel, other))
+        if abs(other) == t:     # NOT sel OR then / sel AND then
+            return (self.gate_or(-sel, then) if other > 0
+                    else self.gate_and(sel, then))
         out = self.fresh()
-        self.solver.add_clause([-out, -sel, then])
-        self.solver.add_clause([-out, sel, other])
-        self.solver.add_clause([out, -sel, -then])
-        self.solver.add_clause([out, sel, -other])
+        add = self.solver.add_clause
+        add([-out, -sel, then])
+        add([-out, sel, other])
+        add([out, -sel, -then])
+        add([out, sel, -other])
         return out
 
     def gate_and_many(self, lits: list[int]) -> int:
-        out = self.true_lit()
+        """One n-ary AND gate over the distinct non-constant ``lits``;
+        false on a false literal or a complementary pair."""
+        t = self._true_lit
+        kept: dict[int, None] = {}
         for lit in lits:
-            out = self.gate_and(out, lit)
+            if lit == t or lit in kept:
+                continue
+            if -lit == t or -lit in kept:
+                return self.false_lit()
+            kept[lit] = None
+        if len(kept) < 2:
+            return next(iter(kept)) if kept else self.true_lit()
+        out = self.fresh()
+        add = self.solver.add_clause
+        for lit in kept:
+            add([-out, lit])
+        add([out, *[-lit for lit in kept]])
         return out
 
     def gate_or_many(self, lits: list[int]) -> int:
-        out = self.false_lit()
-        for lit in lits:
-            out = self.gate_or(out, lit)
-        return out
+        return -self.gate_and_many([-lit for lit in lits])
 
     # -- arithmetic building blocks -----------------------------------------
     def full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
@@ -243,9 +294,7 @@ class BitBlaster:
         if op == "bvnot":
             return [-x for x in self.blast_bv(term.args[0])]
         if op == "bvneg":
-            xs = self.blast_bv(term.args[0])
-            return self.adder([-x for x in xs], self.const_bits(0, width),
-                              self.true_lit())
+            return self.negate(self.blast_bv(term.args[0]))
         if op == "bvpopcnt":
             return self.popcount(self.blast_bv(term.args[0]))
         if op in ("bvclz", "bvctz"):
@@ -286,12 +335,10 @@ class BitBlaster:
             r = self._division("bvurem", ax, ay)
             if op == "bvsdiv":
                 neg = self.gate_xor(sign_x, sign_y)
-                nq = self.adder([-b for b in q], self.const_bits(0, width),
-                                self.true_lit())
-                return [self.gate_mux(neg, a, b) for a, b in zip(nq, q)]
-            nr = self.adder([-b for b in r], self.const_bits(0, width),
-                            self.true_lit())
-            return [self.gate_mux(sign_x, a, b) for a, b in zip(nr, r)]
+                return [self.gate_mux(neg, a, b)
+                        for a, b in zip(self.negate(q), q)]
+            return [self.gate_mux(sign_x, a, b)
+                    for a, b in zip(self.negate(r), r)]
         q = [self.fresh() for _ in range(width)]
         r = [self.fresh() for _ in range(width)]
         d_zero = self.gate_and_many([-y for y in ys])
@@ -324,11 +371,8 @@ class BitBlaster:
         return acc
 
     def _abs(self, xs: list[int]) -> list[int]:
-        width = len(xs)
-        neg = self.adder([-x for x in xs], self.const_bits(0, width),
-                         self.true_lit())
         sign = xs[-1]
-        return [self.gate_mux(sign, n, x) for n, x in zip(neg, xs)]
+        return [self.gate_mux(sign, n, x) for n, x in zip(self.negate(xs), xs)]
 
     def _count_zeros(self, op: str, xs: list[int]) -> list[int]:
         """clz/ctz via a chain of 'still counting' flags."""

@@ -292,10 +292,8 @@ class Solver:
 
     # -- z3py-flavoured interface ------------------------------------------
     def add(self, *constraints: Term) -> None:
-        for c in constraints:
-            if not c.is_bool():
-                raise TypeError("constraints must be boolean terms")
-            self._constraints.append(c)
+        _require_bool(constraints)
+        self._constraints.extend(constraints)
 
     def push(self) -> None:
         self._stack.append(len(self._constraints))
@@ -319,6 +317,7 @@ class Solver:
         exception), so campaign containment can degrade to black-box
         fuzzing instead of aborting.
         """
+        _require_bool(extra)
         self.stats.checks += 1
         faultinject.inject("solve")
         constraints = self._constraints + list(extra)
@@ -398,14 +397,12 @@ class Solver:
         shape, punting to the SAT layer.
         """
         intervals: dict[str, Interval] = {}
-        widths: dict[str, int] = {}
         for constraint in constraints:
             parsed = _parse_atom(constraint)
             if parsed is None:
                 return None
             op, var, constant, var_on_left = parsed
             name = var.payload[0]
-            widths[name] = var.width
             interval = intervals.get(name, Interval(var.width))
             refined = propagate_comparison(op, interval, constant, var_on_left)
             if refined is None:
@@ -445,6 +442,12 @@ class Solver:
             return UNSAT
         self.stats.unknowns += 1
         return UNKNOWN
+
+
+def _require_bool(constraints: "tuple[Term, ...]") -> None:
+    for c in constraints:
+        if not c.is_bool():
+            raise TypeError("constraints must be boolean terms")
 
 
 def _parse_atom(term: Term) -> tuple[str, Term, int, bool] | None:

@@ -1,11 +1,12 @@
 """Integration and property-based tests for the layered Solver."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import (And, BitVec, BitVecVal, Concat, Eq, Extract, Ne, Not,
-                       Or, Popcnt, SAT, SGT, SLT, Solver, UGE, ULT, UNSAT,
-                       ZeroExt, evaluate)
+                       Or, Popcnt, SAT, SGT, SLT, Solver, SolverStats, UGE,
+                       ULT, UNSAT, ZeroExt, evaluate)
 
 
 def check_sat_model(solver, *constraints):
@@ -128,6 +129,15 @@ def test_check_with_extra_assumptions():
     assert solver.check(Eq(x, BitVecVal(30, 8))) == UNSAT
     # Extra constraints must not persist.
     assert solver.check() == SAT
+
+
+def test_check_rejects_non_boolean_extra():
+    """``check(*extra)`` takes what ``add`` takes: a bitvector is a
+    caller's error, not a query that ends "unknown" in the stats."""
+    solver = Solver()
+    with pytest.raises(TypeError, match="boolean"):
+        solver.check(BitVec("x", 8) + 1)
+    assert solver.stats.as_dict() == SolverStats().as_dict()
 
 
 def test_division_constraint():
