@@ -19,7 +19,6 @@ import pytest
 
 from repro import build_table4_corpus, evaluate_corpus, ThroughputStats
 from repro.engine import configure_instrumentation_cache
-from repro.sharedcache import configure_shared_cache, shared_cache_dir
 from repro.smt import configure_solver_cache
 from repro.wasm import translation_enabled
 
@@ -32,19 +31,12 @@ def corpus(bench_scale):
 
 
 @pytest.fixture(scope="module")
-def runs(corpus, bench_timeout_ms, tmp_path_factory):
-    """Serial and 4-worker evaluations of the same corpus.
-
-    Each run gets its own fresh shared-cache directory: within the
-    parallel run the forked workers share one disk tier (the thing
-    being measured), while serial and parallel stay independent of
-    each other and of anything a previous invocation left behind.
-    """
-    previous_dir = shared_cache_dir()
+def runs(corpus, bench_timeout_ms):
+    """Serial and 4-worker evaluations of the same corpus, each
+    starting from cold in-memory caches."""
     outcome = {}
     try:
         for label, jobs in (("serial", 1), ("parallel", PARALLEL_JOBS)):
-            configure_shared_cache(tmp_path_factory.mktemp(f"cache_{label}"))
             configure_instrumentation_cache(enabled=True)
             configure_solver_cache(enabled=True)
             perf = ThroughputStats()
@@ -54,7 +46,6 @@ def runs(corpus, bench_timeout_ms, tmp_path_factory):
             wall = time.perf_counter() - started
             outcome[label] = (tables, perf, wall)
     finally:
-        configure_shared_cache(previous_dir)
         configure_instrumentation_cache(enabled=True)
         configure_solver_cache(enabled=True)
     return outcome
@@ -70,8 +61,8 @@ def test_instrumentation_cache_eliminates_repeat_work(runs, corpus):
     """Each distinct module is instrumented once (cache misses), and
     every redeployment beyond that — the second dynamic tool plus any
     duplicate binaries in the corpus — hits the cache."""
-    from repro.engine import module_fingerprint
-    distinct = len({module_fingerprint(s.module) for s in corpus})
+    from repro.engine import module_content_hash
+    distinct = len({module_content_hash(s.module) for s in corpus})
     _, perf, _ = runs["serial"]
     assert perf.cache["instr_cache_misses"] == distinct
     # wasai + eosfuzzer each deploy every sample exactly once.
@@ -101,9 +92,9 @@ def test_parallel_speedup(runs):
 
 
 def test_parallel_never_slower(runs):
-    """Perf-smoke floor: warm workers + shared caches must keep the
-    4-worker run at least as fast as serial whenever there is any
-    parallelism to exploit.  CI fails the build on a regression here."""
+    """Perf-smoke floor: warm workers must keep the 4-worker run at
+    least as fast as serial whenever there is any parallelism to
+    exploit.  CI fails the build on a regression here."""
     if (os.cpu_count() or 1) < 2:
         pytest.skip(f"needs >= 2 CPUs (host has {os.cpu_count()})")
     serial_wall = runs["serial"][2]
@@ -129,7 +120,6 @@ def test_write_throughput_report(runs, bench_scale, bench_timeout_ms):
         "parallel": parallel_perf.as_dict(),
         "speedup": serial_wall / max(parallel_wall, 1e-9),
         "translation_enabled": translation_enabled(),
-        "shared_cache": True,
         "wasai_total_f1": serial_tables["wasai"].total().f1,
     }
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

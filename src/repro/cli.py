@@ -85,9 +85,6 @@ def main(argv: list[str] | None = None) -> int:
                       action="store_false", default=True,
                       help="run the generic reference interpreter instead "
                            "of the direct-threaded translation layer")
-    scan.add_argument("--cache-dir", type=Path, default=None,
-                      help="shared on-disk cache directory (instrumentation "
-                           "+ solver results, safe for concurrent workers)")
     scan.add_argument("--no-divergence-check", dest="divergence_check",
                       action="store_false",
                       help="disable the concolic divergence sentinel "
@@ -140,10 +137,6 @@ def main(argv: list[str] | None = None) -> int:
                        action="store_false", default=True,
                        help="run the generic reference interpreter instead "
                             "of the direct-threaded translation layer")
-    bench.add_argument("--cache-dir", type=Path, default=None,
-                       help="shared on-disk cache directory; parallel "
-                            "workers reuse each other's instrumentation "
-                            "and solver results through it")
     bench.add_argument("--no-divergence-check", dest="divergence_check",
                        action="store_false",
                        help="disable the concolic divergence sentinel")
@@ -327,14 +320,11 @@ def main(argv: list[str] | None = None) -> int:
                        help="print each phase as it completes")
 
     args = parser.parse_args(argv)
-    # Process-wide performance knobs.  Both are plain module globals,
-    # so forked parallel workers inherit them.
+    # A process-wide performance knob: a plain module global, so
+    # forked parallel workers inherit it.
     if getattr(args, "translate", True) is False:
         from .wasm.interpreter import configure_translation
         configure_translation(False)
-    if getattr(args, "cache_dir", None) is not None:
-        from .sharedcache import configure_shared_cache
-        configure_shared_cache(args.cache_dir)
     if args.command == "scan":
         return _cmd_scan(args)
     if args.command == "gen":

@@ -5,8 +5,7 @@ from .dbg import DatabaseDependencyGraph
 from .deploy import (FuzzTarget, InstrumentationCache,
                      configure_instrumentation_cache, deploy_target,
                      deploy_untrusted_target, instrumentation_cache,
-                     module_content_hash, module_fingerprint,
-                     setup_chain)
+                     module_content_hash, setup_chain)
 from .fuzzer import FuzzReport, Observation, WasaiFuzzer
 from .seedpool import SeedPool
 from .seeds import Seed, random_seed, random_value
@@ -18,5 +17,4 @@ __all__ = [
     "WasaiFuzzer", "SeedPool", "Seed", "random_seed", "random_value",
     "InstrumentationCache", "instrumentation_cache",
     "configure_instrumentation_cache", "module_content_hash",
-    "module_fingerprint",
 ]

@@ -10,6 +10,7 @@ the artefacts Symback needs (original module, site table, ABI, the
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -21,13 +22,11 @@ from ..instrument import SiteTable, instrument_module
 from ..resilience import faultinject
 from ..resilience.errors import (CampaignError, DeployError,
                                  InstrumentError)
-from ..sharedcache import SharedDiskCache
 from ..wasm.module import Module
 
 __all__ = ["FuzzTarget", "deploy_target", "setup_chain",
            "InstrumentationCache", "instrumentation_cache",
-           "configure_instrumentation_cache", "module_content_hash",
-           "module_fingerprint"]
+           "configure_instrumentation_cache", "module_content_hash"]
 
 
 def module_content_hash(module: Module) -> str:
@@ -51,10 +50,6 @@ def module_content_hash(module: Module) -> str:
     return digest
 
 
-# Historical name, kept for existing callers and tests.
-module_fingerprint = module_content_hash
-
-
 class InstrumentationCache:
     """Memoises ``instrument_module`` per distinct contract binary.
 
@@ -65,62 +60,39 @@ class InstrumentationCache:
     module + site table) are shared read-only: execution state lives in
     per-transaction ``Instance`` objects, never in the module itself.
 
-    Below the in-memory memo sits an optional shared on-disk tier
-    (:mod:`repro.sharedcache`): parallel workers are separate processes
-    with separate memos, so a sibling's instrumentation work is only
-    reusable through the disk.  A memory miss consults the disk before
-    rewriting; fresh rewrites are written through.
+    The scan daemon's worker threads share the process-wide instance,
+    so a lock guards the entry table and counters; it is never held
+    while a module is rewritten.
     """
 
     def __init__(self, max_entries: int = 128):
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, tuple[Module, SiteTable]]" \
             = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.disk = SharedDiskCache("instrument", serializer="pickle")
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def instrument(self, module: Module) -> tuple[Module, SiteTable]:
         key = module_content_hash(module)
-        found = self._entries.get(key)
-        if found is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return found
-        self.misses += 1
-        entry = None
-        if self.disk.enabled:
-            cached = self.disk.get(key)
-            if (isinstance(cached, tuple) and len(cached) == 2
-                    and isinstance(cached[0], Module)):
-                entry = cached
-        if entry is None:
-            entry = instrument_module(module)
-            self.disk.put(key, entry)
-        self._entries[key] = entry
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        with self._lock:
+            found = self._entries.get(key)
+            if found is not None:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return found
+            self.misses += 1
+        entry = instrument_module(module)
+        with self._lock:
+            self._entries[key] = entry
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
         return entry
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats_dict(self) -> dict[str, "int | float"]:
-        stats = {"hits": self.hits, "misses": self.misses,
-                 "evictions": self.evictions, "entries": len(self._entries),
-                 "hit_rate": self.hit_rate}
-        stats.update(self.disk.stats_dict())
-        return stats
 
 
 # One cache per process; parallel workers each grow their own.
@@ -133,13 +105,11 @@ def instrumentation_cache() -> InstrumentationCache | None:
 
 
 def configure_instrumentation_cache(
-        enabled: bool = True,
-        max_entries: int = 128) -> InstrumentationCache | None:
+        enabled: bool = True) -> InstrumentationCache | None:
     """Replace the process-wide cache (or disable it); returns the new
     cache.  Used by the determinism tests and the ablation benches."""
     global _INSTRUMENT_CACHE
-    _INSTRUMENT_CACHE = (InstrumentationCache(max_entries)
-                         if enabled else None)
+    _INSTRUMENT_CACHE = InstrumentationCache() if enabled else None
     return _INSTRUMENT_CACHE
 
 

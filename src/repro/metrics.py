@@ -90,7 +90,7 @@ class ThroughputStats:
     wall-clock reported by the campaign workers ("setup" = chain +
     instrumented deploy, "fuzz", "scan").  ``cache`` sums the per-task
     cache-counter deltas under their verdict-doc keys
-    (``instr_cache_hits`` ... ``solver_disk_misses``), so it stays
+    (``instr_cache_hits`` ... ``solver_cache_misses``), so it stays
     correct when workers run in separate processes with private
     caches.  The scan service keeps its event counts itself (``GET
     /stats``) and reads only the latency percentiles of its ledger.
@@ -120,8 +120,8 @@ class ThroughputStats:
         return self.campaigns / self.wall_s if self.wall_s > 0 else 0.0
 
     def hit_rate(self, tier: str) -> float:
-        """Hit rate of one cache tier (``instr_cache``, ``solver_disk``
-        ...) over the summed counters."""
+        """Hit rate of one cache (``instr_cache`` or ``solver_cache``)
+        over the summed counters."""
         hits = self.cache[f"{tier}_hits"]
         total = hits + self.cache[f"{tier}_misses"]
         return hits / total if total else 0.0
@@ -211,12 +211,6 @@ class ThroughputStats:
                 "misses": cache["solver_cache_misses"],
                 "hit_rate": self.hit_rate("solver_cache"),
             },
-            "shared_disk_cache": {
-                "instr_hits": cache["instr_disk_hits"],
-                "instr_misses": cache["instr_disk_misses"],
-                "solver_hits": cache["solver_disk_hits"],
-                "solver_misses": cache["solver_disk_misses"],
-            },
             "per_worker": {
                 str(worker_id): stats for worker_id, stats
                 in sorted(self.per_worker_hit_rates().items())
@@ -242,14 +236,6 @@ class ThroughputStats:
             f"{cache['solver_cache_misses']} misses "
             f"({self.hit_rate('solver_cache'):.1%})",
         ]
-        instr_disk = cache["instr_disk_hits"] + cache["instr_disk_misses"]
-        solver_disk = cache["solver_disk_hits"] \
-            + cache["solver_disk_misses"]
-        if instr_disk + solver_disk:
-            lines.append(
-                f"  disk cache    instr {cache['instr_disk_hits']}/"
-                f"{instr_disk} hits, "
-                f"solver {cache['solver_disk_hits']}/{solver_disk} hits")
         for worker_id, stats in sorted(self.per_worker_hit_rates().items()):
             lines.append(
                 f"  worker {worker_id:<7} {stats['tasks']} tasks, "

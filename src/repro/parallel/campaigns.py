@@ -91,9 +91,9 @@ class CampaignResult:
     scans: dict[str, ScanResult]
     stage_seconds: dict[str, float] = field(default_factory=dict)
     # This task's cache-counter deltas under the verdict-doc keys
-    # (CACHE_COUNTERS): instrumentation and solver memory caches, and
-    # the shared on-disk tier (repro.sharedcache) — how much of this
-    # task's work a sibling worker (or an earlier run) had already done.
+    # (CACHE_COUNTERS): hits and misses of the instrumentation and
+    # solver caches.  The daemon's scan threads share those caches, so
+    # when campaigns overlap a delta also counts its neighbours' work.
     cache: dict[str, int] = field(default_factory=dict)
     # The worker process that ran the task; lets the harness attribute
     # cache efficiency per worker (a cold worker shows up immediately).
@@ -121,9 +121,7 @@ def _cache_counters() -> dict[str, int]:
         if cache is not None:
             counters.update({
                 f"{name}_cache_hits": cache.hits,
-                f"{name}_cache_misses": cache.misses,
-                f"{name}_disk_hits": cache.disk.hits,
-                f"{name}_disk_misses": cache.disk.misses})
+                f"{name}_cache_misses": cache.misses})
     return counters
 
 

@@ -34,9 +34,7 @@ _VERSION = 1
 # A campaign's cache-counter deltas (``CampaignResult.cache``), in the
 # order a verdict doc lists them.
 CACHE_COUNTERS = ("instr_cache_hits", "instr_cache_misses",
-                  "solver_cache_hits", "solver_cache_misses",
-                  "instr_disk_hits", "instr_disk_misses",
-                  "solver_disk_hits", "solver_disk_misses")
+                  "solver_cache_hits", "solver_cache_misses")
 
 
 class CampaignJournal:

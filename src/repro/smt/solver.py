@@ -20,19 +20,19 @@ three layers, cheapest first:
 
 from __future__ import annotations
 
-import hashlib
+import threading
 from collections import OrderedDict
+from types import SimpleNamespace
 
 from ..resilience import faultinject
 from ..resilience.errors import CampaignError, SolverError
-from ..sharedcache import SharedDiskCache
 from .bitblast import BitBlaster
 from .interval import Interval, propagate_comparison
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 from .terms import (FALSE, TRUE, Term, evaluate, free_variables, mask)
 
 __all__ = ["Solver", "BlastedPrefix", "Model", "SolverStats", "SolverCache",
-           "solver_cache", "configure_solver_cache", "constraint_digest",
+           "solver_cache", "configure_solver_cache",
            "SAT", "UNSAT", "UNKNOWN"]
 
 
@@ -80,55 +80,6 @@ class SolverStats:
         }
 
 
-# Per-term structural digests.  Terms are interned and the intern
-# table is never pruned, so ids are stable for the process lifetime
-# and the memo can be keyed on them; the digest itself is computed
-# from structure only (op, payload, sort, child digests), so it is
-# identical across processes — that is what makes it usable as the
-# shared on-disk cache key.
-_DIGEST_MEMO: dict[int, str] = {}
-
-
-def _term_digest(root: Term) -> str:
-    memo = _DIGEST_MEMO
-    found = memo.get(id(root))
-    if found is not None:
-        return found
-    # Iterative post-order: symbolic expressions from long traces can
-    # nest past the recursion limit.
-    stack = [root]
-    while stack:
-        term = stack[-1]
-        if id(term) in memo:
-            stack.pop()
-            continue
-        pending = [c for c in term.args if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        width = getattr(term.sort, "width", None)
-        sort_tag = "b" if width is None else f"v{width}"
-        body = "\x1f".join((term.op, repr(term.payload), sort_tag,
-                            *(memo[id(c)] for c in term.args)))
-        memo[id(term)] = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return memo[id(root)]
-
-
-def constraint_digest(constraints: "list[Term]",
-                      max_conflicts: int) -> str:
-    """A process-independent content key for a solver query.
-
-    The in-memory cache keys on interned term identity, which only
-    means something inside one process; the shared disk tier needs a
-    key two workers derive identically, so this walks the constraint
-    DAG and hashes structure.  Order-preserving, like the in-memory
-    key: a hit returns exactly what a fresh solve would have."""
-    parts = [str(max_conflicts)]
-    parts.extend(_term_digest(c) for c in constraints)
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
-
 class SolverCache:
     """A bounded memo of solved conjunctions.
 
@@ -141,54 +92,47 @@ class SolverCache:
     The key preserves constraint order, so a hit returns byte-for-byte
     the model a fresh solve would have produced: caching can never
     change a campaign's behaviour, only its speed.
+
+    The scan daemon's worker threads share the process-wide instance,
+    so a lock guards the entry table and counters; it is never held
+    while a query is solved.
     """
+
+    # benchmarks/perf/tracer.py still reads ``solver_cache().disk.hits``
+    # on every traced check.  Delete this together with that read and
+    # its ``smt.check.disk`` layer (ROADMAP, "Smaller consolidation").
+    disk = SimpleNamespace(hits=0)
 
     def __init__(self, max_entries: int = 4096):
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, tuple[str, dict | None]]" \
             = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Shared on-disk tier (repro.sharedcache), consulted only when
-        # a query is headed for the expensive bit-blasting layer — the
-        # fast paths are cheaper than a disk read.
-        self.disk = SharedDiskCache("solver", serializer="json")
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def lookup(self, key: tuple) -> "tuple[str, dict | None] | None":
-        found = self._entries.get(key)
-        if found is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return found
+        with self._lock:
+            found = self._entries.get(key)
+            if found is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return found
 
     def store(self, key: tuple, status: str,
               model_values: dict | None) -> None:
-        self._entries[key] = (status, model_values)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats_dict(self) -> dict[str, "int | float"]:
-        stats = {"hits": self.hits, "misses": self.misses,
-                 "evictions": self.evictions, "entries": len(self._entries),
-                 "hit_rate": self.hit_rate}
-        stats.update(self.disk.stats_dict())
-        return stats
+        with self._lock:
+            self._entries[key] = (status, model_values)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
 
 # One cache per process; worker processes each grow their own.
@@ -200,12 +144,11 @@ def solver_cache() -> SolverCache | None:
     return _SOLVER_CACHE
 
 
-def configure_solver_cache(enabled: bool = True,
-                           max_entries: int = 4096) -> SolverCache | None:
+def configure_solver_cache(enabled: bool = True) -> SolverCache | None:
     """Replace the process-wide cache (or disable it); returns the new
     cache.  Used by the determinism tests and the ablation benches."""
     global _SOLVER_CACHE
-    _SOLVER_CACHE = SolverCache(max_entries) if enabled else None
+    _SOLVER_CACHE = SolverCache() if enabled else None
     return _SOLVER_CACHE
 
 
@@ -338,23 +281,12 @@ class Solver:
                 if status == SAT:
                     self._model = Model(values)
                 return status
-        digest: str | None = None
-        from_disk = False
         try:
             result = self._try_fast_path(constraints)
             if result is not None:
                 self.stats.fast_path_hits += 1
             else:
-                # The query is headed for bit-blasting; that is the
-                # point where a sibling worker's result (shared disk
-                # tier) is worth a file read.
-                if cache is not None and cache.disk.enabled:
-                    digest = constraint_digest(constraints,
-                                               self.max_conflicts)
-                    result = self._lookup_disk(cache.disk, digest)
-                    from_disk = result is not None
-                if result is None:
-                    result = self._check_sat(constraints)
+                result = self._check_sat(constraints)
         except CampaignError:
             raise
         except Exception as exc:
@@ -362,27 +294,7 @@ class Solver:
         if cache is not None and result in (SAT, UNSAT):
             values = self._model.as_dict() if result == SAT else None
             cache.store(key, result, values)
-            if digest is not None and not from_disk:
-                cache.disk.put(digest, {"status": result, "model": values})
         return result
-
-    def _lookup_disk(self, disk, digest: str) -> str | None:
-        """A decided verdict from the shared disk tier, or None.
-
-        Anything malformed degrades to a miss — the solve just runs."""
-        entry = disk.get(digest)
-        if not isinstance(entry, dict):
-            return None
-        status = entry.get("status")
-        if status == UNSAT:
-            return UNSAT
-        if status == SAT:
-            values = entry.get("model")
-            if not isinstance(values, dict):
-                return None
-            self._model = Model({str(k): int(v) for k, v in values.items()})
-            return SAT
-        return None
 
     def model(self) -> Model:
         if self._model is None:

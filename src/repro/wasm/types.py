@@ -24,7 +24,8 @@ class ValType:
     def __reduce__(self):
         # Equality is identity (these are singletons); unpickling must
         # resolve to the canonical instance, not construct a copy —
-        # modules round-trip through the shared on-disk caches.
+        # the executor pickles task payloads (modules included) under
+        # any multiprocessing start method other than fork.
         return (ValType.from_name, (self.name,))
 
     @property

@@ -33,7 +33,6 @@ from repro.harness import evaluate_corpus
 from repro.parallel import CampaignTask, run_campaign_task
 from repro.resilience import (CampaignJournal, campaign_result_to_doc,
                               campaign_task_key)
-from repro.sharedcache import configure_shared_cache, shared_cache_dir
 from repro.smt import configure_solver_cache
 
 GOLDEN = Path(__file__).with_name("batch_verdicts.json")
@@ -56,9 +55,7 @@ FAULT_RUNS = {
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Cache counters are part of a campaign doc: start every run cold
-    in memory and with no shared disk tier, and restore afterwards."""
-    disk = shared_cache_dir()
-    configure_shared_cache(None)
+    and restore afterwards."""
     configure_instrumentation_cache(enabled=True)
     configure_solver_cache(enabled=True)
     clear_fault_plan()
@@ -66,7 +63,6 @@ def fresh_caches():
     clear_fault_plan()
     configure_instrumentation_cache(enabled=True)
     configure_solver_cache(enabled=True)
-    configure_shared_cache(disk)
 
 
 def _check(section: str, actual) -> None:

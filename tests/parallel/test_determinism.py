@@ -9,7 +9,7 @@ import pytest
 
 from repro import build_table4_corpus, evaluate_corpus, ThroughputStats
 from repro.engine import (configure_instrumentation_cache, deploy_target,
-                          instrumentation_cache, module_fingerprint,
+                          instrumentation_cache, module_content_hash,
                           setup_chain)
 from repro.smt import configure_solver_cache, solver_cache
 
@@ -59,7 +59,7 @@ def test_instrumentation_cache_eliminates_repeat_instrumentation(samples):
     distinct module is instrumented exactly once even though every
     sample is deployed once per dynamic tool."""
     subset = samples[:5]
-    distinct = len({module_fingerprint(s.module) for s in subset})
+    distinct = len({module_content_hash(s.module) for s in subset})
     cache = configure_instrumentation_cache(enabled=True)
     evaluate_corpus(subset, tools=("wasai", "eosfuzzer"),
                     timeout_ms=TIMEOUT_MS, rng_seed=7)
@@ -80,8 +80,8 @@ def test_instrumentation_cache_shares_entries_across_deploys(samples):
 
 def test_module_fingerprint_is_stable_and_distinct(samples):
     a, b = samples[0].module, samples[1].module
-    assert module_fingerprint(a) == module_fingerprint(a)
-    assert module_fingerprint(a) != module_fingerprint(b)
+    assert module_content_hash(a) == module_content_hash(a)
+    assert module_content_hash(a) != module_content_hash(b)
 
 
 def test_solver_cache_hits_during_fuzzing(samples):

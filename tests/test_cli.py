@@ -159,6 +159,37 @@ def test_unknown_oracle_family_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_no_shared_cache_directory(tmp_path, capsys):
+    """Caches live in memory only: ``--cache-dir`` is no option, and a
+    scan run with ``REPRO_CACHE_DIR`` set writes nothing there."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    out = tmp_path / "victim"
+    main(["gen", "--out", str(out)])
+    capsys.readouterr()
+    scan = ["scan", str(out.with_suffix(".wasm")),
+            "--abi", str(out.with_suffix(".abi.json")),
+            "--timeout-ms", "2000"]
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    for argv in (scan, ["bench", "table4", "--scale", "0.004",
+                        "--timeout-ms", "2000"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--cache-dir", str(cache_dir)])
+        assert excinfo.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir),
+               PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "repro.cli", *scan], env=env,
+                   capture_output=True, timeout=120)
+    assert list(cache_dir.iterdir()) == []
+
+
 def test_scan_with_semantic_oracles(tmp_path, capsys):
     out = tmp_path / "safe"
     main(["gen", "--out", str(out), "--reward", "none",
