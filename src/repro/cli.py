@@ -393,7 +393,9 @@ def _cmd_scan(args) -> int:
         if exploits:
             print("\nSynthesised exploit payloads:")
         for exploit in exploits:
-            verified = verify_exploit(exploit, module, abi)
+            verified = verify_exploit(
+                exploit, module, abi,
+                instrumentation=run.target.instrumentation)
             status = "verified on a fresh chain" if verified \
                 else "NOT reproducible"
             print(f"  # {status}")

@@ -4,14 +4,14 @@ Mirrors the paper's *Initiation* stage (Algorithm 1, L2): instrument
 the target binary (bin -> bin'), deploy it together with the auxiliary
 contracts (``eosio.token`` and the adversary-oracle agents), and keep
 the artefacts Symback needs (original module, site table, ABI, the
-``apply`` function index).
+``apply`` function index).  A campaign that deploys the same module
+more than once (a retry, a second tool, an exploit replay) passes its
+:class:`Instrumentation` along and rewrites the module once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..eosio.abi import Abi
@@ -24,9 +24,9 @@ from ..resilience.errors import (CampaignError, DeployError,
                                  InstrumentError)
 from ..wasm.module import Module
 
-__all__ = ["FuzzTarget", "deploy_target", "setup_chain",
-           "InstrumentationCache", "instrumentation_cache",
-           "configure_instrumentation_cache", "module_content_hash"]
+__all__ = ["FuzzTarget", "Instrumentation", "deploy_target",
+           "setup_chain", "configure_instrumentation_cache",
+           "module_content_hash"]
 
 
 def module_content_hash(module: Module) -> str:
@@ -35,11 +35,11 @@ def module_content_hash(module: Module) -> str:
     The binary encoding is canonical for our purposes (the corpus
     builders hand out structurally distinct modules), so hashing the
     encoded bytes yields one identity shared by every consumer: the
-    instrumentation cache, the checkpoint journal's resume keys and
-    the scan service's artifact store all key on this digest, so they
-    can never disagree about whether two modules are "the same".  The
-    digest is memoised on the module instance; modules are treated as
-    immutable once they reach the deployment layer.
+    checkpoint journal's resume keys and the scan service's artifact
+    store both key on this digest, so they can never disagree about
+    whether two modules are "the same".  The digest is memoised on the
+    module instance; modules are treated as immutable once they reach
+    the deployment layer.
     """
     cached = getattr(module, "_repro_fingerprint", None)
     if cached is not None:
@@ -50,67 +50,48 @@ def module_content_hash(module: Module) -> str:
     return digest
 
 
-class InstrumentationCache:
-    """Memoises ``instrument_module`` per distinct contract binary.
+class Instrumentation:
+    """The bin -> bin' rewrite of one module, made on first use and
+    kept by its holder: a campaign task, one ``run_wasai`` campaign or
+    an exploit replay.  The process keeps none, so an instrumented
+    module is freed with the last campaign that deployed it.
 
-    The evaluation pipeline redeploys the same module many times — once
-    per tool in ``evaluate_corpus``, repeatedly across RQ4 rounds and
-    the obfuscation bench — and instrumentation is a full-module
-    rewrite, so amortising it is a large win.  Entries (instrumented
-    module + site table) are shared read-only: execution state lives in
-    per-transaction ``Instance`` objects, never in the module itself.
-
-    The scan daemon's worker threads share the process-wide instance,
-    so a lock guards the entry table and counters; it is never held
-    while a module is rewritten.
+    :meth:`pair` returns the ``(instrumented module, site table)``
+    pair: the first call rewrites :attr:`module` through
+    ``instrument_module`` (looked up in this module at call time), and
+    later calls return the same pair.  A failed rewrite is not kept,
+    so the next call tries again.  ``runs`` counts the rewrites tried
+    and ``reuses`` the calls served by the kept pair.  The pair is
+    shared read-only: execution state lives in per-transaction
+    ``Instance`` objects, never in the module itself.
     """
 
-    def __init__(self, max_entries: int = 128):
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, tuple[Module, SiteTable]]" \
-            = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    def __init__(self, module: Module):
+        self.module = module
+        self.runs = 0
+        self.reuses = 0
+        self._pair: "tuple[Module, SiteTable] | None" = None
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def instrument(self, module: Module) -> tuple[Module, SiteTable]:
-        key = module_content_hash(module)
-        with self._lock:
-            found = self._entries.get(key)
-            if found is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return found
-            self.misses += 1
-        entry = instrument_module(module)
-        with self._lock:
-            self._entries[key] = entry
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return entry
+    def pair(self) -> tuple[Module, SiteTable]:
+        if self._pair is not None:
+            self.reuses += 1
+            return self._pair
+        self.runs += 1
+        try:
+            self._pair = instrument_module(self.module)
+        except CampaignError:
+            raise
+        except Exception as exc:
+            raise InstrumentError.wrap(exc)
+        return self._pair
 
 
-# One cache per process; parallel workers each grow their own.
-_INSTRUMENT_CACHE: InstrumentationCache | None = InstrumentationCache()
-
-
-def instrumentation_cache() -> InstrumentationCache | None:
-    """The process-wide instrumentation cache (None when disabled)."""
-    return _INSTRUMENT_CACHE
-
-
-def configure_instrumentation_cache(
-        enabled: bool = True) -> InstrumentationCache | None:
-    """Replace the process-wide cache (or disable it); returns the new
-    cache.  Used by the determinism tests and the ablation benches."""
-    global _INSTRUMENT_CACHE
-    _INSTRUMENT_CACHE = InstrumentationCache() if enabled else None
-    return _INSTRUMENT_CACHE
+def configure_instrumentation_cache(enabled: bool = True) -> None:
+    """Does nothing: instrumentation is per campaign, and there is no
+    process-wide cache left to configure."""
+    # benchmarks/perf/workloads.py (``_reset_caches``) still calls this.
+    # Delete it together with that call (ROADMAP, "Smaller
+    # consolidation").
 
 
 @dataclass
@@ -123,6 +104,9 @@ class FuzzTarget:
     site_table: SiteTable
     apply_index: int        # function index of void apply() (original)
     import_names: dict[int, str]
+    # The rewrite that was deployed; pass it to a later deploy of the
+    # same module to skip instrumenting it again.
+    instrumentation: Instrumentation
 
     @property
     def account_str(self) -> str:
@@ -131,8 +115,15 @@ class FuzzTarget:
 
 
 def deploy_target(chain: Chain, account: "str | int", module: Module,
-                  abi: Abi) -> FuzzTarget:
+                  abi: Abi,
+                  instrumentation: Instrumentation | None = None
+                  ) -> FuzzTarget:
     """Instrument ``module`` and deploy it at ``account``.
+
+    ``instrumentation`` is the :class:`Instrumentation` of ``module``
+    that an earlier deploy used (``FuzzTarget.instrumentation``); its
+    pair is deployed as is instead of rewriting ``module`` again.
+    Without it, the module is instrumented afresh.
 
     Failures surface as typed campaign errors:
     :class:`~repro.resilience.InstrumentError` for the bin -> bin'
@@ -140,16 +131,9 @@ def deploy_target(chain: Chain, account: "str | int", module: Module,
     side — so the containment policies can tell the stages apart.
     """
     faultinject.inject("instrument")
-    try:
-        cache = _INSTRUMENT_CACHE
-        if cache is not None:
-            instrumented, site_table = cache.instrument(module)
-        else:
-            instrumented, site_table = instrument_module(module)
-    except CampaignError:
-        raise
-    except Exception as exc:
-        raise InstrumentError.wrap(exc)
+    if instrumentation is None:
+        instrumentation = Instrumentation(module)
+    instrumented, site_table = instrumentation.pair()
     faultinject.inject("deploy")
     try:
         contract = WasmContract(instrumented, abi, site_table)
@@ -166,7 +150,7 @@ def deploy_target(chain: Chain, account: "str | int", module: Module,
     except Exception as exc:
         raise DeployError.wrap(exc)
     return FuzzTarget(account_name, module, abi, site_table, apply_index,
-                      import_names)
+                      import_names, instrumentation)
 
 
 def setup_chain(player_funds: str = "10000000.0000 EOS",

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from .baselines.eosafe import EosafeAnalyzer
 from .baselines.eosfuzzer import EosfuzzerCampaign, eosfuzzer_scan
 from .benchgen.corpus import BenchmarkSample
-from .engine import (FuzzReport, FuzzTarget, WasaiFuzzer, deploy_target,
-                     setup_chain)
+from .engine import (FuzzReport, FuzzTarget, Instrumentation, WasaiFuzzer,
+                     deploy_target, setup_chain)
 from .eosio.abi import Abi
 from .metrics import MetricsTable, ThroughputStats
 from .parallel import CampaignTask, run_campaign_task
@@ -76,22 +76,25 @@ def _stage(error_cls: type[CampaignError], fn, *args, **kwargs):
 
 
 def _campaign(module: Module, abi: Abi, account: str, limits,
-              timings: "dict[str, float] | None", fuzz, scan) -> WasaiRun:
+              timings: "dict[str, float] | None", fuzz, scan,
+              instrumentation: Instrumentation | None) -> WasaiRun:
     """Deploy -> fuzz -> scan, the stages every fuzzing tool runs.
 
     ``fuzz(chain, target)`` returns the campaign's report and
-    ``scan(report, target)`` its scan.  Each stage's wall-clock is
-    charged to ``timings`` ("setup", "fuzz", "scan") and its failures
-    are typed (:class:`DeployError`, :class:`FuzzError`,
-    :class:`ScanError`).  However the campaign ends, its chain's
-    contracts are unbound, so the chain is freed by reference counting
-    once the caller drops it.
+    ``scan(report, target)`` its scan.  The deploy reuses
+    ``instrumentation``, the module's rewrite from an earlier deploy,
+    when given (see :func:`~repro.engine.deploy_target`).  Each
+    stage's wall-clock is charged to ``timings`` ("setup", "fuzz",
+    "scan") and its failures are typed (:class:`DeployError`,
+    :class:`FuzzError`, :class:`ScanError`).  However the campaign
+    ends, its chain's contracts are unbound, so the chain is freed by
+    reference counting once the caller drops it.
     """
     started = time.perf_counter()
     chain = _stage(DeployError, setup_chain, limits=limits)
     try:
         target = _stage(DeployError, deploy_target, chain, account, module,
-                        abi)
+                        abi, instrumentation)
         started = _charge_stage(timings, "setup", started)
         faultinject.inject("fuzz")
         report = _stage(FuzzError, fuzz, chain, target)
@@ -114,7 +117,8 @@ def run_wasai(module: Module, abi: Abi, account: str = "victim",
               trace_dir: "str | None" = None,
               timings: "dict[str, float] | None" = None,
               oracles=None,
-              deadline_epoch_s: float | None = None) -> WasaiRun:
+              deadline_epoch_s: float | None = None,
+              instrumentation: Instrumentation | None = None) -> WasaiRun:
     """Fuzz one contract with WASAI and scan the observations.
 
     ``timings``, when given, accumulates real per-stage wall-clock
@@ -137,6 +141,9 @@ def run_wasai(module: Module, abi: Abi, account: str = "victim",
     raises :class:`~repro.resilience.DeadlineExceeded` the moment it
     passes, cutting the campaign short instead of finishing its
     virtual budget for a caller that already gave up.
+    ``instrumentation`` is the module's rewrite from an earlier
+    campaign (``run.target.instrumentation``); without it the module
+    is instrumented afresh, once for this campaign.
     """
     def fuzz(chain, target):
         return WasaiFuzzer(chain, target, rng=random.Random(rng_seed),
@@ -150,20 +157,24 @@ def run_wasai(module: Module, abi: Abi, account: str = "victim",
 
     def scan(report, target):
         return scan_report(report, target, oracles=oracles)
-    return _campaign(module, abi, account, limits, timings, fuzz, scan)
+    return _campaign(module, abi, account, limits, timings, fuzz, scan,
+                     instrumentation)
 
 
 def run_eosfuzzer(module: Module, abi: Abi, account: str = "victim",
                   timeout_ms: float = DEFAULT_TIMEOUT_MS,
                   rng_seed: int = 1,
-                  timings: "dict[str, float] | None" = None) -> WasaiRun:
-    """Run the EOSFuzzer baseline on one contract."""
+                  timings: "dict[str, float] | None" = None,
+                  instrumentation: Instrumentation | None = None
+                  ) -> WasaiRun:
+    """Run the EOSFuzzer baseline on one contract (``instrumentation``
+    as for :func:`run_wasai`)."""
     def fuzz(chain, target):
         return EosfuzzerCampaign(chain, target,
                                  rng=random.Random(rng_seed),
                                  timeout_ms=timeout_ms).run()
     return _campaign(module, abi, account, None, timings, fuzz,
-                     eosfuzzer_scan)
+                     eosfuzzer_scan, instrumentation)
 
 
 def run_eosafe(module: Module, account: int = 0) -> ScanResult:

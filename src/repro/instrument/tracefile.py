@@ -8,20 +8,16 @@ per-token files on finalize, which Symback reads back with
 :func:`read_trace_ir`.
 
 The on-disk format is the compact, CRC-guarded columnar trace IR of
-:mod:`repro.traceir` (``.tir``).  The paper's JSONL layout (one
-``[hook_name, args]`` line per event) remains as a human-readable
-debug rendering (:func:`write_trace_file` / :func:`read_trace_file`).
-Both are written atomically — the bytes land in a temp file in the
-same directory and are published with ``os.replace`` — so a crash
-mid-flush can never leave a half-written trace that a later read
-parses as a short-but-valid stream.  Both loaders lift every defect to
-a typed :class:`~repro.resilience.errors.TraceCorruption` carrying the
-path (and, for JSONL, the 1-based line number).
+:mod:`repro.traceir` (``.tir``).  Files are written atomically — the
+bytes land in a temp file in the same directory and are published
+with ``os.replace`` — so a crash mid-flush can never leave a
+half-written trace that a later read parses as a short-but-valid
+stream.  The loader lifts every defect to a typed
+:class:`~repro.resilience.errors.TraceCorruption` carrying the path.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
@@ -29,8 +25,8 @@ from pathlib import Path
 from ..resilience.errors import TraceCorruption
 from .hooks import HookEvent
 
-__all__ = ["TraceStore", "decode_raw_trace", "write_trace_file",
-           "read_trace_file", "write_trace_ir", "read_trace_ir"]
+__all__ = ["TraceStore", "decode_raw_trace", "write_trace_ir",
+           "read_trace_ir"]
 
 
 def decode_raw_trace(raw: list[tuple]) -> list[HookEvent]:
@@ -54,39 +50,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
-
-
-def write_trace_file(path: "str | Path", raw: list[tuple]) -> None:
-    """Render one execution's trace as JSONL (one line per event), the
-    human-readable debug form of a ``.tir`` file.
-
-    Atomic: a reader either sees the previous complete file or the new
-    complete file, never a prefix.
-    """
-    path = Path(path)
-    lines = [json.dumps([name, list(args)]) for name, args in raw]
-    data = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-    _atomic_write(path, data)
-
-
-def read_trace_file(path: "str | Path") -> list[HookEvent]:
-    events = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                name, args = json.loads(line)
-                events.append(HookEvent.decode(name, tuple(args)))
-            except (ValueError, TypeError, KeyError, IndexError) as exc:
-                # json.JSONDecodeError is a ValueError; the rest cover
-                # well-formed JSON that is not a [hook_name, args]
-                # pair or names an unknown hook.
-                raise TraceCorruption(
-                    f"malformed trace line: {exc}",
-                    path=str(path), line=lineno) from exc
-    return events
 
 
 def write_trace_ir(path: "str | Path", raw: list[tuple]) -> None:

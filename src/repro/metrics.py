@@ -89,10 +89,10 @@ class ThroughputStats:
     worker crashed or timed out.  ``stage_seconds`` sums the per-stage
     wall-clock reported by the campaign workers ("setup" = chain +
     instrumented deploy, "fuzz", "scan").  ``cache`` sums the per-task
-    cache-counter deltas under their verdict-doc keys
-    (``instr_cache_hits`` ... ``solver_cache_misses``), so it stays
-    correct when workers run in separate processes with private
-    caches.  The scan service keeps its event counts itself (``GET
+    cache counters under their verdict-doc keys (``instr_cache_hits``
+    ... ``solver_cache_misses``; see ``CampaignResult.cache``), so it
+    stays correct when workers run in separate processes with private
+    solver caches.  The scan service keeps its event counts itself (``GET
     /stats``) and reads only the latency percentiles of its ledger.
     """
 

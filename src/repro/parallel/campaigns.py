@@ -7,10 +7,13 @@ seed.  Serial and parallel evaluation build the *same* task list with
 the same per-sample seeds, so scheduling order can never leak into the
 results; the harness folds worker outputs back in task order.
 
-Workers also report per-stage wall-clock and the per-task cache-counter
-deltas (instrumentation + solver).  Deltas, not absolute counters: each
-worker process owns private caches, so only differences can be summed
-meaningfully in the parent.
+A task instruments its contract at most once, on its first deploy,
+and every later deploy of the task (a retry, the second dynamic tool)
+reuses that :class:`~repro.engine.Instrumentation`; nothing outlives
+the task.  Workers report per-stage wall-clock, the task's own
+instrumentation counts, and its solver-cache counter deltas.  Deltas,
+not absolute counters: each worker process owns a private solver
+cache, so only differences can be summed meaningfully in the parent.
 
 Containment happens here, inside the worker: every tool run executes
 under the task's :class:`~repro.resilience.ResiliencePolicy` — typed
@@ -30,11 +33,11 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
+from ..engine.deploy import Instrumentation
 from ..eosio.abi import Abi
 from ..resilience import faultinject
 from ..resilience.errors import (CampaignError, DeadlineExceeded,
                                  ScanError)
-from ..resilience.journal import CACHE_COUNTERS
 from ..resilience.policy import ResiliencePolicy, run_with_retry
 from ..scanner import ScanResult
 from ..wasm.module import Module
@@ -90,10 +93,12 @@ class CampaignResult:
 
     scans: dict[str, ScanResult]
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    # This task's cache-counter deltas under the verdict-doc keys
-    # (CACHE_COUNTERS): hits and misses of the instrumentation and
-    # solver caches.  The daemon's scan threads share those caches, so
-    # when campaigns overlap a delta also counts its neighbours' work.
+    # Cache counters under the verdict-doc keys (CACHE_COUNTERS).
+    # instr_cache_misses counts the instrumentations this task ran and
+    # instr_cache_hits its deploys that reused one.  The solver pair is
+    # a delta of the process-wide solver cache: the daemon's scan
+    # threads share it, so when campaigns overlap a delta also counts
+    # its neighbours' work.
     cache: dict[str, int] = field(default_factory=dict)
     # The worker process that ran the task; lets the harness attribute
     # cache efficiency per worker (a cold worker shows up immediately).
@@ -112,17 +117,11 @@ class CampaignResult:
     provenance: "dict | None" = None
 
 
-def _cache_counters() -> dict[str, int]:
-    from ..engine.deploy import instrumentation_cache
+def _solver_counters() -> tuple[int, int]:
+    """(hits, misses) of the process-wide solver cache so far."""
     from ..smt.solver import solver_cache
-    counters = dict.fromkeys(CACHE_COUNTERS, 0)
-    for name, cache in (("instr", instrumentation_cache()),
-                        ("solver", solver_cache())):
-        if cache is not None:
-            counters.update({
-                f"{name}_cache_hits": cache.hits,
-                f"{name}_cache_misses": cache.misses})
-    return counters
+    cache = solver_cache()
+    return (0, 0) if cache is None else (cache.hits, cache.misses)
 
 
 def _coverage_summary(report) -> dict:
@@ -163,9 +162,11 @@ def _degraded_doc(report, sample_key: str) -> dict:
 
 
 def _run_tool(tool: str, task: CampaignTask,
-              stage_seconds: dict[str, float], harness):
+              stage_seconds: dict[str, float], harness,
+              instrumentation: Instrumentation):
     """Run one tool once: a ``WasaiRun`` for the two fuzzers, a bare
-    ``ScanResult`` for the static EOSAFE baseline."""
+    ``ScanResult`` for the static EOSAFE baseline.  The fuzzers deploy
+    the task's ``instrumentation``."""
     if tool == "wasai":
         return harness.run_wasai(
             task.module, task.abi,
@@ -176,12 +177,14 @@ def _run_tool(tool: str, task: CampaignTask,
             feedback=not task.blackbox,
             divergence_check=task.divergence_check,
             oracles=task.oracles,
-            deadline_epoch_s=task.deadline_epoch_s)
+            deadline_epoch_s=task.deadline_epoch_s,
+            instrumentation=instrumentation)
     if tool == "eosfuzzer":
         return harness.run_eosfuzzer(task.module, task.abi,
                                      timeout_ms=task.timeout_ms,
                                      rng_seed=task.rng_seed,
-                                     timings=stage_seconds)
+                                     timings=stage_seconds,
+                                     instrumentation=instrumentation)
     if tool != "eosafe":
         raise ValueError(f"unknown tool {tool!r}")
     started = time.perf_counter()
@@ -209,7 +212,8 @@ def run_campaign_task(task: CampaignTask) -> CampaignResult:
     policy = task.policy or ResiliencePolicy()
     faultinject.set_fault_scope(task.sample_key)
     try:
-        before = _cache_counters()
+        solver_hits, solver_misses = _solver_counters()
+        instrumentation = Instrumentation(task.module)
         stage_seconds: dict[str, float] = {}
         scans: dict[str, ScanResult] = {}
         errors: dict[str, dict] = {}
@@ -230,7 +234,8 @@ def run_campaign_task(task: CampaignTask) -> CampaignResult:
                     deadline_epoch_s=task.deadline_epoch_s).to_doc()
                 continue
             outcome, error, attempts = run_with_retry(
-                partial(_run_tool, tool, task, stage_seconds, harness),
+                partial(_run_tool, tool, task, stage_seconds, harness,
+                        instrumentation),
                 policy)
             retries += attempts - 1
             if error is not None:
@@ -256,11 +261,14 @@ def run_campaign_task(task: CampaignTask) -> CampaignResult:
                 from ..traceir import build_trace_pack, encode_pack
                 traces[tool] = encode_pack(build_trace_pack(
                     outcome.report, outcome.target))
-        after = _cache_counters()
+        hits, misses = _solver_counters()
         return CampaignResult(
             scans=scans,
             stage_seconds=stage_seconds,
-            cache={key: after[key] - before[key] for key in after},
+            cache={"instr_cache_hits": instrumentation.reuses,
+                   "instr_cache_misses": instrumentation.runs,
+                   "solver_cache_hits": hits - solver_hits,
+                   "solver_cache_misses": misses - solver_misses},
             worker_id=os.getpid(),
             errors=errors,
             degraded=tuple(degraded),

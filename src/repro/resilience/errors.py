@@ -219,15 +219,16 @@ class TraceCorruption(CampaignError):
     """A stored trace failed to decode losslessly back into events.
 
     Raised by the trace IR codec (:mod:`repro.traceir`) and the
-    offline trace-file loaders for every way a durable trace can rot:
+    offline trace-file loader for every way a durable trace can rot:
     truncation, a flipped bit caught by a section CRC, an unknown
-    ``TRACEIR_VERSION``, a malformed JSONL line, framing that runs
-    past the blob.  Never retryable — the bytes on disk will not
-    improve — and never degradable: a trace that cannot be decoded
-    must be quarantined and its module re-scanned, because *any*
-    events recovered from it could make the oracles lie.  ``path`` /
-    ``line`` locate the defect in an offline trace file; ``section``
-    / ``offset`` locate it inside an IR blob.
+    ``TRACEIR_VERSION``, framing that runs past the blob.  Never
+    retryable — the bytes on disk will not improve — and never
+    degradable: a trace that cannot be decoded must be quarantined and
+    its module re-scanned, because *any* events recovered from it
+    could make the oracles lie.  ``path`` names the offline trace
+    file; ``section`` / ``offset`` locate the defect inside an IR
+    blob.  ``line`` stays in the error schema for docs written when a
+    line-oriented trace format existed; no loader sets it now.
     """
 
     stage = "trace"

@@ -31,8 +31,8 @@ __all__ = ["CampaignJournal", "campaign_task_key",
 
 _VERSION = 1
 
-# A campaign's cache-counter deltas (``CampaignResult.cache``), in the
-# order a verdict doc lists them.
+# A campaign's cache counters (``CampaignResult.cache``), in the order
+# a verdict doc lists them.
 CACHE_COUNTERS = ("instr_cache_hits", "instr_cache_misses",
                   "solver_cache_hits", "solver_cache_misses")
 

@@ -7,8 +7,8 @@ records and drain checkpoints all live in one SQLite file, keyed by the
 same identities the rest of the pipeline already uses —
 
 * modules by :func:`~repro.engine.module_content_hash` (the canonical
-  ``sha256(encode_module(...))`` digest shared with the
-  instrumentation cache and the checkpoint journal), and
+  ``sha256(encode_module(...))`` digest shared with the checkpoint
+  journal), and
 * verdicts by :func:`~repro.resilience.campaign_task_key` (module hash
   + tool + virtual budget + RNG seed + flags — everything that
   determines a campaign's result).

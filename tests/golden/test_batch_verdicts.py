@@ -28,7 +28,6 @@ from repro import (Fault, build_table4_corpus, clear_fault_plan,
                    install_fault_plan, obfuscated_variant,
                    verification_variant)
 from repro.benchgen import VULN_TYPES
-from repro.engine import configure_instrumentation_cache
 from repro.harness import evaluate_corpus
 from repro.parallel import CampaignTask, run_campaign_task
 from repro.resilience import (CampaignJournal, campaign_result_to_doc,
@@ -56,12 +55,10 @@ FAULT_RUNS = {
 def fresh_caches():
     """Cache counters are part of a campaign doc: start every run cold
     and restore afterwards."""
-    configure_instrumentation_cache(enabled=True)
     configure_solver_cache(enabled=True)
     clear_fault_plan()
     yield
     clear_fault_plan()
-    configure_instrumentation_cache(enabled=True)
     configure_solver_cache(enabled=True)
 
 
@@ -125,7 +122,6 @@ def test_fault_campaign_docs_match_golden():
     sample = build_table4_corpus(scale=SCALE)[0]
     actual = {}
     for name, (fault, blackbox) in FAULT_RUNS.items():
-        configure_instrumentation_cache(enabled=True)
         configure_solver_cache(enabled=True)
         task = CampaignTask(sample.module, sample.contract.abi, TOOLS,
                             TIMEOUT_MS, RNG_SEED,

@@ -5,8 +5,7 @@ import pytest
 from repro.instrument import (BEGIN_FUNCTION, END_FUNCTION, HookEvent,
                               TraceStore, hook_func_type,
                               parse_hook_name, post_hook_name,
-                              read_trace_file, read_trace_ir,
-                              trace_hook_name, write_trace_file,
+                              read_trace_ir, trace_hook_name,
                               write_trace_ir)
 from repro.resilience import TraceCorruption
 from repro.wasm import F32, F64, FuncType, I32, I64
@@ -51,16 +50,6 @@ def test_hook_event_decoding():
     assert post.operands == (99,)
 
 
-def test_trace_file_roundtrip(tmp_path):
-    raw = [("trace_i32", (0, 42)), (BEGIN_FUNCTION, (1,)),
-           (END_FUNCTION, (1,))]
-    path = tmp_path / "t.jsonl"
-    write_trace_file(path, raw)
-    events = read_trace_file(path)
-    assert [e.kind for e in events] == ["instr", "begin", "end"]
-    assert events[0].operands == (42,)
-
-
 def test_trace_store_per_thread_isolation(tmp_path):
     """The C1 requirement: traces from parallel executions must not
     interleave; each thread's buffer flushes to its own file."""
@@ -87,29 +76,11 @@ def test_trace_store_finalize_clears_buffer(tmp_path):
 def test_write_is_atomic_no_temp_residue(tmp_path):
     """After a successful write the directory holds exactly the trace
     file — the temp staging file has been renamed away, never left."""
-    path = tmp_path / "t.jsonl"
-    write_trace_file(path, [("trace_i32", (0, 1))])
-    write_trace_file(path, [("trace_i32", (0, 2))])  # overwrite in place
-    assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
-    assert read_trace_file(path)[0].operands == (2,)
-
-
-def test_malformed_line_raises_typed_with_location(tmp_path):
-    path = tmp_path / "t.jsonl"
-    path.write_text('["trace_i32", [0, 1]]\nnot json at all\n')
-    with pytest.raises(TraceCorruption) as info:
-        read_trace_file(path)
-    assert info.value.path == str(path)
-    assert info.value.line == 2
-    assert info.value.retryable is False
-
-
-def test_wellformed_json_wrong_shape_raises_typed(tmp_path):
-    path = tmp_path / "t.jsonl"
-    path.write_text('["mystery_hook", [1]]\n')
-    with pytest.raises(TraceCorruption) as info:
-        read_trace_file(path)
-    assert info.value.line == 1
+    path = tmp_path / "t.tir"
+    write_trace_ir(path, [("trace_i32", (0, 1))])
+    write_trace_ir(path, [("trace_i32", (0, 2))])  # overwrite in place
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tir"]
+    assert read_trace_ir(path)[0].operands == (2,)
 
 
 def test_trace_ir_file_roundtrip(tmp_path):

@@ -1,16 +1,18 @@
 """Determinism guarantees of the parallel evaluation subsystem.
 
 Serial and parallel runs must produce byte-identical metrics tables,
-and neither cache (instrumentation, solver) may change any scan
-verdict — they are pure memoisation of deterministic computations.
+the solver cache may not change any scan verdict (it is pure
+memoisation of a deterministic computation), and each campaign task
+instruments its contract once.
 """
 
 import pytest
 
-from repro import build_table4_corpus, evaluate_corpus, ThroughputStats
-from repro.engine import (configure_instrumentation_cache, deploy_target,
-                          instrumentation_cache, module_content_hash,
-                          setup_chain)
+import repro.engine.deploy as deploy
+from repro import (Fault, ThroughputStats, build_table4_corpus,
+                   clear_fault_plan, evaluate_corpus, install_fault_plan)
+from repro.engine import module_content_hash
+from repro.parallel import CampaignTask, run_campaign_task
 from repro.smt import configure_solver_cache, solver_cache
 
 SCALE = 0.004
@@ -19,12 +21,10 @@ TIMEOUT_MS = 6_000
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Give every test pristine process-wide caches and restore the
-    defaults afterwards."""
-    configure_instrumentation_cache(enabled=True)
+    """Give every test a pristine process-wide solver cache and restore
+    the default afterwards."""
     configure_solver_cache(enabled=True)
     yield
-    configure_instrumentation_cache(enabled=True)
     configure_solver_cache(enabled=True)
 
 
@@ -48,34 +48,65 @@ def test_serial_and_parallel_tables_identical(samples):
 def test_caches_never_change_verdicts(samples):
     subset = samples[:6]
     cached = evaluate_corpus(subset, timeout_ms=TIMEOUT_MS, rng_seed=7)
-    configure_instrumentation_cache(enabled=False)
     configure_solver_cache(enabled=False)
     uncached = evaluate_corpus(subset, timeout_ms=TIMEOUT_MS, rng_seed=7)
     assert _formatted(cached) == _formatted(uncached)
 
 
-def test_instrumentation_cache_eliminates_repeat_instrumentation(samples):
-    """cache.misses counts actual ``instrument_module`` runs: each
-    distinct module is instrumented exactly once even though every
-    sample is deployed once per dynamic tool."""
-    subset = samples[:5]
-    distinct = len({module_content_hash(s.module) for s in subset})
-    cache = configure_instrumentation_cache(enabled=True)
+def test_instrumentation_cache_eliminates_repeat_instrumentation(
+        samples, monkeypatch):
+    """Each task instruments its module once, on its first deploy; the
+    second dynamic tool and a retried tool reuse that rewrite.  Nothing
+    is shared between tasks, so two samples with the same binary are
+    instrumented once each.  ``instrument_module`` is counted where the
+    benchmark tracer patches it."""
+    calls = []
+    original = deploy.instrument_module
+
+    def counting(module):
+        calls.append(module_content_hash(module))
+        return original(module)
+    monkeypatch.setattr(deploy, "instrument_module", counting)
+    subset = samples[:4] + samples[:1]      # the last shares a binary
+    assert len({module_content_hash(s.module) for s in subset}) == 4
+    perf = ThroughputStats()
     evaluate_corpus(subset, tools=("wasai", "eosfuzzer"),
-                    timeout_ms=TIMEOUT_MS, rng_seed=7)
-    assert cache.misses == distinct
-    # wasai + eosfuzzer each deploy every sample exactly once.
-    assert cache.hits == 2 * len(subset) - distinct
+                    timeout_ms=TIMEOUT_MS, rng_seed=7, perf=perf)
+    assert len(calls) == len(subset)
+    assert perf.cache["instr_cache_misses"] == len(subset)
+    assert perf.cache["instr_cache_hits"] == len(subset)
 
+    calls.clear()
+    install_fault_plan(Fault(stage="scan", kind="transient", times=1))
+    try:
+        perf = ThroughputStats()
+        evaluate_corpus(subset, tools=("wasai", "eosfuzzer"),
+                        timeout_ms=TIMEOUT_MS, rng_seed=7, perf=perf)
+    finally:
+        clear_fault_plan()
+    assert perf.retries == 1
+    assert len(calls) == len(subset)
+    assert perf.cache["instr_cache_misses"] == len(subset)
+    assert perf.cache["instr_cache_hits"] == len(subset) + 1
 
-def test_instrumentation_cache_shares_entries_across_deploys(samples):
-    module = samples[0].module
-    abi = samples[0].contract.abi
-    cache = configure_instrumentation_cache(enabled=True)
-    first = deploy_target(setup_chain(), "victim", module, abi)
-    second = deploy_target(setup_chain(), "victim", module, abi)
-    assert cache.misses == 1 and cache.hits == 1
-    assert first.site_table is second.site_table
+    # A failed instrumentation is not kept: the task's next deploy
+    # (here the second tool) instruments again.
+    failures = [ValueError("rewrite failed")]
+
+    def failing_once(module):
+        if failures:
+            raise failures.pop()
+        return counting(module)
+    calls.clear()
+    monkeypatch.setattr(deploy, "instrument_module", failing_once)
+    result = run_campaign_task(CampaignTask(
+        subset[0].module, subset[0].contract.abi, ("wasai", "eosfuzzer"),
+        TIMEOUT_MS, 7))
+    assert result.errors["wasai"]["type"] == "InstrumentError"
+    assert set(result.scans) == {"eosfuzzer"}
+    assert len(calls) == 1
+    assert (result.cache["instr_cache_misses"],
+            result.cache["instr_cache_hits"]) == (2, 0)
 
 
 def test_module_fingerprint_is_stable_and_distinct(samples):

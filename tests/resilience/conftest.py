@@ -7,7 +7,6 @@ unrelated tests (or into a worker pool spawned later).
 
 import pytest
 
-from repro.engine import configure_instrumentation_cache
 from repro.resilience import clear_fault_plan, set_fault_scope
 from repro.smt import configure_solver_cache
 
@@ -23,8 +22,6 @@ def clean_fault_state():
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    configure_instrumentation_cache(enabled=True)
     configure_solver_cache(enabled=True)
     yield
-    configure_instrumentation_cache(enabled=True)
     configure_solver_cache(enabled=True)

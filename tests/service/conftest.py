@@ -10,7 +10,6 @@ stay fast.
 import pytest
 
 from repro.benchgen import ContractConfig, generate_contract
-from repro.engine import configure_instrumentation_cache
 from repro.resilience import clear_fault_plan, set_fault_scope
 from repro.smt import configure_solver_cache
 from repro.wasm import encode_module
@@ -32,10 +31,8 @@ def clean_fault_state():
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    configure_instrumentation_cache(enabled=True)
     configure_solver_cache(enabled=True)
     yield
-    configure_instrumentation_cache(enabled=True)
     configure_solver_cache(enabled=True)
 
 

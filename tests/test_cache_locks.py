@@ -1,13 +1,11 @@
-"""The process-wide instrumentation and solver caches are shared by the
-scan daemon's worker threads, so each keeps its bookkeeping under a
-lock: a hit read by one thread cannot be evicted by another before the
-hit moves the entry to the young end."""
+"""The process-wide solver cache is shared by the scan daemon's worker
+threads, so it keeps its bookkeeping under a lock: a hit read by one
+thread cannot be evicted by another before the hit moves the entry to
+the young end."""
 
 import threading
 from collections import OrderedDict
-from types import SimpleNamespace
 
-import repro.engine.deploy as deploy
 from repro.smt import SAT, SolverCache
 
 
@@ -65,20 +63,3 @@ def test_solver_cache_hit_survives_a_concurrent_eviction():
     assert outcome == {"value": (SAT, {"x": 1})}
     assert (cache.hits, cache.misses, cache.evictions) == (1, 0, 1)
     assert list(cache._entries) == [("b",)]
-
-
-def test_instrumentation_cache_hit_survives_a_concurrent_eviction(
-        monkeypatch):
-    # Stand-in modules: the cache keys on the memoised content hash,
-    # and the rewrite itself is not what is under test.
-    monkeypatch.setattr(deploy, "instrument_module",
-                        lambda module: (module, None))
-    a = SimpleNamespace(_repro_fingerprint="a")
-    b = SimpleNamespace(_repro_fingerprint="b")
-    cache = deploy.InstrumentationCache(max_entries=1)
-    cache.instrument(a)
-    outcome = _race(cache, "a", lambda: cache.instrument(a),
-                    lambda: cache.instrument(b))
-    assert outcome == {"value": (a, None)}
-    assert (cache.hits, cache.misses, cache.evictions) == (1, 2, 1)
-    assert list(cache._entries) == ["b"]

@@ -3,14 +3,17 @@
 import gc
 import itertools
 import types
+import weakref
 
 import pytest
 
+import repro.engine.deploy as deploy
 import repro.engine.fuzzer as fuzzer
 from repro import ContractConfig, build_rq1_contracts, generate_contract
 from repro.benchgen import build_table4_corpus
 from repro.harness import (evaluate_corpus, run_eosafe, run_eosfuzzer,
                            run_wasai)
+from repro.parallel import CampaignTask, run_campaign_task
 from repro.resilience import DeadlineExceeded
 from repro.scanner import synthesize_exploits, verify_exploit
 
@@ -129,3 +132,54 @@ def test_exploit_replay_leaves_no_cyclic_garbage(table4_exploit):
     assert _cyclic_garbage(lambda: verified.append(verify_exploit(
         exploit, sample.module, sample.contract.abi))) == 0
     assert verified == [True]
+
+
+def _instrumented_modules(monkeypatch) -> list:
+    """Weak references to every module ``instrument_module`` returns
+    from now on, recorded where the benchmark tracer patches it."""
+    refs = []
+    original = deploy.instrument_module
+
+    def recording(module):
+        instrumented, site_table = original(module)
+        refs.append(weakref.ref(instrumented))
+        return instrumented, site_table
+    monkeypatch.setattr(deploy, "instrument_module", recording)
+    return refs
+
+
+def test_instrumented_module_dies_with_its_campaign(maze, monkeypatch):
+    """No process-wide state keeps an instrumented module: reference
+    counting frees it once its campaign task returns, and once a
+    ``run_wasai`` caller drops the run."""
+    refs = _instrumented_modules(monkeypatch)
+    task = CampaignTask(maze.module, maze.abi, ("wasai", "eosfuzzer"),
+                        timeout_ms=6_000, rng_seed=1)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_campaign_task(task)
+        assert set(result.scans) == {"wasai", "eosfuzzer"}
+        assert len(refs) == 1 and refs[0]() is None
+        run = run_wasai(maze.module, maze.abi, timeout_ms=6_000)
+        assert len(refs) == 2 and refs[1]() is not None
+        del run
+        assert refs[1]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_exploit_replay_reuses_the_campaign_instrumentation(
+        contract, monkeypatch):
+    """``wasai scan --exploits`` replays each finding on a fresh chain
+    with the campaign's instrumented module instead of a new rewrite."""
+    run = run_wasai(contract.module, contract.abi, timeout_ms=8_000)
+    exploits = synthesize_exploits(run.report, run.scan)
+    assert exploits
+    refs = _instrumented_modules(monkeypatch)
+    assert all(verify_exploit(exploit, contract.module, contract.abi,
+                              instrumentation=run.target.instrumentation)
+               for exploit in exploits)
+    assert refs == []

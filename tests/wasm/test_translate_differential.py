@@ -172,9 +172,9 @@ def test_translation_cache_memoises(monkeypatch):
     """Translations live on the instance that runs them: repeated
     applies through one ``InstanceTemplate`` translate each executed
     function once, a deployment on a fresh chain translates afresh
-    (even of the same cached instrumented module), and no translated
-    step carries closure cells."""
-    import repro.engine.deploy as deploy
+    (even of the same instrumented module, redeployed from its
+    ``Instrumentation``), and no translated step carries closure
+    cells."""
     import repro.wasm.translate as translate
     calls = []
     original = translate.translated_function
@@ -183,21 +183,20 @@ def test_translation_cache_memoises(monkeypatch):
         calls.append(id(func))
         return original(module, func)
     monkeypatch.setattr(translate, "translated_function", counting)
-    monkeypatch.setattr(deploy, "_INSTRUMENT_CACHE",
-                        deploy.InstrumentationCache())
     sample = build_table4_corpus(scale=0.01)[0]
 
-    def deploy_and_apply(times):
+    def deploy_and_apply(times, instrumentation=None):
         chain = setup_chain(limits=ExecutionLimits(translate=True))
         target = deploy_target(chain, "victim", sample.module,
-                               sample.contract.abi)
+                               sample.contract.abi, instrumentation)
         for _ in range(times):
             chain.push_action(target.account, N("transfer"),
                               [target.account], b"\x00" * 32)
         contract = chain.get_contract(target.account)
-        return contract.module, contract._template.instance._translations
+        return (target.instrumentation, contract.module,
+                contract._template.instance._translations)
 
-    module, translations = deploy_and_apply(3)
+    instrumentation, module, translations = deploy_and_apply(3)
     assert translations
     assert sorted(calls) == sorted(translations)
     local = {id(func) for func in module.functions}
@@ -209,7 +208,7 @@ def test_translation_cache_memoises(monkeypatch):
 
     first = sorted(calls)
     calls.clear()
-    again, fresh = deploy_and_apply(3)
-    assert again is module      # the instrumentation cache's entry
+    _, again, fresh = deploy_and_apply(3, instrumentation)
+    assert again is module      # the first deploy's instrumentation
     assert fresh is not translations
     assert sorted(calls) == sorted(fresh) == first
