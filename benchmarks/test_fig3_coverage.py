@@ -55,7 +55,7 @@ def test_fig3_series(benchmark, contracts, series):
     print("\nFigure 3: cumulative distinct branches "
           f"({len(contracts)} contracts, 300 virtual seconds)")
     print(f"{'t (s)':>8} {'WASAI':>10} {'EOSFuzzer':>10}")
-    for i in range(0, len(GRID), 2):
+    for i in range(len(GRID)):
         print(f"{GRID[i] / 1000:8.0f} {wasai[i]:10.0f} "
               f"{eosfuzzer[i]:10.0f}")
     ratio = wasai[-1] / max(eosfuzzer[-1], 1)

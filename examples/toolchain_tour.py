@@ -12,7 +12,7 @@ Shows the public APIs of the substrates that WASAI is built from:
 Run:  python examples/toolchain_tour.py
 """
 
-from repro.instrument import (HOOK_MODULE, decode_raw_trace,
+from repro.instrument import (HOOK_MODULE, hook_event_builder,
                               instrument_module)
 from repro.smt import SAT, Solver
 from repro.wasm import (HostFunc, Instance, ModuleBuilder, encode_module,
@@ -49,19 +49,18 @@ def main() -> None:
     print(f"{len(sites)} instrumentation sites, "
           f"{sum(1 for i in instrumented.imports if i.module == HOOK_MODULE)}"
           " hook imports")
-    raw: list[tuple] = []
+    events = []
     imports = {}
     for imp in instrumented.imports:
         if imp.module == HOOK_MODULE:
             func_type = instrumented.types[imp.desc]
             imports[(imp.module, imp.name)] = HostFunc(
                 func_type,
-                lambda inst, args, name=imp.name:
-                    raw.append((name, tuple(args))) or [])
+                lambda inst, args, make=hook_event_builder(imp.name):
+                    events.append(make(args)) or [])
     instance = Instance(instrumented, imports)
     result = instance.invoke("f", [50])
     print(f"f(50) = {result[0]}")
-    events = decode_raw_trace(raw)
     for event in events:
         if event.kind == "instr":
             site = sites[event.site_id]

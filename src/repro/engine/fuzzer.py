@@ -19,7 +19,6 @@ from itertools import cycle
 from ..eosio.chain import ActionRecord, Chain
 from ..eosio.name import Name, name_to_string
 from ..eosio.token import issue_to, token_balance
-from ..instrument import decode_raw_trace
 from ..instrument.hooks import HookEvent
 from ..resilience import faultinject
 from ..resilience.errors import (CampaignError, DeadlineExceeded,
@@ -354,8 +353,8 @@ class WasaiFuzzer:
             from ..instrument.tracefile import read_trace_ir
             from ..resilience.errors import TraceCorruption
             token = f"iter{self.report.iterations:06d}-{kind}"
-            for hook_name, args in record.wasm_trace:
-                self._trace_store.append(token, hook_name, args)
+            for event in record.wasm_trace:
+                self._trace_store.append(token, event)
             path = self._trace_store.finalize(token)
             try:
                 events = read_trace_ir(path)
@@ -366,9 +365,9 @@ class WasaiFuzzer:
                 # the containment is recorded, never silent.
                 self.report.contained.append(
                     f"trace file discarded: {exc}")
-                events = decode_raw_trace(record.wasm_trace)
+                events = record.wasm_trace
         else:
-            events = decode_raw_trace(record.wasm_trace)
+            events = record.wasm_trace
         if faultinject.should_corrupt("trace"):
             events = _corrupt_trace(events, self.target.site_table)
         observation = Observation(kind, seed.action_name, executed_params,
@@ -434,6 +433,15 @@ class WasaiFuzzer:
                           query.branch.site.pc,
                           not bool(query.branch.taken))
             self._explored_flips.add(flipped_id)
+
+
+def decode_raw_trace(events: list[HookEvent]) -> list[HookEvent]:
+    """Returns ``events`` unchanged.  The chain records traces already
+    decoded, so the fuzzer never calls this."""
+    # benchmarks/perf/tracer.py still patches this name as its
+    # ``instrument.decode_raw_trace`` layer.  Delete it together with
+    # that patch point (ROADMAP, "Smaller consolidation").
+    return events
 
 
 def _corrupt_trace(events: list[HookEvent],

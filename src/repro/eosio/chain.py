@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+from ..instrument.hooks import HookEvent, hook_event_builder
 from ..wasm.interpreter import (ExecutionLimits, HostFunc, Instance,
                                 InstanceTemplate, Trap, TrapResourceLimit)
 from ..wasm.module import Module
@@ -78,7 +79,8 @@ class ActionRecord:
     data: bytes
     is_notification: bool
     host_calls: list[HostCall] = field(default_factory=list)
-    wasm_trace: list[tuple] = field(default_factory=list)
+    # The instrumentation trace, one HookEvent per hook firing.
+    wasm_trace: list[HookEvent] = field(default_factory=list)
     console: list[str] = field(default_factory=list)
     db_ops: list[DbOperation] = field(default_factory=list)
     # Set when this apply() aborted (assert/trap); the transaction was
@@ -124,7 +126,7 @@ class ApplyContext:
         self.is_notification = is_notification
         self.console: list[str] = []
         self.host_calls: list[HostCall] = []
-        self.wasm_trace: list[tuple] = []
+        self.wasm_trace: list[HookEvent] = []
         self.wasm_trace_bytes = 0
         self.new_recipients: list[int] = []
         self.inline_actions: list[Action] = []
@@ -171,7 +173,8 @@ class WasmContract(Contract):
 
     ``site_table`` is present for instrumented binaries; its hook
     imports (module namespace ``wasabi``) are bound to the apply
-    context's trace buffer.
+    context's trace buffer, which records one :class:`HookEvent` per
+    hook firing.
     """
 
     def __init__(self, module: Module, abi: Abi | None = None,
@@ -237,16 +240,18 @@ class WasmContract(Contract):
         # The trace buffer is host memory an instrumented contract can
         # write into at one entry per executed hook, so it is metered:
         # a hostile contract spinning in a hooked loop traps instead of
-        # filling RAM with trace entries.  The budgets and the event
-        # size are resolved once at bind time; per event only the two
-        # threshold compares and the append into the per-action buffer
-        # remain (the buffer lands on the ActionRecord wholesale, so
-        # there is no flush copy either).
+        # filling RAM with trace entries.  The budgets, the event size
+        # and the event's kind are resolved once at bind time; per
+        # event only the two threshold compares and the append of one
+        # HookEvent into the per-action buffer remain (the buffer lands
+        # on the ActionRecord wholesale, so there is no flush copy or
+        # decode pass either).
         cell = ctx if isinstance(ctx, ContextCell) else ContextCell(ctx)
         limits = ExecutionLimits(**chain.execution_limits)
         max_events = limits.max_trace_events
         max_bytes = limits.max_trace_bytes
         event_bytes = 16 + 8 * len(func_type.params)
+        make_event = hook_event_builder(hook_name)
 
         def impl(instance, args):
             ctx = cell.ctx
@@ -259,7 +264,7 @@ class WasmContract(Contract):
                     and ctx.wasm_trace_bytes > max_bytes:
                 raise TrapResourceLimit(
                     f"trace exceeds {max_bytes} bytes")
-            trace.append((hook_name, tuple(args)))
+            trace.append(make_event(args))
             return []
         return HostFunc(func_type, impl)
 

@@ -15,6 +15,11 @@ Hook kinds:
 * ``post[_t1...]`` — fired *after* a call returns, carrying the returned
   values (the paper's ``call_post``).
 * ``begin_function`` / ``end_function`` — function-body labels.
+
+A hook firing is recorded as one :class:`HookEvent`.  The chain's hook
+sink resolves each import's event shape once, when it binds the import
+(:func:`hook_event_builder`), so a trace is recorded already decoded:
+there is no raw ``(hook_name, args)`` form to decode afterwards.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from ..wasm.types import F32, F64, FuncType, I32, I64, ValType
 
 __all__ = ["HOOK_MODULE", "trace_hook_name", "post_hook_name",
            "BEGIN_FUNCTION", "END_FUNCTION", "hook_func_type",
-           "parse_hook_name", "HookEvent"]
+           "parse_hook_name", "hook_event_builder", "HookEvent"]
 
 HOOK_MODULE = "wasabi"
 BEGIN_FUNCTION = "begin_function"
@@ -52,8 +57,8 @@ def hook_func_type(hook_name: str) -> FuncType:
     return FuncType((I32, *types), ())
 
 
-# Trace decoding calls this once per event; there are only a handful
-# of distinct hook names, so the parse is memoised.
+# Each deployment parses each of its hook names; there are only a
+# handful of distinct names, so the parse is memoised.
 _PARSE_MEMO: dict[str, tuple[str, tuple[ValType, ...]]] = {}
 
 
@@ -74,13 +79,25 @@ def parse_hook_name(hook_name: str) -> tuple[str, tuple[ValType, ...]]:
     return parsed
 
 
+def hook_event_builder(hook_name: str):
+    """The function from one firing's ``args`` (``[site or function id,
+    *operands]``) to its :class:`HookEvent`, with the event kind
+    resolved here, once per hook import, instead of per event."""
+    if hook_name in (BEGIN_FUNCTION, END_FUNCTION):
+        label = "begin" if hook_name == BEGIN_FUNCTION else "end"
+        return lambda args: HookEvent(label, None, args[0], ())
+    kind, _ = parse_hook_name(hook_name)
+    label = "instr" if kind == "trace" else "post"
+    return lambda args: HookEvent(label, args[0], None, tuple(args[1:]))
+
+
 class HookEvent:
     """A decoded trace event: one hook firing.
 
     ``kind`` is "instr" (pre-instruction trace), "post" (call return),
     "begin" or "end".  For "instr"/"post", ``site_id`` indexes the
     instrumentation site table; for "begin"/"end" ``func_id`` is the
-    original function index.
+    original function index.  Events compare (and hash) by value.
     """
 
     __slots__ = ("kind", "site_id", "func_id", "operands")
@@ -92,17 +109,17 @@ class HookEvent:
         self.func_id = func_id
         self.operands = operands
 
+    def _key(self) -> tuple:
+        return (self.kind, self.site_id, self.func_id, self.operands)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HookEvent):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self) -> str:
         target = self.site_id if self.site_id is not None else self.func_id
         return f"HookEvent({self.kind}, {target}, {self.operands})"
-
-    @staticmethod
-    def decode(hook_name: str, args: tuple) -> "HookEvent":
-        """Decode one raw ``(hook_name, args)`` trace entry."""
-        if hook_name == BEGIN_FUNCTION:
-            return HookEvent("begin", None, args[0], ())
-        if hook_name == END_FUNCTION:
-            return HookEvent("end", None, args[0], ())
-        kind, _ = parse_hook_name(hook_name)
-        label = "instr" if kind == "trace" else "post"
-        return HookEvent(label, args[0], None, tuple(args[1:]))

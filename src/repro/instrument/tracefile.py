@@ -3,9 +3,10 @@
 The paper redirects traces to offline files once an EOSVM thread
 finishes executing (``apply_context::finalize_trace``), so parallel
 contract executions never interleave.  :class:`TraceStore` reproduces
-that: per-execution buffers keyed by a thread/action token, flushed to
-per-token files on finalize, which Symback reads back with
-:func:`read_trace_ir`.
+that: per-execution buffers of :class:`~repro.instrument.hooks.HookEvent`
+(the chain's hook sink records them already decoded) keyed by a
+thread/action token, flushed to per-token files on finalize, which
+Symback reads back with :func:`read_trace_ir`.
 
 The on-disk format is the compact, CRC-guarded columnar trace IR of
 :mod:`repro.traceir` (``.tir``).  Files are written atomically — the
@@ -25,13 +26,7 @@ from pathlib import Path
 from ..resilience.errors import TraceCorruption
 from .hooks import HookEvent
 
-__all__ = ["TraceStore", "decode_raw_trace", "write_trace_ir",
-           "read_trace_ir"]
-
-
-def decode_raw_trace(raw: list[tuple]) -> list[HookEvent]:
-    """Decode the chain's raw ``(hook_name, args)`` buffer into events."""
-    return [HookEvent.decode(name, args) for name, args in raw]
+__all__ = ["TraceStore", "write_trace_ir", "read_trace_ir"]
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -52,13 +47,10 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def write_trace_ir(path: "str | Path", raw: list[tuple]) -> None:
+def write_trace_ir(path: "str | Path", events: list[HookEvent]) -> None:
     """Persist one execution's trace as a columnar ``.tir`` blob."""
-    from ..traceir.codec import EventStreamEncoder
-    encoder = EventStreamEncoder()
-    for name, args in raw:
-        encoder.add_raw(name, args)
-    _atomic_write(Path(path), encoder.finish())
+    from ..traceir.codec import encode_events
+    _atomic_write(Path(path), encode_events(events))
 
 
 def read_trace_ir(path: "str | Path") -> list[HookEvent]:
@@ -83,18 +75,18 @@ class TraceStore:
     def __init__(self, directory: "str | Path"):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._buffers: dict[str, list[tuple]] = {}
+        self._buffers: dict[str, list[HookEvent]] = {}
         self._sequence = 0
 
-    def append(self, token: str, hook_name: str, args: tuple) -> None:
-        self._buffers.setdefault(token, []).append((hook_name, args))
+    def append(self, token: str, event: HookEvent) -> None:
+        self._buffers.setdefault(token, []).append(event)
 
     def finalize(self, token: str) -> Path:
         """Flush one thread's buffer to its own offline file."""
-        raw = self._buffers.pop(token, [])
+        events = self._buffers.pop(token, [])
         self._sequence += 1
         path = self.directory / f"trace-{self._sequence:06d}-{token}.tir"
-        write_trace_ir(path, raw)
+        write_trace_ir(path, events)
         return path
 
     def pending_tokens(self) -> list[str]:

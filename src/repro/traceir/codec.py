@@ -260,9 +260,6 @@ class EventStreamEncoder:
                     f"unencodable operand type {type(operand).__name__}")
         self._count += 1
 
-    def add_raw(self, hook_name: str, args: tuple) -> None:
-        self.add(HookEvent.decode(hook_name, tuple(args)))
-
     def sections(self) -> list[tuple[int, bytes]]:
         kinds = bytearray()
         write_uvarint(kinds, self._count)

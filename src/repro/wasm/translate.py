@@ -29,6 +29,23 @@ conversions, ``memory.grow`` ...) reuse the generic handler table with
 the instruction pre-bound, so there is exactly one implementation of
 their semantics.
 
+Instrumented code is mostly hook idioms: the instrumenter wraps each
+instruction with k operands in k ``local.set`` spills, ``i32.const
+site``, k ``local.get``, a ``call`` to a result-less ``wasabi`` import
+and k ``local.get`` reloads.  Where no jump lands inside one, the whole
+idiom compiles to ONE step: it writes the scratch locals, leaves the
+operands on the stack, calls the import's ``impl(inst, [site,
+*operands])`` as ``_call_host`` does, and charges the fuel of all 3k+2
+instructions — the 2k+1 up to the call before ``impl`` runs, the k
+reloads after it — so ``inst.fuel`` is exact whenever ``impl`` can see
+it or trap.  The other 3k+1 pcs get no step of their own.  When the
+remaining fuel, or a ``fuel & 2047`` deadline probe, would fall inside
+the idiom, the fused step runs only the idiom's first instruction and
+raises :class:`_Split`; the driver then translates the rest and runs it
+one instruction at a time under its own metering, so every trap fires
+at the same instruction, with the same partial trace, as in the
+generic interpreter (which always runs the long form).
+
 Translations live on the :class:`~repro.wasm.interpreter.Instance` that
 runs them, beside its jump tables: each deployed contract translates a
 function on its first call, and the translations die with the
@@ -55,6 +72,11 @@ __all__ = ["TranslatedFunction", "translated_function"]
 # the function body; any value >= the body length ends the driver loop.
 _RETURN_PC = 1 << 30
 
+# The import namespace of the instrumenter's hooks
+# (``repro.instrument.hooks.HOOK_MODULE``); calls into it are the only
+# ones fused with their operand spills and reloads.
+_HOOK_MODULE = "wasabi"
+
 
 def translated_function(module: Module,
                         func: Function) -> "TranslatedFunction | None":
@@ -67,15 +89,23 @@ def translated_function(module: Module,
         return None  # untranslatable: the generic loop is the answer
 
 
+class _Split(Exception):
+    """Raised by a fused hook step whose idiom a fuel or deadline check
+    would split: the step has run the idiom's first instruction, and
+    the driver runs the rest one instruction at a time."""
+
+
 class TranslatedFunction:
-    """A compiled function body: one step per instruction plus the
-    metering driver loop."""
+    """A compiled function body: one step per instruction or fused hook
+    idiom, plus the metering driver loop."""
 
-    __slots__ = ("steps", "size")
+    __slots__ = ("steps", "size", "module", "body")
 
-    def __init__(self, steps: list):
+    def __init__(self, steps: list, module: Module, body: list):
         self.steps = steps
         self.size = len(steps)
+        self.module = module
+        self.body = body
 
     def run(self, inst, locals_list: list) -> list:
         """Execute the step chain; mirrors ``Instance._execute``.
@@ -91,26 +121,45 @@ class TranslatedFunction:
         control: list = []
         pc = 0
         deadline = inst._deadline
-        if deadline is None:
-            while pc < size:
-                fuel = inst.fuel
-                if fuel <= 0:
-                    raise TrapOutOfFuel("instruction budget exhausted")
-                inst.fuel = fuel - 1
-                pc = steps[pc](inst, stack, control, locals_list)
-        else:
-            while pc < size:
-                fuel = inst.fuel
-                if fuel <= 0:
-                    raise TrapOutOfFuel("instruction budget exhausted")
-                fuel -= 1
-                inst.fuel = fuel
-                if (fuel & 2047) == 0 and _time.monotonic() > deadline:
-                    raise TrapDeadline(
-                        f"wall-clock deadline of {inst.limits.deadline_s}s "
-                        "expired")
-                pc = steps[pc](inst, stack, control, locals_list)
-        return stack
+        while True:
+            try:
+                if deadline is None:
+                    while pc < size:
+                        fuel = inst.fuel
+                        if fuel <= 0:
+                            raise TrapOutOfFuel(
+                                "instruction budget exhausted")
+                        inst.fuel = fuel - 1
+                        pc = steps[pc](inst, stack, control, locals_list)
+                else:
+                    while pc < size:
+                        fuel = inst.fuel
+                        if fuel <= 0:
+                            raise TrapOutOfFuel(
+                                "instruction budget exhausted")
+                        fuel -= 1
+                        inst.fuel = fuel
+                        if (fuel & 2047) == 0 \
+                                and _time.monotonic() > deadline:
+                            raise TrapDeadline(
+                                "wall-clock deadline of "
+                                f"{inst.limits.deadline_s}s expired")
+                        pc = steps[pc](inst, stack, control, locals_list)
+                return stack
+            except _Split:
+                pc = self._unfuse(pc)
+
+    def _unfuse(self, pc: int) -> int:
+        """Give each instruction after the first of the fused idiom at
+        ``pc`` a step of its own, unless an earlier split already did,
+        and return the pc to resume at."""
+        steps = self.steps
+        resume = end = pc + 1
+        while end < self.size and steps[end] is _inside_idiom:
+            steps[end] = _translate_instr(self.module, {}, end,
+                                          self.body[end])
+            end += 1
+        return resume
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +508,181 @@ def _call_indirect(expected, next_pc):
     return step
 
 
+# -- fused hook idioms ------------------------------------------------------
+# Each fused step is entered with the idiom's first instruction already
+# metered by the driver, so ``fuel`` is what the long form would leave
+# after it, and ``span`` (3k+1) instructions remain.  The long form
+# meters them one by one: it traps out of fuel unless ``fuel >= span``,
+# and probes the deadline if ``(fuel - j) & 2047 == 0`` for some j in
+# 1..span, i.e. if ``(fuel - 1) & 2047 < span``.  In either case, and
+# on a stack too short to spill (which only malformed code has), the
+# step runs the first instruction and splits.  Otherwise ``impl`` sees
+# the fuel left after the call's 2k+1 instructions, and the k reloads
+# are charged once it returns.  A result-less import's ``impl`` should
+# return nothing; whatever it does return lands below the reloaded
+# operands, as in the long form.
+
+def _inside_idiom(inst, stack, control, locals_list):  # pragma: no cover
+    # The pcs a fused step covers; no jump lands on them, so only
+    # TranslatedFunction._unfuse, which replaces them, ever sees them.
+    raise AssertionError("pc inside a fused hook idiom")
+
+
+def _fused_hook(site, func_index, slots, next_pc):
+    count = len(slots)
+    if count == 0:
+        return _fused_hook0(site, func_index, next_pc)
+    if count == 1:
+        return _fused_hook1(site, func_index, slots[0], next_pc)
+    if count == 2:
+        return _fused_hook2(site, func_index, slots[0], slots[1], next_pc)
+    return _fused_hookn(site, func_index, slots, next_pc)
+
+
+def _fused_hook0(site, func_index, next_pc):
+    # i32.const site; call
+    def step(inst, stack, control, locals_list, site=site,
+             func_index=func_index, next_pc=next_pc):
+        fuel = inst.fuel
+        if fuel < 1 or ((fuel - 1) & 2047 < 1
+                        and inst._deadline is not None):
+            stack.append(site)
+            raise _Split
+        inst.fuel = fuel - 1
+        results = inst._imported[func_index].impl(inst, [site])
+        if results:
+            stack.extend(results)
+        return next_pc
+    return step
+
+
+def _fused_hook1(site, func_index, slot, next_pc):
+    # local.set a; i32.const site; local.get a; call; local.get a
+    def step(inst, stack, control, locals_list, site=site,
+             func_index=func_index, slot=slot, next_pc=next_pc):
+        fuel = inst.fuel
+        if fuel < 4 or not stack or ((fuel - 1) & 2047 < 4
+                                     and inst._deadline is not None):
+            locals_list[slot] = stack.pop()
+            raise _Split
+        value = locals_list[slot] = stack[-1]
+        inst.fuel = fuel - 3
+        results = inst._imported[func_index].impl(inst, [site, value])
+        if results:
+            stack[-1:-1] = results
+        inst.fuel = fuel - 4
+        return next_pc
+    return step
+
+
+def _fused_hook2(site, func_index, slot_a, slot_b, next_pc):
+    # local.set b; local.set a; i32.const site; local.get a;
+    # local.get b; call; local.get a; local.get b
+    def step(inst, stack, control, locals_list, site=site,
+             func_index=func_index, slot_a=slot_a, slot_b=slot_b,
+             next_pc=next_pc):
+        fuel = inst.fuel
+        if fuel < 7 or len(stack) < 2 or ((fuel - 1) & 2047 < 7
+                                          and inst._deadline is not None):
+            locals_list[slot_b] = stack.pop()
+            raise _Split
+        first = locals_list[slot_a] = stack[-2]
+        second = locals_list[slot_b] = stack[-1]
+        inst.fuel = fuel - 5
+        results = inst._imported[func_index].impl(
+            inst, [site, first, second])
+        if results:
+            stack[-2:-2] = results
+        inst.fuel = fuel - 7
+        return next_pc
+    return step
+
+
+def _fused_hookn(site, func_index, slots, next_pc):
+    count = len(slots)
+
+    def step(inst, stack, control, locals_list, site=site,
+             func_index=func_index, slots=slots, count=count,
+             before=2 * count + 1, span=3 * count + 1, next_pc=next_pc):
+        fuel = inst.fuel
+        if fuel < span or len(stack) < count or (
+                (fuel - 1) & 2047 < span and inst._deadline is not None):
+            locals_list[slots[-1]] = stack.pop()
+            raise _Split
+        operands = stack[-count:]
+        for slot, value in zip(slots, operands):
+            locals_list[slot] = value
+        inst.fuel = fuel - before
+        results = inst._imported[func_index].impl(inst, [site, *operands])
+        if results:
+            stack[-count:-count] = results
+        inst.fuel = fuel - span
+        return next_pc
+    return step
+
+
+def _hook_idioms(module: Module, func: Function, jumps) -> dict:
+    """Start pc -> (fused step, pcs after the start) for every hook
+    idiom of ``func`` that can be fused: its callee is a result-less
+    ``wasabi`` import, its spills, loads and reloads name the same
+    distinct locals in the instrumenter's order, and no jump lands
+    inside it."""
+    hooks = {}  # function index -> operand count k
+    for index, imp in enumerate(module.imported_functions()):
+        if imp.module == _HOOK_MODULE:
+            func_type = module.types[imp.desc]
+            if func_type.params and not func_type.results:
+                hooks[index] = len(func_type.params) - 1
+    if not hooks:
+        return {}
+    body = func.body
+    size = len(body)
+    local_count = len(module.types[func.type_index].params) \
+        + len(func.locals)
+    targets = set()
+    for pc, (end_pc, else_pc) in jumps.items():
+        if body[pc].op == "loop":
+            targets.add(pc + 1)
+        else:
+            targets.add(end_pc + 1)
+            if else_pc is not None:
+                targets.add(else_pc + 1)
+    idioms = {}
+    for call_pc, instr in enumerate(body):
+        if instr.op != "call":
+            continue
+        func_index = instr.args[0]
+        count = hooks.get(func_index)
+        if count is None:
+            continue
+        start = call_pc - 2 * count - 1
+        end = call_pc + count + 1
+        if start < 0 or end > size:
+            continue
+        const = body[start + count]
+        if const.op != "i32.const":
+            continue
+        slots = []
+        for offset in range(count):
+            spill = body[start + count - 1 - offset]
+            load = body[start + count + 1 + offset]
+            reload = body[call_pc + 1 + offset]
+            if spill.op != "local.set" or load.op != "local.get" \
+                    or reload.op != "local.get":
+                break
+            slot = load.args[0]
+            if spill.args[0] != slot or reload.args[0] != slot \
+                    or not 0 <= slot < local_count or slot in slots:
+                break
+            slots.append(slot)
+        if len(slots) == count \
+                and targets.isdisjoint(range(start + 1, end)):
+            idioms[start] = (_fused_hook(const.args[0] & MASK32, func_index,
+                                         tuple(slots), end),
+                             end - start - 1)
+    return idioms
+
+
 # ---------------------------------------------------------------------------
 # Pure operator tables for the hand-specialised hot integer opcodes.
 # Trapping ops (div/rem), rotations and bit counts stay on the shared
@@ -503,10 +727,20 @@ _I64_BINOPS, _I64_RELOPS = _int_tables(64)
 def _translate(module: Module, func: Function) -> TranslatedFunction:
     body = func.body
     jumps = _build_jump_table(body)
+    idioms = _hook_idioms(module, func, jumps)
     steps: list = []
-    for pc, instr in enumerate(body):
-        steps.append(_translate_instr(module, jumps, pc, instr))
-    return TranslatedFunction(steps)
+    pc = 0
+    while pc < len(body):
+        fused = idioms.get(pc)
+        if fused is None:
+            steps.append(_translate_instr(module, jumps, pc, body[pc]))
+            pc += 1
+        else:
+            step, inside = fused
+            steps.append(step)
+            steps.extend([_inside_idiom] * inside)
+            pc += 1 + inside
+    return TranslatedFunction(steps, module, body)
 
 
 def _translate_instr(module: Module, jumps, pc: int, instr):

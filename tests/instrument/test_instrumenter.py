@@ -3,7 +3,8 @@
 import pytest
 
 from repro.instrument import (BEGIN_FUNCTION, END_FUNCTION, HOOK_MODULE,
-                              HookEvent, decode_raw_trace, instrument_module)
+                              HookEvent, hook_event_builder,
+                              instrument_module)
 from repro.wasm import (FuncType, HostFunc, I32, I64, Instance, ModuleBuilder,
                         encode_module, parse_module, validate_module)
 
@@ -21,18 +22,19 @@ def run_instrumented(module, export, args):
     """Instantiate an instrumented module with recording hooks."""
     instrumented, sites = instrument_module(module)
     validate_module(instrumented)
-    raw: list[tuple] = []
+    events: list[HookEvent] = []
     imports = {}
     for imp in instrumented.imports:
         if imp.module == HOOK_MODULE:
             func_type = instrumented.types[imp.desc]
             def make(name):
-                return lambda inst, a: raw.append((name, tuple(a))) or []
+                make_event = hook_event_builder(name)
+                return lambda inst, a: events.append(make_event(a)) or []
             imports[(imp.module, imp.name)] = HostFunc(func_type,
                                                        make(imp.name))
     instance = Instance(instrumented, imports)
     results = instance.invoke(export, args)
-    return results, decode_raw_trace(raw), sites
+    return results, events, sites
 
 
 def test_instrumented_module_still_computes():

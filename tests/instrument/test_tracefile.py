@@ -3,12 +3,16 @@
 import pytest
 
 from repro.instrument import (BEGIN_FUNCTION, END_FUNCTION, HookEvent,
-                              TraceStore, hook_func_type,
-                              parse_hook_name, post_hook_name,
-                              read_trace_ir, trace_hook_name,
-                              write_trace_ir)
+                              TraceStore, hook_event_builder,
+                              hook_func_type, parse_hook_name,
+                              post_hook_name, read_trace_ir,
+                              trace_hook_name, write_trace_ir)
 from repro.resilience import TraceCorruption
 from repro.wasm import F32, F64, FuncType, I32, I64
+
+
+def instr(site_id, *operands):
+    return HookEvent("instr", site_id, None, operands)
 
 
 def test_hook_names():
@@ -38,25 +42,37 @@ def test_unknown_hook_rejected():
 
 
 def test_hook_event_decoding():
-    begin = HookEvent.decode(BEGIN_FUNCTION, (7,))
+    begin = hook_event_builder(BEGIN_FUNCTION)([7])
     assert begin.kind == "begin"
     assert begin.func_id == 7
-    instr = HookEvent.decode("trace_i32_i32", (3, 10, 20))
-    assert instr.kind == "instr"
-    assert instr.site_id == 3
-    assert instr.operands == (10, 20)
-    post = HookEvent.decode("post_i64", (5, 99))
+    assert hook_event_builder(END_FUNCTION)([7]).kind == "end"
+    event = hook_event_builder("trace_i32_i32")([3, 10, 20])
+    assert event.kind == "instr"
+    assert event.site_id == 3
+    assert event.operands == (10, 20)
+    post = hook_event_builder("post_i64")([5, 99])
     assert post.kind == "post"
     assert post.operands == (99,)
+    with pytest.raises(ValueError):
+        hook_event_builder("mystery_i32")
+
+
+def test_hook_events_compare_by_value():
+    assert instr(3, 10, 20) == instr(3, 10, 20)
+    assert hash(instr(3, 10, 20)) == hash(instr(3, 10, 20))
+    assert instr(3, 10, 20) != instr(3, 10, 21)
+    assert instr(3) != HookEvent("post", 3, None, ())
+    assert HookEvent("begin", None, 3, ()) != HookEvent("end", None, 3, ())
+    assert len({instr(1, 2), instr(1, 2), instr(2, 2)}) == 2
 
 
 def test_trace_store_per_thread_isolation(tmp_path):
     """The C1 requirement: traces from parallel executions must not
     interleave; each thread's buffer flushes to its own file."""
     store = TraceStore(tmp_path)
-    store.append("thread-a", "trace", (1,))
-    store.append("thread-b", "trace", (2,))
-    store.append("thread-a", "trace", (3,))
+    store.append("thread-a", instr(1))
+    store.append("thread-b", instr(2))
+    store.append("thread-a", instr(3))
     path_a = store.finalize("thread-a")
     path_b = store.finalize("thread-b")
     assert path_a != path_b
@@ -67,7 +83,7 @@ def test_trace_store_per_thread_isolation(tmp_path):
 
 def test_trace_store_finalize_clears_buffer(tmp_path):
     store = TraceStore(tmp_path)
-    store.append("t", "trace", (1,))
+    store.append("t", instr(1))
     store.finalize("t")
     assert store.pending_tokens() == []
     assert read_trace_ir(store.finalize("t")) == []
@@ -77,26 +93,28 @@ def test_write_is_atomic_no_temp_residue(tmp_path):
     """After a successful write the directory holds exactly the trace
     file — the temp staging file has been renamed away, never left."""
     path = tmp_path / "t.tir"
-    write_trace_ir(path, [("trace_i32", (0, 1))])
-    write_trace_ir(path, [("trace_i32", (0, 2))])  # overwrite in place
+    write_trace_ir(path, [instr(0, 1)])
+    write_trace_ir(path, [instr(0, 2)])  # overwrite in place
     assert [p.name for p in tmp_path.iterdir()] == ["t.tir"]
     assert read_trace_ir(path)[0].operands == (2,)
 
 
 def test_trace_ir_file_roundtrip(tmp_path):
-    raw = [("trace_i32", (0, 42)), (BEGIN_FUNCTION, (1,)),
-           ("post_i64", (2, -7)), (END_FUNCTION, (1,))]
+    written = [instr(0, 42), HookEvent("begin", None, 1, ()),
+               HookEvent("post", 2, None, (-7,)),
+               HookEvent("end", None, 1, ())]
     path = tmp_path / "t.tir"
-    write_trace_ir(path, raw)
+    write_trace_ir(path, written)
     events = read_trace_ir(path)
     assert [e.kind for e in events] == ["instr", "begin", "post", "end"]
     assert events[0].operands == (42,)
     assert events[2].operands == (-7,)
+    assert events == written
 
 
 def test_trace_ir_corruption_carries_path(tmp_path):
     path = tmp_path / "t.tir"
-    write_trace_ir(path, [("trace_i32", (0, 42))])
+    write_trace_ir(path, [instr(0, 42)])
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -109,8 +127,8 @@ def test_trace_ir_corruption_carries_path(tmp_path):
 
 def test_trace_store_ir_format(tmp_path):
     store = TraceStore(tmp_path)
-    store.append("t", "trace", (5,))
-    store.append("t", "post_i32", (5, 9))
+    store.append("t", instr(5))
+    store.append("t", HookEvent("post", 5, None, (9,)))
     path = store.finalize("t")
     assert path.suffix == ".tir"
     events = read_trace_ir(path)

@@ -16,7 +16,6 @@ import pytest
 from repro.engine.deploy import deploy_target, setup_chain
 from repro.eosio import Abi, Asset, Encoder, N, Name, TRANSFER_SIGNATURE
 from repro.eosio.host import HOST_API_SIGNATURES
-from repro.instrument import decode_raw_trace
 from repro.smt import evaluate
 from repro.symbolic import SeedLayout, replay_action
 from repro.wasm import FuncType, I32, I64, Instr, ModuleBuilder
@@ -124,7 +123,7 @@ def test_random_program_differential(program_seed):
     assert result.success, result.error
     record = [r for r in result.all_records()
               if r.receiver == target.account and r.wasm_trace][0]
-    events = decode_raw_trace(record.wasm_trace)
+    events = record.wasm_trace
     layout = SeedLayout(abi.action("transfer"),
                         [Name("player"), Name("victim"),
                          Asset(amount), "m"])

@@ -9,7 +9,6 @@ import pytest
 from repro.engine.deploy import deploy_target, setup_chain
 from repro.eosio import (Abi, Asset, Encoder, N, Name, TRANSFER_SIGNATURE,
                          issue_to)
-from repro.instrument import decode_raw_trace
 from repro.smt import SAT, Solver, evaluate
 from repro.symbolic import (SeedLayout, branch_coverage_ids, flip_queries,
                             locate_action_call, replay_action, solve_flips)
@@ -94,7 +93,7 @@ def run_transfer(chain, target, amount: str, memo: str):
     result = chain.push_action("eosio.token", "transfer", ["player"], data)
     record = [r for r in result.all_records()
               if r.receiver == target.account and r.wasm_trace][0]
-    return decode_raw_trace(record.wasm_trace), result
+    return record.wasm_trace, result
 
 
 def make_layout(abi, amount: str, memo: str):
@@ -203,7 +202,7 @@ def test_replay_ignores_traces_without_dispatch(deployed):
                                b"")
     record = [r for r in result.all_records()
               if r.receiver == target.account][0]
-    events = decode_raw_trace(record.wasm_trace)
+    events = record.wasm_trace
     layout = make_layout(abi, "1.0000 EOS", "kilo")
     replay = replay_action(module, target.site_table, events, layout,
                            target.apply_index, target.import_names)

@@ -10,20 +10,24 @@ the hostile corpora through both engines and assert exactly that.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
 
 from repro.benchgen.corpus import build_table4_corpus, obfuscated_variant
 from repro.benchgen.hostile import (build_hostile_corpus,
                                     build_resource_hostile_modules)
 from repro.engine.deploy import deploy_target, setup_chain
+from repro.eosio.abi import Abi
 from repro.eosio.chain import Action, ApplyContext, WasmContract
 from repro.eosio.errors import ChainError
 from repro.eosio.host import build_host_imports
 from repro.eosio.name import N
 from repro.harness import run_wasai
-from repro.instrument import instrument_module
-from repro.wasm import (ExecutionLimits, HostFunc, Instance, Trap,
-                        parse_module, validate_module)
+from repro.instrument import HOOK_MODULE, instrument_module
+from repro.wasm import (ExecutionLimits, HostFunc, Instance, ModuleBuilder,
+                        Trap, parse_module, validate_module)
+from repro.wasm.translate import _inside_idiom, translated_function
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +45,15 @@ def _campaign_fingerprint(module, abi, translate: bool):
             run.report.iterations, tuple(sorted(run.report.covered)))
 
 
-def _apply_fingerprint(module, abi, translate: bool):
-    """One apply() of the instrumented contract: the full hook trace,
-    the host-call journal, the outcome and the remaining fuel."""
-    instrumented, site_table = instrument_module(module)
+def _apply_fingerprint(module, abi, translate: bool, instrumentation=None,
+                       **limits):
+    """One apply() of the instrumented contract under ``limits`` (fields
+    of ExecutionLimits): the full hook trace, the host-call journal,
+    the outcome, the remaining fuel and the memory.  ``instrumentation``
+    is ``instrument_module(module)``, when the caller already has it."""
+    instrumented, site_table = instrumentation or instrument_module(module)
     contract = WasmContract(instrumented, abi, site_table)
-    limits = ExecutionLimits(translate=translate)
+    limits = ExecutionLimits(translate=translate, **limits)
     chain = setup_chain(limits=limits)
     account = chain.set_contract("victim", contract)
     action = Action(account, N("transfer"), [account], b"\x00" * 32)
@@ -99,6 +106,122 @@ def test_apply_traces_byte_identical(corpus):
         assert generic == translated, \
             f"apply trace diverged on {sample.vuln_type}"
         assert generic[0], "expected a non-empty hook trace"
+
+
+# -- traps inside a hook idiom ------------------------------------------
+# The translator runs each instrumenter hook idiom (k operand spills, the
+# site constant, k loads, the hook call, k reloads) as one fused step
+# that falls back to the long form when a metering check lands inside
+# it.  These sweeps move a fuel, deadline or trace-budget trap across
+# every instruction of whole applies, so they land at every offset of
+# every idiom run, and hold both engines to the same trap, partial
+# trace, remaining fuel and memory.
+
+def _straight_line_contract():
+    """An ``apply`` that runs straight through (and through one call),
+    whose hook idioms spill k = 0 (``i32.const``, ``local.get``), 1
+    (``local.set``, ``i32.eqz``, ``drop``, the call and its return), 2
+    (``i32.add``, ``i32.store``) and 3 (``select``) operands."""
+    builder = ModuleBuilder()
+    builder.add_memory(1)
+    double = builder.function("double", params=["i32"], results=["i32"])
+    double.local_get(0).i32_const(2).emit("i32.mul")
+    apply = builder.function("apply", params=["i64", "i64", "i64"],
+                             locals_=["i32"])
+    apply.i32_const(64).i32_const(7).call(double).i32_const(9)
+    apply.emit("i32.add").emit("i32.store", 2, 0)
+    apply.i32_const(3).emit("i32.eqz").local_set(3)
+    apply.local_get(3).i32_const(5).i32_const(1).emit("select")
+    apply.emit("drop")
+    builder.export_function("apply", apply)
+    return builder.build(), Abi()
+
+
+@pytest.fixture(scope="module")
+def instrumented_contracts(corpus):
+    contracts = [_straight_line_contract()] + [
+        (sample.module, sample.contract.abi) for sample in corpus[:3]]
+    return [(module, abi, instrument_module(module))
+            for module, abi in contracts]
+
+
+def _assert_engines_agree(module, abi, instrumentation, **limits):
+    generic = _apply_fingerprint(module, abi, False, instrumentation,
+                                 **limits)
+    translated = _apply_fingerprint(module, abi, True, instrumentation,
+                                    **limits)
+    assert generic == translated, f"engines diverged under {limits}"
+    return generic
+
+
+def _fuel_used(module, abi, instrumentation) -> int:
+    remaining = _apply_fingerprint(module, abi, False, instrumentation)[3]
+    return ExecutionLimits().fuel - remaining
+
+
+def test_straight_line_contract_fuses_every_hook_idiom():
+    module, _ = _straight_line_contract()
+    instrumented, _ = instrument_module(module)
+    hooks = {index: imp.name for index, imp in enumerate(
+        instrumented.imported_functions()) if imp.module == HOOK_MODULE}
+    assert {"trace", "trace_i32", "trace_i32_i32", "trace_i32_i32_i32",
+            "post_i32"} <= set(hooks.values())
+    for func in instrumented.functions:
+        code = translated_function(instrumented, func)
+        hook_calls = [pc for pc, instr in enumerate(func.body)
+                      if instr.op == "call" and instr.args[0] in hooks]
+        assert hook_calls
+        # A fused idiom's hook call has no step of its own.
+        assert all(code.steps[pc] is _inside_idiom for pc in hook_calls)
+
+
+def test_fuel_runs_out_inside_hook_idioms_identically(
+        instrumented_contracts):
+    for module, abi, instrumentation in instrumented_contracts:
+        used = _fuel_used(module, abi, instrumentation)
+        for fuel in range(used + 2):
+            outcome = _assert_engines_agree(module, abi, instrumentation,
+                                            fuel=fuel)
+            trapped = outcome[2] is not None \
+                and outcome[2].startswith("TrapOutOfFuel")
+            assert trapped == (fuel < used)
+
+
+@pytest.mark.parametrize("deadline_s", [-1.0, 3600.0])
+def test_deadline_probe_inside_hook_idioms_identically(
+        instrumented_contracts, deadline_s):
+    """With 2048 + q fuel the first ``fuel & 2047`` deadline probe
+    falls on the q-th instruction: an expired deadline traps there, a
+    distant one lets the run go on past the probe."""
+    for module, abi, instrumentation in instrumented_contracts:
+        used = _fuel_used(module, abi, instrumentation)
+        for q in range(1, used + 1):
+            outcome = _assert_engines_agree(
+                module, abi, instrumentation, fuel=2048 + q,
+                deadline_s=deadline_s)
+            if deadline_s < 0:
+                assert outcome[2].startswith("TrapDeadline")
+                assert outcome[3] == 2048
+            else:
+                assert outcome[3] == 2048 + q - used
+
+
+def test_trace_budgets_trip_at_every_hook_identically(
+        instrumented_contracts):
+    for module, abi, instrumentation in instrumented_contracts:
+        events = _apply_fingerprint(module, abi, False, instrumentation)[0]
+        totals = list(accumulate(16 + 8 * (1 + len(event.operands))
+                                 for event in events))
+        cases = [{"max_trace_events": count}
+                 for count in range(len(events) + 1)]
+        cases += [{"max_trace_bytes": total - below}
+                  for total in totals for below in (1, 0)]
+        for limits in cases:
+            outcome = _assert_engines_agree(module, abi, instrumentation,
+                                            **limits)
+            if outcome[2] is not None \
+                    and outcome[2].startswith("TrapResourceLimit"):
+                assert len(outcome[0]) < len(events)
 
 
 @pytest.mark.parametrize("name,module",
