@@ -10,25 +10,25 @@ coverage.
 Run:  python examples/coverage_race.py
 """
 
-import numpy as np
-
 from repro import build_rq1_contracts, run_eosfuzzer, run_wasai
 
 CONTRACTS = 6
 TIMEOUT_MS = 120_000.0
-GRID = np.array([0, 1_000, 2_000, 4_000, 8_000, 15_000, 30_000,
-                 60_000, 120_000], dtype=float)
+GRID = [0.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0, 15_000.0, 30_000.0,
+        60_000.0, 120_000.0]
 
 
 def series(runner, contracts):
-    total = np.zeros(len(GRID))
+    total = [0.0] * len(GRID)
     for index, generated in enumerate(contracts):
         run = runner(generated.module, generated.abi,
                      timeout_ms=TIMEOUT_MS, rng_seed=500 + index)
-        values = np.zeros(len(GRID))
+        values = [0.0] * len(GRID)
         for time_ms, count in run.report.coverage_timeline:
-            values[GRID >= time_ms] = count
-        total += values
+            for i, t in enumerate(GRID):
+                if t >= time_ms:
+                    values[i] = count
+        total = [a + b for a, b in zip(total, values)]
     return total
 
 
@@ -40,7 +40,7 @@ def main() -> None:
     eosfuzzer = series(run_eosfuzzer, contracts)
 
     width = 46
-    peak = max(wasai.max(), eosfuzzer.max(), 1.0)
+    peak = max(*wasai, *eosfuzzer, 1.0)
     print(f"{'t':>7}  {'WASAI':>6} {'EOSFzr':>6}   cumulative distinct branches")
     for i, t in enumerate(GRID):
         bar_w = "#" * round(width * wasai[i] / peak)

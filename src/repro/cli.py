@@ -174,11 +174,10 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--workers", type=int, default=2,
                        help="scan worker threads (default 2)")
     serve.add_argument("--queue-depth", type=int, default=64,
-                       help="bounded queue depth; submissions beyond "
-                            "it are shed with HTTP 429 (default 64)")
-    serve.add_argument("--max-inflight", type=int, default=None,
-                       help="queued+running budget (default: "
-                            "queue-depth + workers)")
+                       help="admission bound: at most queue-depth + "
+                            "workers jobs queued or running; "
+                            "submissions beyond it are shed with HTTP "
+                            "429 kind=queue (default 64)")
     serve.add_argument("--timeout-ms", type=float,
                        default=DEFAULT_TIMEOUT_MS,
                        help="default virtual fuzzing budget per job")
@@ -230,9 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--target-p95-s", type=float, default=None,
                        help="latency SLO driving adaptive admission "
                             "control: while observed p95 job latency "
-                            "breaches this, the effective inflight "
-                            "budget shrinks (AIMD) and the brownout "
-                            "ladder engages (default 30)")
+                            "breaches this, the admission bound "
+                            "shrinks (AIMD) and the brownout ladder "
+                            "engages (default 30)")
     serve.add_argument("--housekeeping-s", type=float, default=0.25,
                        help="cadence of the housekeeping tick that "
                             "sweeps expired jobs off an idle queue "
@@ -559,7 +558,6 @@ def _cmd_serve(args) -> int:
         store=str(args.store),
         config=ScanServiceConfig(workers=args.workers,
                                  max_depth=args.queue_depth,
-                                 max_inflight=args.max_inflight,
                                  default_timeout_ms=args.timeout_ms,
                                  job_ttl_s=args.job_ttl_s,
                                  promote_after_s=args.promote_after_s,

@@ -39,8 +39,7 @@ its own storage corrupts.  Clients talk to it at one base URL.
   admission-time rate limits and quotas (:class:`TenantBook`);
 * :mod:`repro.service.reverdict` — oracle replay over stored trace-IR
   packs (``POST /reverdict`` / ``wasai reverdict``), the rotating
-  drift auditor with corrupt-trace quarantine, and the one
-  decode+replay path brownout replay-serving shares.
+  drift auditor with corrupt-trace quarantine.
 """
 
 from .api import ServiceApi

@@ -25,10 +25,14 @@ Endpoints
       installed and the API key (``X-Api-Key`` header or ``api_key``
       body field) is missing where required, or unknown;
     * ``429`` — typed backpressure shed (``error: "queue_full"``,
-      with the saturated bound in ``kind``/``limit`` and a
-      ``retry_after_s`` hint the HTTP layer mirrors as a
-      ``Retry-After`` header); ``kind: "quota"`` is a known tenant
-      over its rate limit or absolute quota.
+      with the saturated bound in ``kind``, the admitted jobs and the
+      admission bound in ``depth``/``limit``, and a ``retry_after_s``
+      hint the HTTP layer mirrors as a ``Retry-After`` header):
+      ``kind: "queue"`` is the one admission bound (queued + running
+      jobs, at most ``--queue-depth`` + ``--workers``),
+      ``"brownout"`` the pressure ladder, ``"disk"`` the store's disk
+      budget, ``"draining"`` a daemon shutting down, and ``"quota"``
+      a known tenant over its rate limit or absolute quota.
 
     A tenant is billed only for a submission answered ``200`` or
     ``202``.  Every field is parsed before the tenant is charged, and
@@ -46,16 +50,15 @@ Endpoints
     request is cut short with the typed terminal state
     ``deadline_exceeded`` instead of burning a full campaign budget.
     An already-expired deadline answers ``200`` with that terminal doc
-    immediately (never a 429 — there is nothing to retry).  Under
-    brownout pressure a submission may also come back ``200`` with
-    ``outcome: "replayed"``: the verdict was re-derived from a stored
-    trace pack by pure oracle replay, with honest ``source: "replay"``
-    provenance.
+    immediately (never a 429 — there is nothing to retry).
 
 ``GET /scans/{id}``
     Job lifecycle doc (``queued | running | done | failed |
     quarantined | deadline_exceeded``); terminal jobs include the
-    verdict / error.
+    verdict / error.  A reduced answer — an open breaker, brownout
+    pressure or a fuzzer fallback made it cheaper than its scan key
+    promises — names why in ``result.provenance.reduced`` and is
+    never cached.
 
 ``GET /healthz``
     Readiness + health: ``status`` is ``ok`` (accepting, breakers
@@ -214,11 +217,10 @@ class ServiceApi:
         job_doc["outcome"] = submission.outcome
         if tenant is not None:
             job_doc["tenant"] = tenant
-        if submission.cached or submission.outcome in (
-                "replayed", "deadline_exceeded"):
-            # Terminal at admission: a dedup hit or brownout replay
-            # already carries the verdict; an expired deadline carries
-            # its typed terminal doc — nothing is pending either way.
+        if submission.outcome in ("cached", "deadline_exceeded"):
+            # Terminal at admission: a dedup hit already carries the
+            # verdict, an expired deadline its typed terminal doc —
+            # nothing is pending either way.
             return 200, job_doc
         return 202, job_doc
 

@@ -12,8 +12,8 @@ again after a cooldown:
     normal operation; a success resets the consecutive-failure count.
 ``open``
     the stage failed ``threshold`` times in a row.  Jobs that would
-    need it degrade to black-box-only scanning (the PR-2 degradation
-    path) instead of failing; the cooldown clock runs.
+    need it degrade to black-box-only scanning instead of failing; the
+    cooldown clock runs.
 ``half_open``
     the cooldown elapsed.  Exactly one job per half-open window runs
     as a full-pipeline *probe*: success closes the breaker (and resets
@@ -36,10 +36,10 @@ from ..resilience.errors import DEGRADABLE_STAGES
 __all__ = ["CircuitBreaker", "BreakerBoard", "BREAKER_STAGES",
            "PRESSURE_LEVELS", "pressure_rank"]
 
-# Pipeline stages the service tracks breakers for.  These are the
-# taxonomy's stage names ("symback" is the symbolic-replay stage).
-BREAKER_STAGES = ("ingest", "instrument", "deploy", "fuzz", "symback",
-                  "solve")
+# The campaign stages the service tracks breakers for: the taxonomy's
+# stage names ("symback" is the symbolic-replay stage).  Ingest has
+# none: it runs at admission, outside every campaign.
+BREAKER_STAGES = ("instrument", "deploy", "fuzz", "symback", "solve")
 
 # Cap on the doubling probe cooldown (the scan service uses this one).
 MAX_COOLDOWN_S = 300.0
@@ -53,10 +53,12 @@ MAX_COOLDOWN_S = 300.0
 #                unloaded daemon.
 # ``elevated``   fuzz budgets shrink (fewer rounds per campaign).
 # ``saturated``  additionally black-box-only — the symbolic side is the
-#                most expensive stage, and degraded verdicts already
-#                carry the PR-5 labeling.
+#                most expensive stage.
 # ``shedding``   new work is refused with a measured Retry-After;
-#                cache and replay hits are still served.
+#                cache hits are still served.
+#
+# An answer dispatched above ``normal`` is reduced: its provenance
+# names the level under ``reduced`` and it is never cached.
 PRESSURE_LEVELS = ("normal", "elevated", "saturated", "shedding")
 
 

@@ -1,25 +1,24 @@
 """Adaptive admission control and the brownout pressure ladder.
 
-The scheduler's static knobs (``inflight_budget``, ``max_depth``, a
-hard-coded ``retry_after_s``) assume the operator sized the daemon for
-its peak.  Under a real burst that assumption fails in the worst way:
-the queue stays legally full of work whose callers have long given up,
-every admitted job still gets a *full* fuzzing budget, and rejected
-clients are told to come back in a constant five seconds regardless of
-how deep the backlog actually is.
+Admission has one capacity bound: the jobs admitted and not yet
+finished (queued + running) against a limit whose ceiling is the
+operator's ``--queue-depth`` + ``--workers``.  Static, that bound
+assumes the daemon was sized for its peak.  Under a real burst that
+assumption fails in the worst way: the queue stays legally full of
+work whose callers have long given up, every admitted job still gets a
+*full* fuzzing budget, and rejected clients are told to come back in a
+constant five seconds regardless of how deep the backlog actually is.
 
 :class:`OverloadController` replaces those constants with three
 measured signals:
 
-AIMD inflight sizing
+AIMD admission limit
     The controller watches recent end-to-end job latencies (the same
     samples :class:`~repro.metrics.ThroughputStats` aggregates) and
     compares their p95 against a target SLO.  While the target is
-    breached the effective inflight budget shrinks multiplicatively;
-    while it is met the budget recovers additively back toward the
-    configured ceiling — classic AIMD, which converges without
-    oscillating.  The effective queue depth scales in proportion, so
-    backlog cannot grow unboundedly while service capacity is cut.
+    breached the limit shrinks multiplicatively; while it is met the
+    limit recovers additively back toward its ceiling — classic AIMD,
+    which converges without oscillating.
 
 Drain-rate Retry-After
     Completions are timestamped into a sliding window; the measured
@@ -28,18 +27,19 @@ Drain-rate Retry-After
     shed used to carry.
 
 Pressure ladder
-    Utilization, SLO breach and budget squeeze combine into one of
+    Load (admitted jobs over the current limit), SLO breach and limit
+    squeeze combine into one of
     :data:`~repro.service.health.PRESSURE_LEVELS`.  The scheduler maps
     the level to brownout actions at dispatch (shrink fuzz budgets,
-    force black-box-only, replay-serve); the controller decides *how
-    loaded* the service is and whether one more campaign is admitted.
+    force black-box-only); the controller decides *how loaded* the
+    service is and whether one more job is admitted.
 
 Cost-based shedding picks victims by estimated campaign cost (module
 size + enabled oracle families) against a priority-scaled allowance
 that shrinks with pressure: when something must be refused, it is the
 biggest, least-important work first.  :meth:`OverloadController.
-admission_refusal` folds the ladder, the cost check and both AIMD
-bounds into the single admission decision the scheduler asks.
+admission_refusal` folds the ladder, the cost check and the bound
+into the single admission decision the scheduler asks.
 
 Like the circuit breakers next door, the controller is a pure state
 machine over an injectable monotonic clock — no threads, no sleeps —
@@ -60,8 +60,8 @@ __all__ = ["OverloadController", "SHED_KINDS"]
 
 # Every way the daemon refuses or cuts short work, as counted by the
 # per-kind shed counters in /stats (shed_by_kind).
-SHED_KINDS = ("queue", "inflight", "deadline", "quota", "disk",
-              "brownout", "draining")
+SHED_KINDS = ("queue", "deadline", "quota", "disk", "brownout",
+              "draining")
 
 # How much each pressure level shrinks a campaign's fuzz budget.  The
 # shedding entry matters for jobs admitted just before the ladder
@@ -87,13 +87,12 @@ COST_ALLOWANCE = 32.0          # priority-0 campaign cost allowance
 class OverloadController:
     """Measured admission control for one scan daemon."""
 
-    def __init__(self, base_inflight: int, base_depth: int, *,
+    def __init__(self, base_inflight: int, *,
                  target_p95_s: float = 30.0,
                  latency_window_s: float = 60.0,
                  adjust_interval_s: float = 1.0,
                  clock: Callable[[], float] = time.monotonic):
         self.base_inflight = max(1, int(base_inflight))
-        self.base_depth = max(1, int(base_depth))
         self.target_p95_s = float(target_p95_s)
         self.latency_window_s = float(latency_window_s)
         self.adjust_interval_s = float(adjust_interval_s)
@@ -154,7 +153,8 @@ class OverloadController:
     # -- AIMD + ladder -----------------------------------------------------
     def update(self, queue_depth: int, inflight: int) -> str:
         """One housekeeping tick: adjust the limit, refresh the ladder.
-        Returns the (possibly new) pressure level."""
+        ``inflight`` counts the running jobs; the limit only shrinks
+        while some run.  Returns the (possibly new) pressure level."""
         now = self._clock()
         p95 = self.observed_p95_s()
         breach = (p95 / self.target_p95_s) if self.target_p95_s > 0 \
@@ -171,9 +171,8 @@ class OverloadController:
                 self._limit = min(float(self.base_inflight),
                                   self._limit + INCREASE_STEP)
                 self.adjustments += 1
-        capacity = self.effective_inflight() + self.effective_depth()
         load = (max(0, int(queue_depth)) + max(0, int(inflight))) \
-            / max(1, capacity)
+            / self.effective_inflight()
         squeeze = self._limit / self.base_inflight
         if load >= 1.0 and (squeeze <= MIN_INFLIGHT / self.base_inflight
                             or breach >= 2.0):
@@ -189,11 +188,6 @@ class OverloadController:
     def effective_inflight(self) -> int:
         return max(MIN_INFLIGHT,
                    min(self.base_inflight, int(round(self._limit))))
-
-    def effective_depth(self) -> int:
-        scale = self._limit / self.base_inflight
-        return max(1, min(self.base_depth,
-                          int(round(self.base_depth * scale))))
 
     def timeout_scale(self) -> float:
         """Fuzz-budget multiplier for the active brownout level."""
@@ -222,30 +216,23 @@ class OverloadController:
         return cost > allowance
 
     # -- the admission decision --------------------------------------------
-    def admission_refusal(self, module_len: int, oracle_count: int,
-                          priority: int, *, depth: int, running: int
-                          ) -> "tuple[str, str, int, int] | None":
-        """The one capacity decision for a new campaign: None admits,
-        otherwise ``(kind, message, depth, limit)`` for the typed 429.
-        In order: the brownout ladder (campaign cost against the
-        priority-scaled allowance; nothing passes at ``shedding``),
-        the AIMD in-flight limit over queued + running jobs, then the
-        AIMD queue depth.  The static bounds stay the ceilings."""
-        cost = self.admission_cost(module_len, oracle_count)
-        if self.should_shed_cost(cost, priority):
+    def admission_refusal(self, admitted: int, cost: "float | None" = None,
+                          priority: int = 0) -> "tuple[str, str] | None":
+        """The one admission decision: None admits, otherwise ``(kind,
+        message)`` for the typed 429.  A campaign (``cost`` given) first
+        meets the brownout ladder: its cost against the priority-scaled
+        allowance, nothing passing at ``shedding``.  Every job, campaign
+        or re-verdict sweep, then meets the one capacity bound: the
+        AIMD limit over the ``admitted`` (queued + running) jobs."""
+        if cost is not None and self.should_shed_cost(cost, priority):
             return ("brownout",
                     f"brownout: campaign cost {cost:.1f} exceeds the "
                     f"priority-{priority} allowance at pressure level "
-                    f"'{self.pressure}'", depth, self.effective_depth())
-        inflight, budget = depth + running, self.effective_inflight()
-        if inflight >= budget:
-            return ("inflight", f"in-flight budget {budget} exhausted "
-                                f"({inflight} admitted)", inflight, budget)
-        bound = self.effective_depth()
-        if depth >= bound:
-            return ("queue", f"queue depth {depth} at effective bound "
-                             f"{bound} (pressure '{self.pressure}')",
-                    depth, bound)
+                    f"'{self.pressure}'")
+        limit = self.effective_inflight()
+        if admitted >= limit:
+            return ("queue", f"{admitted} jobs admitted at the bound "
+                             f"{limit} (pressure '{self.pressure}')")
         return None
 
     def snapshot(self) -> dict:
@@ -254,8 +241,6 @@ class OverloadController:
             "levels": list(PRESSURE_LEVELS),
             "effective_inflight": self.effective_inflight(),
             "base_inflight": self.base_inflight,
-            "effective_depth": self.effective_depth(),
-            "base_depth": self.base_depth,
             "observed_p95_s": round(self.observed_p95_s(), 6),
             "target_p95_s": self.target_p95_s,
             "drain_rate_per_s": round(self.drain_rate_per_s(), 6),

@@ -50,20 +50,20 @@ JOB_STATES = ("queued", "running") + TERMINAL_STATES
 
 
 class QueueFull(Exception):
-    """Typed backpressure rejection: the queue (or the service's
-    in-flight budget, the store's disk budget, or a tenant's quota) is
-    saturated; the submission was shed.  ``retry_after_s`` is the
-    server's hint for when a retry is worth attempting (emitted as
-    ``Retry-After``).  Every 429 the service emits carries the same
-    schema: ``kind`` names the saturated bound so clients can
-    dispatch without string-matching the message."""
+    """Typed backpressure rejection: the service's admission bound
+    (or the store's disk budget, or a tenant's quota) is saturated; the
+    submission was shed.  ``retry_after_s`` is the server's hint for
+    when a retry is worth attempting (emitted as ``Retry-After``).
+    Every 429 the service emits carries the same schema: ``kind``
+    names the saturated bound so clients can dispatch without
+    string-matching the message."""
 
     def __init__(self, message: str, *, depth: int, limit: int,
                  kind: str = "queue", retry_after_s: float = 1.0):
         super().__init__(message)
         self.depth = depth
         self.limit = limit
-        # "queue" | "inflight" | "draining" | "disk" | "quota"
+        # "queue" (admission bound) | "draining" | "disk" | "quota"
         # | "brownout" (pressure ladder refused it: level topped out
         # or the campaign is too expensive for its priority)
         self.kind = kind
@@ -92,7 +92,6 @@ class Job:
     waiters: int = 0          # coalesced submissions sharing this job
     queued_s: float = 0.0     # queue clock at first enqueue (for aging)
     deadline_epoch_s: float | None = None  # wall-clock deadline (+TTL)
-    brownout: str | None = None  # pressure level the run degraded under
     claim: str | None = None  # worker token currently owning the run
     requeues: int = 0         # watchdog reap re-queues (exactly-once)
 
@@ -126,8 +125,6 @@ class Job:
             doc["requeues"] = self.requeues
         if self.deadline_epoch_s is not None:
             doc["deadline_epoch_s"] = self.deadline_epoch_s
-        if self.brownout is not None:
-            doc["brownout"] = self.brownout
         if self.started_s and self.finished_s:
             doc["latency_s"] = self.finished_s - self.started_s
         if self.error is not None:

@@ -42,8 +42,7 @@ from ..semoracle.registry import InsufficientSurface, resolve_oracles
 from ..traceir.codec import TRACEIR_VERSION
 from ..traceir.pack import decode_pack, replay_scan
 
-__all__ = ["ReverdictReport", "reverdict_store", "audit_traces",
-           "replay_row", "replay_provenance"]
+__all__ = ["ReverdictReport", "reverdict_store", "audit_traces"]
 
 
 @dataclass
@@ -119,25 +118,6 @@ def _requeue_insufficient(store, key: str, module_hash: str,
     })
 
 
-def replay_row(row: dict, extra_detectors=(), oracles=None) -> dict:
-    """Decode one stored trace row's pack and replay the oracles over
-    it; returns the scan doc.  Raises the typed
-    :class:`~repro.resilience.errors.TraceCorruption` or
-    :class:`~repro.semoracle.registry.InsufficientSurface`."""
-    scan = replay_scan(decode_pack(row["blob"]), extra_detectors,
-                       oracles=oracles)
-    return _scan_to_doc(scan)
-
-
-def replay_provenance(oracle_version: int, row: dict,
-                      oracles=None) -> dict:
-    """The provenance of a verdict re-derived from ``row``'s pack."""
-    return {"oracle_version": oracle_version,
-            "traceir_version": row["traceir_version"],
-            "oracles": list(resolve_oracles(oracles)),
-            "source": "replay"}
-
-
 def _examine(store, key: str, report: ReverdictReport,
              extra_detectors=(),
              oracles=None) -> "tuple[dict, dict, dict] | None":
@@ -153,7 +133,9 @@ def _examine(store, key: str, report: ReverdictReport,
     if row is None:
         return None
     try:
-        scan_doc = replay_row(row, extra_detectors, oracles=oracles)
+        scan_doc = _scan_to_doc(replay_scan(decode_pack(row["blob"]),
+                                            extra_detectors,
+                                            oracles=oracles))
     except TraceCorruption as exc:
         _quarantine_corrupt(store, key, row["module_hash"], exc, report)
         return None
@@ -215,7 +197,10 @@ def reverdict_store(store, oracle_version: int | None = None,
         result_doc = dict(record["result"])
         result_doc["scans"] = dict(result_doc.get("scans", {}))
         result_doc["scans"][row["tool"]] = scan_doc
-        result_doc["provenance"] = replay_provenance(version, row, oracles)
+        result_doc["provenance"] = {
+            "oracle_version": version,
+            "traceir_version": row["traceir_version"],
+            "oracles": list(report.oracles), "source": "replay"}
         store.put_verdict(key, record["module_hash"],
                           record["config"], result_doc)
         report.rewritten += 1

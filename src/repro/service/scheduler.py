@@ -9,7 +9,7 @@ travels::
     bytes -> ingest (sandboxed, typed reject) -> scan_key
           -> store hit?        -> cached verdict, no job runs
           -> in-flight twin?   -> coalesce onto the running job
-          -> admission gate    -> typed QueueFull shed
+          -> admission bound   -> typed QueueFull shed
           -> queued -> running -> done | failed | quarantined
                                   | deadline_exceeded
 
@@ -38,13 +38,15 @@ Self-healing (this PR's tentpole) has four pillars:
   requeued *exactly once*.  A restart storm (too many replacements per
   window) degrades the service to draining instead of crash-looping.
 * **circuit breakers** — a :class:`~repro.service.health.BreakerBoard`
-  counts consecutive per-stage failures across jobs.  While a breaker
-  on a degradable stage (symbolic replay, solver) is open, new jobs
-  are forced into black-box-only scanning; one probe job per half-open
-  window runs the full pipeline to test recovery.  Only a full answer
-  is persisted: a verdict that degraded for any reason (breaker-forced
-  or inside the fuzzer) or ran under brownout pressure answers its
-  caller but never becomes the cached verdict for its scan key.
+  counts consecutive per-stage failures across jobs, crediting a job
+  only with the stages its tool ran.  While a breaker on a degradable
+  stage (symbolic replay, solver) is open, new WASAI jobs are forced
+  into black-box-only scanning; one probe job per half-open window
+  runs the full pipeline to test recovery.  Only a full answer is
+  persisted: a reduced one — breaker-forced, browned out by pressure,
+  or degraded inside the fuzzer — says why in its provenance's
+  ``reduced`` field and answers its caller, but never becomes the
+  cached verdict for its scan key.
 * **storage integrity** — every store access routes through a healing
   wrapper: a typed :class:`StoreCorruption` (checksum mismatch or a
   malformed SQLite image) quarantines the corrupt database file aside
@@ -110,6 +112,10 @@ from .supervisor import WorkerRecord, WorkerSupervisor
 __all__ = ["ScanService", "ScanServiceConfig", "Submission",
            "DEFAULT_SCAN_CONFIG"]
 
+# The breaker stages each tool's campaign runs (EOSAFE runs none).
+_TOOL_STAGES = {"wasai": BREAKER_STAGES,
+                "eosfuzzer": ("instrument", "deploy", "fuzz")}
+
 DEFAULT_SCAN_CONFIG = {
     "tool": "wasai",
     "timeout_ms": 30_000.0,
@@ -128,8 +134,9 @@ class ScanServiceConfig:
     """Operator knobs for one daemon instance."""
 
     workers: int = 2
-    max_depth: int = 64          # queued-job bound (backpressure)
-    max_inflight: int | None = None  # queued+running bound; None = auto
+    # Admission bound: at most max_depth + workers jobs queued or
+    # running (the ceiling of the AIMD limit).
+    max_depth: int = 64
     poll_s: float = 0.2          # worker queue poll interval
     default_timeout_ms: float = 30_000.0
     # -- self-healing knobs ------------------------------------------------
@@ -151,8 +158,8 @@ class ScanServiceConfig:
     oracles: "tuple | str | None" = None  # default family set for jobs
     # -- overload / brownout knobs -----------------------------------------
     # Job-latency SLO the AIMD controller defends; None = 30 s.  While
-    # the observed p95 breaches it the effective inflight budget and
-    # queue depth shrink (and recover additively once it is met again).
+    # the observed p95 breaches it the admission limit shrinks (and
+    # recovers additively once it is met again).
     target_p95_s: float | None = None
     # Housekeeping cadence: drives the idle-queue deadline sweep and
     # the controller's AIMD tick.  None disables the thread (tests
@@ -161,25 +168,15 @@ class ScanServiceConfig:
     overload_window_s: float = 60.0      # latency-sample horizon
     adjust_interval_s: float = 1.0       # min spacing of AIMD steps
 
-    def inflight_budget(self) -> int:
-        if self.max_inflight is not None:
-            return self.max_inflight
-        return self.max_depth + self.workers
-
 
 @dataclass
 class Submission:
     """What admission hands back: the job plus how it was satisfied."""
 
     job: Job
-    # "queued" | "cached" | "coalesced" | "replayed" (brownout
-    # replay-serve from a stored trace pack) | "deadline_exceeded"
-    # (the caller's deadline had already passed at admission)
+    # "queued" | "cached" | "coalesced" | "deadline_exceeded" (the
+    # caller's deadline had already passed at admission)
     outcome: str
-
-    @property
-    def cached(self) -> bool:
-        return self.outcome == "cached"
 
 
 class ScanService:
@@ -204,7 +201,7 @@ class ScanService:
         self.supervisor: WorkerSupervisor | None = None
         self.perf = ThroughputStats(jobs=self.config.workers)
         self.overload = OverloadController(
-            self.config.inflight_budget(), self.config.max_depth,
+            self.config.max_depth + self.config.workers,
             target_p95_s=(self.config.target_p95_s
                           if self.config.target_p95_s is not None
                           else 30.0),
@@ -389,20 +386,32 @@ class ScanService:
                                    floor=30.0)
 
     def _refuse(self, kind: str, message: str, *,
-                depth: int | None = None, limit: int | None = None,
                 floor: float = 0.0) -> QueueFull:
         """Count one refused submission and build its typed 429 (the
-        caller raises it), with a Retry-After measured from the
-        current backlog."""
+        caller raises it): the admitted jobs against the admission
+        bound, and a Retry-After measured from the current backlog."""
         self.count(f"shed.{kind}")
         with self._lock:
             queued = self.queue.depth
             return QueueFull(
                 message, kind=kind,
-                depth=queued if depth is None else depth,
-                limit=self.config.max_depth if limit is None else limit,
+                depth=queued + len(self._running_jobs),
+                limit=self.overload.effective_inflight(),
                 retry_after_s=max(floor,
                                   self.overload.retry_after_s(queued)))
+
+    def _admit_locked(self, job: Job, cost: "float | None" = None) -> None:
+        """Queue ``job`` if the overload controller admits it (service
+        lock held), else raise its typed 429.  ``cost`` is a campaign's
+        estimated cost; a re-verdict sweep has none."""
+        refusal = self.overload.admission_refusal(
+            self.queue.depth + len(self._running_jobs), cost,
+            job.priority)
+        if refusal is not None:
+            raise self._refuse(*refusal)
+        self.queue.put(job)
+        self._jobs[job.job_id] = job
+        self._inflight[job.scan_key] = job
 
     def submit_bytes(self, data: bytes, abi_json: "Abi | str | dict",
                      config: dict | None = None, client: str = "anon",
@@ -508,26 +517,9 @@ class ScanService:
                              error="caller deadline passed before "
                                    "admission")
                 return self._answered(job, "deadline_exceeded")
-            # Brownout ladder: under saturation, a stored trace pack
-            # can answer by pure oracle replay — zero fuzzing — before
-            # we consider refusing outright.
-            if self.overload.pressure in ("saturated", "shedding"):
-                replay_doc = self._serve_from_replay_locked(scan_key)
-                if replay_doc is not None:
-                    self.count("replay_served")
-                    return self._answered(job, "replayed", replay_doc)
-            refusal = self.overload.admission_refusal(
-                len(data), len(stored_config["oracles"] or ()) or 5,
-                priority, depth=self.queue.depth,
-                running=len(self._running_jobs))
-            if refusal is not None:
-                kind, message, depth, limit = refusal
-                raise self._refuse(kind, message, depth=depth,
-                                   limit=limit)
             job.task = task
-            self.queue.put(job)  # admission decided above
-            self._jobs[job.job_id] = job
-            self._inflight[scan_key] = job
+            self._admit_locked(job, OverloadController.admission_cost(
+                len(data), len(stored_config["oracles"] or ()) or 5))
         return Submission(job, "queued")
 
     def _answered(self, job: Job, outcome: str,
@@ -539,31 +531,6 @@ class ScanService:
         job.outcome = outcome
         self._jobs[job.job_id] = job
         return Submission(job, outcome)
-
-    def _serve_from_replay_locked(self, scan_key: str) -> "dict | None":
-        """Brownout replay-serve: when a stored trace pack exists for
-        this scan key (but no cached verdict — that was checked
-        first), re-derive the verdict by pure oracle replay.  Costs
-        milliseconds, no fuzzing, and carries honest ``replay``
-        provenance stamped with the pressure level that triggered it.
-        Never persisted — the store only holds verdicts produced by
-        the path the scan key promises."""
-        row = self._healed(lambda: self.store.get_trace(scan_key))
-        if row is None:
-            return None
-        from ..resilience.errors import TraceCorruption
-        from ..scanner.oracles import ORACLE_VERSION
-        from ..semoracle.registry import InsufficientSurface
-        from .reverdict import replay_provenance, replay_row
-        oracles = self.config.oracles
-        try:
-            scan_doc = replay_row(row, oracles=oracles)
-        except (TraceCorruption, InsufficientSurface):
-            return None     # the reverdict sweep owns cleanup
-        provenance = replay_provenance(ORACLE_VERSION, row, oracles)
-        provenance["pressure"] = self.overload.pressure
-        return {"scans": {row["tool"]: scan_doc},
-                "provenance": provenance}
 
     def job(self, job_id: str) -> Job | None:
         with self._lock:
@@ -579,15 +546,10 @@ class ScanService:
         trace-IR pack (see :mod:`repro.service.reverdict`) — zero
         re-fuzzing — and rewrites the affected verdicts with
         ``source: "replay"`` provenance.  Runs under the same worker
-        supervision, claim protocol and admission gates as scan jobs.
+        supervision, claim protocol and admission bound as scan jobs.
         """
         self._check_writable()
         with self._lock:
-            depth, limit = self.queue.depth, self.config.max_depth
-            if depth >= limit:
-                raise self._refuse(
-                    "queue", f"queue depth {depth} at limit {limit}")
-            self.count("submissions")
             job_id = uuid.uuid4().hex[:12]
             job = Job(job_id=job_id, client=client,
                       scan_key=f"reverdict:{job_id}", module_hash="",
@@ -596,9 +558,8 @@ class ScanService:
                               "oracles": (oracles if oracles is not None
                                           else self.config.oracles)},
                       priority=priority, submitted_s=time.time())
-            self.queue.put(job)
-            self._jobs[job.job_id] = job
-            self._inflight[job.scan_key] = job
+            self._admit_locked(job)
+            self.count("submissions")
         return Submission(job, "queued")
 
     # -- workers -----------------------------------------------------------
@@ -634,41 +595,50 @@ class ScanService:
                 job.state = "running"
                 job.started_s = time.time()
                 self._running_jobs.add(job.job_id)
-                # Breaker gate: while a degradable-stage breaker is
-                # open, this job runs black-box-only (one probe per
-                # half-open window runs the full pipeline instead).
-                forced = self.breakers.force_blackbox()
-                if job.task is not None:
-                    job.task.blackbox = forced
-                if forced:
-                    self.count("forced_blackbox")
-                # Brownout ladder: under pressure, shrink the fuzzing
-                # budget (elevated: x0.5, saturated+: x0.25 and force
-                # black-box — PR 5's degraded labeling applies).  The
-                # base budget is restored from the stored config each
-                # dispatch so a watchdog re-queue under *recovered*
-                # pressure runs at full size again.
-                level = self.overload.pressure
-                job.brownout = None
-                if job.task is not None:
-                    job.task.timeout_ms = float(
-                        job.config.get("timeout_ms",
-                                       job.task.timeout_ms))
-                    if level != "normal":
-                        job.brownout = level
-                        self.count("browned_out")
-                        job.task.timeout_ms *= \
-                            self.overload.timeout_scale()
-                        if level in ("saturated", "shedding"):
-                            job.task.blackbox = True
+                reduced = self._dispatch_locked(job)
             # The chaos chokepoint sits AFTER the claim on purpose: an
             # injected kill/hang leaves a claimed job behind, which is
             # exactly the mess the watchdog must be able to heal.
             inject("worker")
-            self._run_job(job, record.token)
+            self._run_job(job, record.token, reduced)
             record.release_job()
 
-    def _run_job(self, job: Job, token: str) -> None:
+    def _dispatch_locked(self, job: Job) -> "str | None":
+        """The one dispatch decision (service lock held): set the
+        task's black-box flag and fuzz budget from the breaker gate and
+        the pressure level, and return why the answer will be reduced,
+        or None for a full run.
+
+        The breaker gate forces a WASAI campaign black-box while a
+        symback/solve breaker is open (one probe per half-open window
+        runs the full pipeline instead); the other tools never run
+        those stages.  Pressure shrinks every budget (elevated: x0.5,
+        saturated and up: x0.25) and from saturated on forces
+        black-box too.  The reason is ``"breaker"`` over the pressure
+        level.  The budget is reset from the stored config on every
+        dispatch, so a requeue under recovered pressure runs at full
+        size again."""
+        task = job.task
+        if task is None:
+            return None         # a re-verdict sweep runs no campaign
+        level = self.overload.pressure
+        forced = job.config["tool"] == "wasai" \
+            and self.breakers.force_blackbox()
+        task.blackbox = forced or level in ("saturated", "shedding")
+        task.timeout_ms = float(job.config["timeout_ms"]) \
+            * self.overload.timeout_scale()
+        if forced:
+            self.count("forced_blackbox")
+        if level != "normal":
+            self.count("browned_out")
+        return "breaker" if forced else (
+            None if level == "normal" else level)
+
+    def _run_job(self, job: Job, token: str, reduced: "str | None"
+                 ) -> None:
+        """Run one claimed job.  ``reduced`` is the dispatch's reason
+        for a cheaper answer; a campaign the fuzzer degraded to
+        black-box mid-run is reduced for ``"feedback"``."""
         if job.config.get("kind") == "reverdict":
             self._run_reverdict_job(job, token)
             return
@@ -682,9 +652,7 @@ class ScanService:
                              f"{type(exc).__name__}: {exc}")
             return
         with self._lock:
-            self._record_stage_outcomes(
-                result, completed=tool in result.scans,
-                forced_blackbox=job.task.blackbox)
+            self._record_stage_outcomes(result, tool)
         if tool not in result.scans:
             doc_error = result.errors.get(tool) or {}
             # A deadline that ran out mid-campaign (or before the tool
@@ -702,20 +670,20 @@ class ScanService:
         # addressed ``traces`` table holds the blob; the verdict doc
         # (and its log line) must not carry a base64 twin of it.
         result_doc.pop("traces", None)
-        if job.brownout is not None:
-            # Honest provenance: a verdict produced under brownout
-            # says so.  At pressure "normal" the key is absent, so
-            # unpressured verdicts stay byte-identical to the seed's.
-            provenance = dict(result_doc.get("provenance") or {})
-            provenance["pressure"] = job.brownout
-            result_doc["provenance"] = provenance
+        if reduced is None and result.degraded:
+            reduced = "feedback"
+        if reduced is not None:
+            # Honest provenance: a reduced answer says why.  A full
+            # one has no such key, so it stays byte-identical to an
+            # unloaded daemon's.
+            result_doc["provenance"] = dict(
+                result_doc.get("provenance") or {}, reduced=reduced)
         with self._lock:
             if job.claim != token or job.terminal:
                 return  # claim revoked: the requeued twin owns the job
-        # Persist only a full answer: a degraded campaign (breaker-
-        # forced or degraded inside the fuzzer) or a browned-out one
-        # answers this caller but must never become the cached verdict.
-        if not result.degraded and job.brownout is None:
+        # Persist only a full answer: a reduced one answers this caller
+        # but must never become the cached verdict.
+        if reduced is None:
             try:
                 self._healed(lambda: self.store.put_verdict(
                     job.scan_key, job.module_hash, job.config,
@@ -888,6 +856,7 @@ class ScanService:
             if state == "deadline_exceeded":
                 job.outcome = state
                 self.count("shed.deadline")
+            job.task = None     # the parsed module goes with it
             job.state = state
             job.finished_s = time.time()
             self.count(f"settled.{state}")
@@ -927,31 +896,24 @@ class ScanService:
             self._storm = True
             self._accepting = False
 
-    def _record_stage_outcomes(self, result, *, completed: bool,
-                               forced_blackbox: bool) -> None:
-        """Feed per-stage outcomes of one campaign to the breaker
-        board (service lock held).  A stage named in an error doc is a
-        failure.  A *completed* campaign is a success for every other
-        stage it exercised — with one carve-out: the degradable
-        stages (symbolic replay, solver) only count as successes when
-        the campaign actually ran the full pipeline, i.e. it was
-        neither breaker-forced into black-box mode nor internally
-        degraded, so a degraded run can never close the very breaker
-        that is protecting it."""
-        failed_stages = set()
-        for doc in result.errors.values():
-            stage = doc.get("stage")
-            if stage:
-                failed_stages.add(stage)
+    def _record_stage_outcomes(self, result, tool: str) -> None:
+        """Feed per-stage outcomes of one ``tool`` campaign to the
+        breaker board (service lock held).  A stage named in an error
+        doc is a failure.  A completed campaign is a success for every
+        other stage its tool ran: WASAI runs instrument, deploy and
+        fuzz, and symback and solve too unless its result is degraded
+        (a breaker-forced run always is, so a degraded run can never
+        close the very breaker that is protecting it); EOSFuzzer runs
+        the first three, static EOSAFE none."""
+        failed_stages = {doc["stage"] for doc in result.errors.values()
+                         if doc.get("stage")}
         for stage in failed_stages:
             self.breakers.record_failure(stage)
-        if not completed:
+        if tool not in result.scans:
             return
-        ran_full = not forced_blackbox and not result.degraded
-        for stage in BREAKER_STAGES:
-            if stage in failed_stages:
-                continue
-            if stage in DEGRADABLE_STAGES and not ran_full:
+        for stage in _TOOL_STAGES.get(tool, ()):
+            if stage in failed_stages \
+                    or (stage in DEGRADABLE_STAGES and result.degraded):
                 continue
             self.breakers.record_success(stage)
 
@@ -1070,7 +1032,7 @@ class ScanService:
         queue (``promoted``), the supervisor (worker restarts = died +
         hung reaps), the breaker board (trips and recoveries) and the
         store (rows per table).  ``shed`` sums the capacity refusals
-        (queue, inflight, brownout, disk) of ``shed_by_kind``."""
+        (queue, brownout, disk) of ``shed_by_kind``."""
         with self._count_lock:
             counts = self._counts.copy()
         sheds = {kind: counts[f"shed.{kind}"] for kind in SHED_KINDS
@@ -1087,7 +1049,7 @@ class ScanService:
                 "uptime_s": time.time() - self.started_s,
                 "queue_depth": self.queue.depth,
                 "running": len(self._running_jobs),
-                "inflight_budget": self.config.inflight_budget(),
+                "inflight_budget": self.overload.base_inflight,
                 "workers": self.config.workers,
                 "accepting": self._accepting,
                 "health": self._status_locked(),
@@ -1100,11 +1062,10 @@ class ScanService:
                 "promoted": self.queue.promoted,
                 "admission_rejected": counts["admission_rejected"],
                 "shed": sum(sheds.get(kind, 0) for kind in
-                            ("queue", "inflight", "brownout", "disk")),
+                            ("queue", "brownout", "disk")),
                 "shed_by_kind": sheds,
                 "pressure": self.overload.pressure,
                 "overload": self.overload.snapshot(),
-                "replay_served": counts["replay_served"],
                 "browned_out": counts["browned_out"],
                 "dedup": {
                     "cache_hits": counts["cache_hits"],

@@ -21,7 +21,7 @@ from .conftest import contract_bytes
 # kind naming which bound shed the request.
 _429_KEYS = {"error", "detail", "kind", "depth", "limit",
              "retry_after_s"}
-_KINDS = {"queue", "inflight", "draining", "disk", "quota"}
+_KINDS = {"queue", "draining", "disk", "quota"}
 
 
 def _api(tenants=None, **config) -> ServiceApi:
@@ -53,22 +53,15 @@ def _assert_429(status: int, doc: dict, kind: str) -> None:
 # -- the typed 429 schema, per shed kind ------------------------------------
 
 def test_queue_depth_shed_emits_the_full_429_schema():
-    # Workers never started and max_inflight raised out of the way:
-    # distinct modules pile up until queue depth itself is the bound.
-    api = _api(max_depth=2, max_inflight=100)
+    # Workers never started: distinct modules pile up until the
+    # admission bound (max_depth + workers = 2) refuses the next.
+    api = _api(max_depth=1)
     for seed in range(2):
         status, _doc = api.handle("POST", "/scans", _body(seed=seed))
         assert status == 202
     status, doc = api.handle("POST", "/scans", _body(seed=2))
     _assert_429(status, doc, "queue")
-
-
-def test_inflight_budget_shed_emits_the_full_429_schema():
-    api = _api(max_depth=8, max_inflight=1)
-    status, _doc = api.handle("POST", "/scans", _body(seed=0))
-    assert status == 202
-    status, doc = api.handle("POST", "/scans", _body(seed=1))
-    _assert_429(status, doc, "inflight")
+    assert (doc["depth"], doc["limit"]) == (2, 2)
 
 
 def test_draining_shed_emits_the_full_429_schema():
@@ -95,7 +88,7 @@ def test_refused_submission_does_not_bill_the_tenant():
     book = TenantBook(require_key=True)
     book.register("team", "team-key", max_submissions=1)
     book.register("other", "other-key")
-    api = _api(tenants=book, max_depth=1, max_inflight=100)
+    api = _api(tenants=book, max_depth=0)    # bound 0 + 1 worker
     status, _doc = api.handle("POST", "/scans", _body(seed=0, ttl_s=0.05),
                               headers={"X-Api-Key": "other-key"})
     assert status == 202

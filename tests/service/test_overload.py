@@ -37,11 +37,12 @@ class FakeClock:
         self.now += seconds
 
 
-def _controller(**kwargs) -> "tuple[OverloadController, FakeClock]":
+def _controller(bound: int = 8,
+                **kwargs) -> "tuple[OverloadController, FakeClock]":
     clock = FakeClock()
     kwargs.setdefault("target_p95_s", 1.0)
     kwargs.setdefault("adjust_interval_s", 1.0)
-    controller = OverloadController(8, 16, clock=clock, **kwargs)
+    controller = OverloadController(bound, clock=clock, **kwargs)
     return controller, clock
 
 
@@ -67,24 +68,11 @@ def test_aimd_halves_on_breach_and_recovers_additively():
     assert seen == [2, 3, 4, 5, 6, 7, 8, 8]
 
 
-def test_effective_depth_scales_with_the_inflight_squeeze():
-    controller, clock = _controller()
-    assert controller.effective_depth() == 16
-    controller.observe_latency(3.0)
-    clock.advance(1.0)
-    controller.update(queue_depth=0, inflight=1)
-    assert controller.effective_inflight() == 4
-    assert controller.effective_depth() == 8    # proportional
-    for _ in range(4):
-        clock.advance(1.0)
-        controller.update(queue_depth=0, inflight=1)
-    assert controller.effective_depth() == 2    # squeezed to min=1
-
-
 def test_pressure_ladder_tracks_load_and_breach():
-    controller, clock = _controller(target_p95_s=100.0)
+    controller, clock = _controller(bound=24, target_p95_s=100.0)
     assert controller.update(0, 0) == "normal"
-    # capacity = 8 + 16 = 24 while nothing breaches the huge target.
+    # Load is admitted jobs over the limit, 24 while nothing breaches
+    # the huge target.
     assert controller.update(10, 5) == "elevated"    # load 0.62
     assert controller.update(16, 7) == "saturated"   # load 0.96
     assert controller.update(16, 8) == "saturated"   # full, no breach
@@ -145,9 +133,8 @@ def test_snapshot_carries_the_operator_story():
     assert snap["effective_inflight"] == snap["base_inflight"] == 8
     assert snap["levels"] == ["normal", "elevated", "saturated",
                               "shedding"]
-    assert set(SHED_KINDS) == {"queue", "inflight", "deadline",
-                               "quota", "disk", "brownout",
-                               "draining"}
+    assert set(SHED_KINDS) == {"queue", "deadline", "quota", "disk",
+                               "brownout", "draining"}
 
 
 # -- the queue: idle sweep --------------------------------------------------
@@ -324,9 +311,8 @@ def test_brownout_tags_provenance_and_never_caches(sample_contract):
         first = service.submit_bytes(data, abi)
         job = _wait_terminal(service, first.job.job_id)
         assert job.state == "done"
-        assert job.brownout == "saturated"
         prov = job.result_doc.get("provenance") or {}
-        assert prov.get("pressure") == "saturated"
+        assert prov.get("reduced") == "saturated"
         # Browned-out answers are honest but weaker — never persisted
         # as the module's verdict of record.
         assert service.store.get_verdict(job.scan_key) is None
@@ -340,38 +326,31 @@ def test_brownout_tags_provenance_and_never_caches(sample_contract):
         job2 = _wait_terminal(service, full.job.job_id)
         assert job2.state == "done"
         prov2 = job2.result_doc.get("provenance") or {}
-        assert "pressure" not in prov2
+        assert "reduced" not in prov2
         assert service.store.get_verdict(job2.scan_key) is not None
     finally:
         service.stop(wait_s=5)
 
 
-def test_saturation_serves_stored_traces_by_replay(sample_contract):
+def test_a_daemon_full_to_its_bound_reads_saturated(sample_contract):
+    """The ladder's load is admitted jobs over the one bound: a default
+    daemon (64 + 2 workers) holding as many jobs as it admits reads
+    full, not half-loaded."""
+    from repro.service import QueueFull
     data, abi = sample_contract
-    service = _service(workers=1, capture_traces=True,
-                       housekeeping_s=None)
+    service = ScanService(config=ScanServiceConfig(housekeeping_s=None))
     try:
-        first = service.submit_bytes(data, abi)
-        job = _wait_terminal(service, first.job.job_id)
-        assert service.store.get_trace(job.scan_key) is not None
-        # Lose the verdict but keep the trace (e.g. an oracle-version
-        # sweep dropped it); under saturation the daemon answers by
-        # pure oracle replay instead of refusing or re-fuzzing.
-        service.store.delete_verdict(job.scan_key)
-        service.overload.pressure = "saturated"
-        replayed = service.submit_bytes(data, abi)
-        assert replayed.outcome == "replayed"
-        assert replayed.job.state == "done"
-        doc = replayed.job.result_doc
-        prov = doc.get("provenance") or {}
-        assert prov.get("source") == "replay"
-        assert prov.get("pressure") == "saturated"
-        assert doc["scans"].keys() == job.result_doc["scans"].keys()
-        assert service.stats()["replay_served"] == 1
-        # Replay-served answers are ephemeral too: no verdict row.
-        assert service.store.get_verdict(job.scan_key) is None
+        admitted = 0
+        with pytest.raises(QueueFull) as excinfo:
+            while True:     # one scan key per rng seed: no coalescing
+                service.submit_bytes(data, abi,
+                                     config={"rng_seed": admitted})
+                admitted += 1
+        assert excinfo.value.kind == "queue"
+        assert service.housekeeping_once()["pressure"] == "saturated"
+        assert admitted == excinfo.value.limit == 66
     finally:
-        service.stop(wait_s=5)
+        service.stop(wait_s=1)
 
 
 def test_shedding_pressure_refuses_with_typed_brownout_429(

@@ -40,21 +40,21 @@ EXPECTED = {
     ("saturated", "open"): (1000.0, 1039.0, ["wasai"], False, False),
 }
 
-# (pressure, breaker) -> the answer's label: (job doc "brownout",
-# provenance "pressure"), None where absent.
+# (pressure, breaker) -> the answer's label: provenance "reduced",
+# None where absent.
 LABELS = {
-    ("normal", "closed"): (None, None),
-    ("normal", "open"): (None, None),
-    ("elevated", "closed"): ("elevated", "elevated"),
-    ("elevated", "open"): ("elevated", "elevated"),
-    ("saturated", "closed"): ("saturated", "saturated"),
-    ("saturated", "open"): ("saturated", "saturated"),
+    ("normal", "closed"): None,
+    ("normal", "open"): "breaker",
+    ("elevated", "closed"): "elevated",
+    ("elevated", "open"): "breaker",
+    ("saturated", "closed"): "saturated",
+    ("saturated", "open"): "breaker",
 }
 
 
-def _label(job) -> tuple:
+def _label(job) -> "str | None":
     provenance = job.result_doc.get("provenance") or {}
-    return (job.to_doc().get("brownout"), provenance.get("pressure"))
+    return provenance.get("reduced")
 
 
 @pytest.fixture(scope="module")

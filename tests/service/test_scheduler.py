@@ -5,8 +5,10 @@ or tmp-path stores; fault injection reuses the resilience fixtures to
 kill jobs mid-flight deterministically.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -22,13 +24,11 @@ from .conftest import FAST_TIMEOUT_MS, contract_bytes
 def _service(tmp_path=None, workers: int = 1, max_depth: int = 8,
              policy: ResiliencePolicy | None = None,
              start: bool = True,
-             max_inflight: int | None = None,
              **config_kwargs) -> ScanService:
     store = str(tmp_path / "store.db") if tmp_path else ":memory:"
     service = ScanService(
         store=store,
         config=ScanServiceConfig(workers=workers, max_depth=max_depth,
-                                 max_inflight=max_inflight,
                                  poll_s=0.02,
                                  default_timeout_ms=FAST_TIMEOUT_MS,
                                  **config_kwargs),
@@ -131,10 +131,9 @@ def test_single_flight_coalesces_concurrent_submits(sample_contract):
 
 
 def test_bounded_queue_sheds_typed(sample_contract):
-    # Workers never started: jobs stay queued, so the depth bound and
-    # the in-flight budget are both reachable deterministically.
-    service = _service(workers=1, max_depth=2, max_inflight=2,
-                       start=False)
+    # Workers never started: jobs stay queued, so the admission bound
+    # (max_depth + workers = 2) is reachable deterministically.
+    service = _service(workers=1, max_depth=1, start=False)
     try:
         for seed in (1, 2):
             data, abi = contract_bytes(seed=seed)
@@ -142,7 +141,7 @@ def test_bounded_queue_sheds_typed(sample_contract):
         data, abi = contract_bytes(seed=3)
         with pytest.raises(QueueFull) as excinfo:
             service.submit_bytes(data, abi)
-        assert excinfo.value.kind in ("queue", "inflight")
+        assert excinfo.value.kind == "queue"
         assert service.stats()["shed"] == 1
         # A duplicate of an already-queued module still coalesces —
         # dedup is checked before admission control sheds.
@@ -260,7 +259,8 @@ def test_default_store_checkpoints_at_stop_and_resumes_at_start(
 
 
 def test_reverdict_refusal_is_booked_like_every_shed():
-    service = _service(max_depth=1, start=False)
+    # Admission bound max_depth + workers = 1: the second sweep is shed.
+    service = _service(max_depth=0, start=False)
     try:
         service.submit_reverdict()
         with pytest.raises(QueueFull) as excinfo:
@@ -361,6 +361,58 @@ def test_open_breaker_forces_blackbox_and_never_caches(
         service.stop(wait_s=5)
 
 
+def test_eosfuzzer_jobs_neither_reset_nor_close_the_solve_breaker():
+    """EOSFuzzer never runs Symback or the solver, so its completed
+    jobs must not count as solve successes: interleaved 1:1 with
+    WASAI jobs whose solver fails, they leave the failure streak to
+    trip the breaker at the threshold, and an open breaker stays
+    open."""
+    install_fault_plan(Fault(stage="solve", kind="error"))
+    service = _service(workers=1, breaker_threshold=2,
+                       breaker_cooldown_s=60.0)
+    solve = service.breakers.breakers["solve"]
+
+    def run(seed: int, tool: str):
+        data, abi = contract_bytes(seed=seed)
+        job = _wait_terminal(service, service.submit_bytes(
+            data, abi, config={"tool": tool}).job.job_id)
+        assert job.state == "done"
+        return job
+
+    try:
+        run(0, "wasai")
+        assert run(1, "eosfuzzer").result_doc["degraded"] == []
+        assert solve.state == "closed"
+        run(2, "wasai")
+        assert solve.state == "open" and solve.trips == 1
+        fuzzer = run(3, "eosfuzzer")
+        assert solve.state == "open"
+        # The open breaker gates WASAI campaigns only: the EOSFuzzer
+        # answer is full, so it is cached.
+        assert service.store.get_verdict(fuzzer.scan_key) is not None
+    finally:
+        service.stop(wait_s=5)
+
+
+def test_finished_job_releases_its_parsed_module(sample_contract):
+    """A terminal job drops its campaign task, so the parsed module
+    is freed with the campaign instead of living as long as the
+    daemon keeps the job."""
+    data, abi = sample_contract
+    service = _service(workers=1, start=False)
+    gc.disable()
+    try:
+        submission = service.submit_bytes(data, abi)
+        module = weakref.ref(submission.job.task.module)
+        service.start()
+        job = _wait_terminal(service, submission.job.job_id)
+        assert job.state == "done" and job.task is None
+        assert module() is None
+    finally:
+        gc.enable()
+        service.stop(wait_s=5)
+
+
 def test_queued_job_expires_after_ttl(sample_contract):
     data, abi = sample_contract
     service = _service(workers=1, start=False)
@@ -390,7 +442,9 @@ def test_drain_under_load_resumes_every_job_exactly_once(tmp_path):
     """
     seeds = (1, 2, 3, 4, 5, 6)
     contracts = {seed: contract_bytes(seed=seed) for seed in seeds}
-    service = _service(tmp_path, workers=2)
+    # An 18-job admission bound keeps the pressure ladder at normal
+    # (six jobs, load 0.33), so every verdict is cached.
+    service = _service(tmp_path, workers=2, max_depth=16)
     keys = {}
     try:
         for seed, (data, abi) in contracts.items():
@@ -407,7 +461,7 @@ def test_drain_under_load_resumes_every_job_exactly_once(tmp_path):
     finally:
         service.store.close()
 
-    resumed = _service(tmp_path, workers=2, start=False)
+    resumed = _service(tmp_path, workers=2, max_depth=16, start=False)
     try:
         assert resumed.resume() == checkpointed
         # Exactly once: an immediate second resume replays nothing.

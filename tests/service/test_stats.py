@@ -30,9 +30,6 @@ breakers.deploy.threshold breakers.deploy.trips
 breakers.fuzz.consecutive_failures breakers.fuzz.cooldown_s
 breakers.fuzz.recoveries breakers.fuzz.state breakers.fuzz.threshold
 breakers.fuzz.trips
-breakers.ingest.consecutive_failures breakers.ingest.cooldown_s
-breakers.ingest.recoveries breakers.ingest.state
-breakers.ingest.threshold breakers.ingest.trips
 breakers.instrument.consecutive_failures breakers.instrument.cooldown_s
 breakers.instrument.recoveries breakers.instrument.state
 breakers.instrument.threshold breakers.instrument.trips
@@ -51,12 +48,12 @@ latency.job.max_s latency.job.n latency.job.p50_s latency.job.p95_s
 latency.scan.max_s latency.scan.n latency.scan.p50_s latency.scan.p95_s
 latency.setup.max_s latency.setup.n latency.setup.p50_s
 latency.setup.p95_s
-overload.adjustments overload.base_depth overload.base_inflight
-overload.drain_rate_per_s overload.effective_depth
+overload.adjustments overload.base_inflight
+overload.drain_rate_per_s
 overload.effective_inflight overload.expected_job_s overload.levels
 overload.observed_p95_s overload.pressure overload.retry_after_s
 overload.target_p95_s overload.timeout_scale
-pressure promoted quarantined queue_depth replay_served
+pressure promoted quarantined queue_depth
 resilience.breaker_recoveries resilience.breaker_trips
 resilience.forced_blackbox resilience.integrity_repairs
 resilience.journal_compactions resilience.store_recoveries
@@ -75,12 +72,12 @@ uptime_s workers
 """.split()
 
 _BREAKERS = {f"breakers.{stage}.{field}": 0
-             for stage in ("deploy", "fuzz", "ingest", "instrument",
-                           "solve", "symback")
+             for stage in ("deploy", "fuzz", "instrument", "solve",
+                           "symback")
              for field in ("consecutive_failures", "recoveries", "trips")}
 _BREAKERS.update({f"breakers.{stage}.threshold": 1
-                  for stage in ("deploy", "fuzz", "ingest", "instrument",
-                                "solve", "symback")})
+                  for stage in ("deploy", "fuzz", "instrument", "solve",
+                                "symback")})
 _BREAKERS.update({"breakers.solve.trips": 1,
                   "breakers.solve.recoveries": 1})
 
@@ -91,11 +88,9 @@ STATS_INTS = _BREAKERS | {
     "jobs.deadline_exceeded": 1, "jobs.done": 5,
     "latency.fuzz.n": 3, "latency.job.n": 3, "latency.scan.n": 3,
     "latency.setup.n": 3,
-    "overload.adjustments": 0, "overload.base_depth": 64,
-    "overload.base_inflight": 65, "overload.effective_depth": 64,
+    "overload.adjustments": 0, "overload.base_inflight": 65,
     "overload.effective_inflight": 65,
     "promoted": 0, "quarantined": 0, "queue_depth": 0,
-    "replay_served": 0,
     "resilience.breaker_recoveries": 1, "resilience.breaker_trips": 1,
     "resilience.forced_blackbox": 0, "resilience.integrity_repairs": 0,
     "resilience.journal_compactions": 1,

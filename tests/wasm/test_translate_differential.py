@@ -19,12 +19,15 @@ from repro.benchgen.hostile import (build_hostile_corpus,
                                     build_resource_hostile_modules)
 from repro.engine.deploy import deploy_target, setup_chain
 from repro.eosio.abi import Abi
+from repro.eosio.asset import Asset
 from repro.eosio.chain import Action, ApplyContext, WasmContract
 from repro.eosio.errors import ChainError
 from repro.eosio.host import build_host_imports
 from repro.eosio.name import N
+from repro.eosio.serialize import Encoder
 from repro.harness import run_wasai
 from repro.instrument import HOOK_MODULE, instrument_module
+from repro.symbolic.simulate import locate_action_call
 from repro.wasm import (ExecutionLimits, HostFunc, Instance, ModuleBuilder,
                         Trap, parse_module, validate_module)
 from repro.wasm.translate import _inside_idiom, translated_function
@@ -50,14 +53,20 @@ def _apply_fingerprint(module, abi, translate: bool, instrumentation=None,
     """One apply() of the instrumented contract under ``limits`` (fields
     of ExecutionLimits): the full hook trace, the host-call journal,
     the outcome, the remaining fuel and the memory.  ``instrumentation``
-    is ``instrument_module(module)``, when the caller already has it."""
+    is ``instrument_module(module)``, when the caller already has it.
+
+    The apply is the victim's copy of a real payment: the
+    ``eosio.token`` ``transfer`` notification of 1.0000 EOS from
+    ``player``, which an eosponser guard lets through to the action."""
     instrumented, site_table = instrumentation or instrument_module(module)
     contract = WasmContract(instrumented, abi, site_table)
     limits = ExecutionLimits(translate=translate, **limits)
     chain = setup_chain(limits=limits)
     account = chain.set_contract("victim", contract)
-    action = Action(account, N("transfer"), [account], b"\x00" * 32)
-    ctx = ApplyContext(chain, account, account, action, False)
+    data = (Encoder().name(N("player")).name(account)
+            .asset(Asset.from_string("1.0000 EOS")).string("").bytes())
+    action = Action(N("eosio.token"), N("transfer"), [N("player")], data)
+    ctx = ApplyContext(chain, account, N("eosio.token"), action, True)
     imports = build_host_imports(chain, ctx)
     for imp in instrumented.imports:
         if imp.kind == "func" and imp.module == "wasabi":
@@ -97,15 +106,20 @@ def test_table5_obfuscated_verdicts_identical(corpus):
 
 
 def test_apply_traces_byte_identical(corpus):
-    """The per-action hook trace — not just the verdict — must match."""
+    """The per-action hook trace — not just the verdict — must match,
+    through the dispatch into the action function."""
     for sample in corpus[:6]:
+        instrumentation = instrument_module(sample.module)
         generic = _apply_fingerprint(sample.module, sample.contract.abi,
-                                     translate=False)
+                                     False, instrumentation)
         translated = _apply_fingerprint(sample.module, sample.contract.abi,
-                                        translate=True)
+                                        True, instrumentation)
         assert generic == translated, \
             f"apply trace diverged on {sample.vuln_type}"
-        assert generic[0], "expected a non-empty hook trace"
+        assert locate_action_call(list(generic[0]), instrumentation[1],
+                                  sample.module.export_index("apply")) \
+            is not None, \
+            f"apply never dispatched on {sample.vuln_type}"
 
 
 # -- traps inside a hook idiom ------------------------------------------
