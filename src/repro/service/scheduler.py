@@ -634,8 +634,8 @@ class ScanService:
         return "breaker" if forced else (
             None if level == "normal" else level)
 
-    def _run_job(self, job: Job, token: str, reduced: "str | None"
-                 ) -> None:
+    def _run_job(self, job: Job, token: str,
+                 reduced: "str | None") -> None:
         """Run one claimed job.  ``reduced`` is the dispatch's reason
         for a cheaper answer; a campaign the fuzzer degraded to
         black-box mid-run is reduced for ``"feedback"``."""

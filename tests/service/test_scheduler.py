@@ -442,9 +442,7 @@ def test_drain_under_load_resumes_every_job_exactly_once(tmp_path):
     """
     seeds = (1, 2, 3, 4, 5, 6)
     contracts = {seed: contract_bytes(seed=seed) for seed in seeds}
-    # An 18-job admission bound keeps the pressure ladder at normal
-    # (six jobs, load 0.33), so every verdict is cached.
-    service = _service(tmp_path, workers=2, max_depth=16)
+    service = _service(tmp_path, workers=2)
     keys = {}
     try:
         for seed, (data, abi) in contracts.items():
@@ -461,7 +459,7 @@ def test_drain_under_load_resumes_every_job_exactly_once(tmp_path):
     finally:
         service.store.close()
 
-    resumed = _service(tmp_path, workers=2, max_depth=16, start=False)
+    resumed = _service(tmp_path, workers=2, start=False)
     try:
         assert resumed.resume() == checkpointed
         # Exactly once: an immediate second resume replays nothing.
