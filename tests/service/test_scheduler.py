@@ -334,6 +334,7 @@ def test_open_breaker_forces_blackbox_and_never_caches(
         job1 = _wait_terminal(service, first.job.job_id)
         assert job1.state == "done"
         assert "wasai" in job1.result_doc.get("degraded", [])
+        assert job1.result_doc["provenance"]["reduced"] == "feedback"
         # Degraded inside its own campaign (the breaker was still
         # closed at dispatch): in neither the store nor its log.
         assert service.store.get_verdict(job1.scan_key) is None
@@ -347,6 +348,7 @@ def test_open_breaker_forces_blackbox_and_never_caches(
         job2 = _wait_terminal(service, second.job.job_id)
         assert job2.state == "done"
         assert "wasai" in job2.result_doc.get("degraded", [])
+        assert job2.result_doc["provenance"]["reduced"] == "breaker"
         # Not cached: a resubmission after recovery gets the full run.
         assert service.store.get_verdict(job2.scan_key) is None
         assert service.stats()["resilience"]["forced_blackbox"] >= 1
