@@ -26,7 +26,8 @@ from ..resilience.errors import (CampaignError, DeadlineExceeded,
                                  SymbackError)
 from ..smt import SolverStats
 from ..symbolic import (SeedLayout, branch_coverage_ids, flip_queries,
-                        locate_action_call, replay_action, solve_flips)
+                        has_unexplored_flip, locate_action_call,
+                        replay_action, solve_flips)
 from ..scanner.oracles import (AdversarySetup, PAYLOAD_KINDS, build_payload,
                                setup_adversaries)
 from .clock import VirtualClock
@@ -392,22 +393,31 @@ class WasaiFuzzer:
     # -- symbolic feedback (§3.4) ----------------------------------------------------
     def _feedback(self, observation: Observation, abi_action) -> None:
         layout = SeedLayout(abi_action, observation.executed_params)
+        target = self.target
+        explored = self._explored_flips | self.report.covered
         try:
-            replay = replay_action(self.target.module,
-                                   self.target.site_table,
-                                   observation.events, layout,
-                                   self.target.apply_index,
-                                   self.target.import_names,
-                                   divergence_check=self.divergence_check)
+            if has_unexplored_flip(observation.events, target.site_table,
+                                   target.apply_index, target.import_names,
+                                   explored):
+                replay = replay_action(target.module, target.site_table,
+                                       observation.events, layout,
+                                       target.apply_index,
+                                       target.import_names,
+                                       divergence_check=self.divergence_check)
+            else:
+                # No side left to flip, so the replay could pose no
+                # query: skip it, but pass its fault chokepoint and
+                # charge its virtual time as if it ran.
+                faultinject.inject("symback")
+                replay = None
         except CampaignError:
             raise
         except Exception as exc:
             raise SymbackError.wrap(exc)
-        self.report.sentinel_checkpoints += replay.checkpoints
         self.clock.charge_replay()
-        if not replay.reached_action:
+        if replay is None:
             return
-        explored = self._explored_flips | self.report.covered
+        self.report.sentinel_checkpoints += replay.checkpoints
         queries = flip_queries(replay, explored)
         queries = queries[:self.max_flips_per_round]
         if not queries:
@@ -429,10 +439,7 @@ class WasaiFuzzer:
                                      "adaptive"))
             self.report.adaptive_seeds += 1
         for query in queries:
-            flipped_id = (query.branch.site.func_index,
-                          query.branch.site.pc,
-                          not bool(query.branch.taken))
-            self._explored_flips.add(flipped_id)
+            self._explored_flips.add(query.branch.flip_id)
 
 
 def decode_raw_trace(events: list[HookEvent]) -> list[HookEvent]:

@@ -950,24 +950,37 @@ class ScanService:
         replayed = 0
         for key, recipe in self._healed(lambda: self.store.pending(),
                                         default=[]):
-            deadline = recipe.get("deadline_epoch_s")
-            data = self._healed(lambda: self.store.get_module(
-                recipe["module_hash"]))
-            if data is not None and (deadline is None
-                                     or time.time() < deadline):
-                try:
-                    self.submit_bytes(
-                        data, recipe["abi"], config=recipe["config"],
-                        client=recipe["client"],
-                        priority=recipe["priority"],
-                        deadline_epoch_s=deadline)
-                    replayed += 1
-                except QueueFull:
-                    continue  # stays pending for the next start
-                except MalformedModule:
-                    pass  # can never run: drop the checkpoint
+            try:
+                replayed += self._resubmit(recipe)
+            except QueueFull:
+                continue  # stays pending for the next start
+            except MalformedModule:
+                pass  # can never run: drop the checkpoint
             self._healed(lambda k=key: self.store.delete_pending(k))
         return replayed
+
+    def _resubmit(self, recipe: dict) -> int:
+        """Submit one drain checkpoint again; returns 1, or 0 when its
+        module is lost or its deadline passed.  A re-verdict sweep has
+        no module: it goes back through :meth:`submit_reverdict`."""
+        config = recipe["config"]
+        if config.get("kind") == "reverdict":
+            self.submit_reverdict(config["oracle_version"],
+                                  client=recipe["client"],
+                                  priority=recipe["priority"],
+                                  oracles=config["oracles"])
+            return 1
+        deadline = recipe.get("deadline_epoch_s")
+        data = self._healed(lambda: self.store.get_module(
+            recipe["module_hash"]))
+        if data is None or (deadline is not None
+                            and time.time() >= deadline):
+            return 0
+        self.submit_bytes(data, recipe["abi"], config=config,
+                          client=recipe["client"],
+                          priority=recipe["priority"],
+                          deadline_epoch_s=deadline)
+        return 1
 
     # -- health / stats ----------------------------------------------------
     def count(self, key: str, n: int = 1) -> None:

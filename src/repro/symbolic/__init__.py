@@ -11,12 +11,13 @@ from .flip import AdaptiveSeed, FlipQuery, flip_queries, solve_flips
 from .machine import Frame, MachineState, as_term
 from .memory import SymbolicLoad, SymbolicMemory
 from .simulate import (BranchRecord, ReplayResult, branch_coverage_ids,
-                       locate_action_call, replay_action)
+                       has_unexplored_flip, locate_action_call,
+                       replay_action)
 
 __all__ = [
     "SeedLayout", "SymbolicParam", "scalar_width", "AdaptiveSeed",
     "FlipQuery", "flip_queries", "solve_flips", "Frame", "MachineState",
     "as_term", "SymbolicLoad", "SymbolicMemory", "BranchRecord",
-    "ReplayResult", "branch_coverage_ids", "locate_action_call",
-    "replay_action",
+    "ReplayResult", "branch_coverage_ids", "has_unexplored_flip",
+    "locate_action_call", "replay_action",
 ]

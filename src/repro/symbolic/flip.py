@@ -54,9 +54,7 @@ def flip_queries(result: ReplayResult,
     for branch in result.branches:
         if branch.flipped is None:
             continue
-        flipped_id = (branch.site.func_index, branch.site.pc,
-                      not bool(branch.taken))
-        if flipped_id in explored:
+        if branch.flip_id in explored:
             continue
         # §3.4.4: only flip constraints that contain the symbolic input.
         if not (free_variables(branch.flipped) & input_vars):
@@ -90,7 +88,6 @@ def solve_flips(queries: list[FlipQuery], layout: SeedLayout,
         if solver.check() != SAT:
             continue
         values = layout.seed_from_model(solver.model())
-        flipped_id = (query.branch.site.func_index, query.branch.site.pc,
-                      not bool(query.branch.taken))
-        seeds.append(AdaptiveSeed(action_name, values, flipped_id))
+        seeds.append(AdaptiveSeed(action_name, values,
+                                  query.branch.flip_id))
     return seeds

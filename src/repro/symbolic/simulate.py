@@ -35,7 +35,8 @@ from .calling import SeedLayout
 from .machine import Frame, MachineState, concrete_value
 
 __all__ = ["BranchRecord", "ReplayResult", "replay_action",
-           "locate_action_call", "branch_coverage_ids"]
+           "locate_action_call", "has_unexplored_flip",
+           "branch_coverage_ids"]
 
 
 @dataclass
@@ -52,6 +53,16 @@ class BranchRecord:
     @property
     def branch_id(self) -> tuple:
         return (self.site.func_index, self.site.pc, self.taken != 0)
+
+    @property
+    def flip_id(self) -> tuple:
+        """The branch side a flip of this record aims at."""
+        return _flip_side(self.site, self.taken)
+
+
+def _flip_side(site: Site, taken) -> tuple:
+    """The id of the side of ``site`` that the trace did not take."""
+    return (site.func_index, site.pc, not bool(taken))
 
 
 @dataclass
@@ -95,6 +106,48 @@ def locate_action_call(events: list[HookEvent], sites: SiteTable,
             if nxt.kind == "instr":
                 break  # import call; keep scanning
     return None
+
+
+def has_unexplored_flip(events: list[HookEvent], sites: SiteTable,
+                        apply_index: int, import_names: dict[int, str],
+                        explored: set[tuple]) -> bool:
+    """Whether the trace's action window holds a branch side outside
+    ``explored``, read off the trace without replaying it.
+
+    The window is the one :func:`replay_action` replays: from the
+    action function's begin event to the ``end`` that closes it.  A
+    ``br_if``/``if`` offers the side it did not take and a failed
+    ``eosio_assert`` call its passing side; ``br_table``, passing
+    asserts and an undispatched trace offer none.  The free-variable
+    filter and early replay aborts are not modelled, so a True may
+    still lead to no flip query, but a False never hides one.
+    """
+    located = locate_action_call(events, sites, apply_index)
+    if located is None:
+        return False
+    depth = 1
+    for event in events[located[0] + 1:]:
+        kind = event.kind
+        if kind == "begin":
+            depth += 1
+        elif kind == "end":
+            depth -= 1
+            if not depth:
+                return False
+        elif kind == "instr":
+            site = sites[event.site_id]
+            op = site.instr.op
+            if op in ("br_if", "if"):
+                taken = event.operands[-1]
+            elif op == "call" and import_names.get(
+                    site.instr.args[0]) == "eosio_assert" \
+                    and not event.operands[0]:
+                taken = 0
+            else:
+                continue
+            if _flip_side(site, taken) not in explored:
+                return True
+    return False
 
 
 def replay_action(module: Module, sites: SiteTable,

@@ -108,6 +108,37 @@ def test_solver_loss_degrades_to_black_box_and_still_detects():
     assert run.scan.detected("fake_eos")
 
 
+def _fuzz_seed4_contract():
+    contract = generate_contract(ContractConfig(seed=4,
+                                                fake_eos_guard=False))
+    return run_wasai(contract.module, contract.abi, timeout_ms=8_000,
+                     rng_seed=3).report
+
+
+def test_every_observation_reaches_the_symback_chokepoint():
+    """A trace with nothing left to flip is not replayed, but it still
+    passes the symback fault chokepoint, once per observation."""
+    plan = install_fault_plan(Fault(stage="symback", kind="count"))
+    report = _fuzz_seed4_contract()
+    assert (plan.hits("symback"), len(report.observations)) == (97, 97)
+
+
+@pytest.mark.parametrize("after, expected", [
+    (5, (True, 81, 151, 15)),
+    (40, (True, 70, 129, 15)),
+    (200, (False, 53, 97, 15)),
+])
+def test_symback_faults_land_on_the_same_observations(after, expected):
+    """(degraded, iterations, observations, covered) under a symback
+    fault window, pinned to what the campaign gave when every trace
+    was replayed: skipping replays moves no fault."""
+    install_fault_plan(Fault(stage="symback", kind="error", after=after,
+                             times=3))
+    report = _fuzz_seed4_contract()
+    assert (report.degraded, report.iterations, len(report.observations),
+            len(report.covered)) == expected
+
+
 def test_fuzzer_contains_trap_storms():
     install_fault_plan(Fault(stage="trap", kind="trap_storm", times=2))
     contract = generate_contract(ContractConfig(seed=4,

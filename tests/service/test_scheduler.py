@@ -228,6 +228,33 @@ def test_drain_checkpoints_and_resume_replays_exactly_once(
         third.store.close()
 
 
+def test_drained_reverdict_sweep_resumes_exactly_once(tmp_path):
+    # A re-verdict sweep has no module in the store: its checkpoint
+    # must bring the same sweep back, not be dropped as a lost module.
+    service = _service(tmp_path, start=False)
+    try:
+        sweep = service.submit_reverdict(oracle_version=7, client="ops",
+                                         priority=2, oracles="all")
+        assert service.drain(wait_s=1) == 1
+    finally:
+        service.store.close()
+
+    resumed = _service(tmp_path, start=False)
+    try:
+        assert resumed.resume() == 1
+        with resumed._lock:
+            (job,) = resumed._jobs.values()
+        assert job.config == sweep.job.config
+        assert (job.client, job.priority) == ("ops", 2)
+        assert resumed.resume() == 0
+        resumed.start()
+        done = _wait_terminal(resumed, job.job_id)
+        assert done.state == "done"
+        assert done.result_doc["oracle_version"] == 7
+    finally:
+        resumed.stop(wait_s=5)
+
+
 def test_default_store_checkpoints_at_stop_and_resumes_at_start(
         tmp_path):
     # No option beyond a file store: stop() checkpoints the queued
