@@ -392,13 +392,13 @@ class WasaiFuzzer:
 
     # -- symbolic feedback (§3.4) ----------------------------------------------------
     def _feedback(self, observation: Observation, abi_action) -> None:
-        layout = SeedLayout(abi_action, observation.executed_params)
         target = self.target
         explored = self._explored_flips | self.report.covered
         try:
             if has_unexplored_flip(observation.events, target.site_table,
                                    target.apply_index, target.import_names,
                                    explored):
+                layout = SeedLayout(abi_action, observation.executed_params)
                 replay = replay_action(target.module, target.site_table,
                                        observation.events, layout,
                                        target.apply_index,

@@ -10,7 +10,11 @@ three layers, cheapest first:
 2. **Propagation** — single-variable comparisons against constants are
    decided in the unsigned interval domain
    (:mod:`repro.smt.interval`), which covers most constraints WASAI
-   flips during fuzzing.
+   flips during fuzzing.  The layer also refutes a conjunction whose
+   readable atoms (``var <op> const``, and ``zeroext(var) <op> const``
+   under eq/ne and the unsigned compares) leave some variable no value,
+   whatever its other atoms say; it gives a witness only when every
+   atom is a bare ``var <op> const``.
 3. **Bit-blasting + CDCL** — the complete fallback
    (:mod:`repro.smt.bitblast` + :mod:`repro.smt.sat`), budgeted by a
    conflict limit that plays the role of the paper's 3,000 ms cap.
@@ -303,35 +307,48 @@ class Solver:
 
     # -- layer 2: interval propagation ----------------------------------------
     def _try_fast_path(self, constraints: list[Term]) -> str | None:
-        """Decide conjunctions of single-variable compares-to-constant.
+        """Decide what the interval domain can read.
 
-        Returns None when any constraint falls outside the supported
-        shape, punting to the SAT layer.
+        Every atom ``var <op> const`` or ``zeroext(var) <op> const``
+        narrows ``var``'s interval, and an empty interval refutes the
+        whole conjunction, whatever the unread atoms say.  A witness is
+        given only when every atom is a bare ``var <op> const``, so a
+        conjunction holding any other atom is refuted here or punted
+        to the SAT layer (None), never answered SAT.
         """
         intervals: dict[str, Interval] = {}
+        witness_shape = True
         for constraint in constraints:
             parsed = _parse_atom(constraint)
             if parsed is None:
-                return None
+                witness_shape = False
+                continue
             op, var, constant, var_on_left = parsed
+            if var.op == "zeroext":
+                witness_shape = False
+                var = var.args[0]
+                if constant > mask(var.width):
+                    # Above var's range: var < c, var <= c and var != c
+                    # always hold, the other compares never do.
+                    if op == "ne" or (var_on_left and op != "eq"):
+                        continue
+                    return UNSAT
             name = var.payload[0]
             interval = intervals.get(name, Interval(var.width))
             refined = propagate_comparison(op, interval, constant, var_on_left)
             if refined is None:
-                return None
+                witness_shape = False
+                continue
             intervals[name] = refined
-        values: dict[str, int] = {}
-        for name, interval in intervals.items():
-            if interval.is_empty():
-                return UNSAT
-            witness = interval.pick()
-            if witness is None:
-                return UNSAT
-            values[name] = witness
+        if any(interval.is_empty() for interval in intervals.values()):
+            return UNSAT
+        if not witness_shape:
+            return None
+        values = {name: interval.pick()
+                  for name, interval in intervals.items()}
         # Double-check the witness (holes interact with bounds).
-        assignment = dict(values)
         for constraint in constraints:
-            if not evaluate(constraint, assignment):
+            if not evaluate(constraint, values):
                 return None  # fall through to SAT rather than mis-answer
         self._model = Model(values)
         return SAT
@@ -364,7 +381,9 @@ def _require_bool(constraints: "tuple[Term, ...]") -> None:
 
 def _parse_atom(term: Term) -> tuple[str, Term, int, bool] | None:
     """Recognise ``var <op> const`` atoms (and negations / mirrored
-    forms).  Returns (op, var, constant, var_on_left) or None."""
+    forms), where ``var`` is a variable or, under eq and the unsigned
+    compares, a zero-extended one.  Returns (op, var, constant,
+    var_on_left) or None."""
     negated = False
     if term.op == "not":
         negated = True
@@ -375,9 +394,9 @@ def _parse_atom(term: Term) -> tuple[str, Term, int, bool] | None:
     lhs, rhs = term.args
     if lhs.is_bool() or rhs.is_bool():
         return None
-    if lhs.op == "bvvar" and rhs.is_const():
+    if _is_operand(lhs, op) and rhs.is_const():
         var, constant, var_on_left = lhs, rhs.const_value(), True
-    elif rhs.op == "bvvar" and lhs.is_const():
+    elif _is_operand(rhs, op) and lhs.is_const():
         var, constant, var_on_left = rhs, lhs.const_value(), False
     else:
         return None
@@ -388,6 +407,12 @@ def _parse_atom(term: Term) -> tuple[str, Term, int, bool] | None:
                    "bvslt": "bvsle", "bvsle": "bvslt"}[op]
         # not (a < b)  ==  b <= a : mirror sides.
         return (flipped, var, constant, not var_on_left)
-    if op == "eq":
-        return ("eq", var, constant, var_on_left)
     return (op, var, constant, var_on_left)
+
+
+def _is_operand(term: Term, op: str) -> bool:
+    """A variable, or a zero-extended one compared unsigned."""
+    if term.op == "bvvar":
+        return True
+    return (term.op == "zeroext" and term.args[0].op == "bvvar"
+            and op in ("eq", "bvult", "bvule"))

@@ -6,7 +6,8 @@ deserialised input.  This module builds the Table 2 layout — one
 symbolic expression per seed parameter ρ_i bound to Local slot i+1,
 with pointer-typed parameters (asset, string) expanded into symbolic
 memory content at the *concrete* pointer captured in the trace — and
-maps solver models back onto concrete seeds for mutation.
+maps solver models back onto concrete seeds for mutation.  Float
+parameters stay concrete, as all float data flow does.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from ..eosio.abi import AbiAction
 from ..eosio.asset import Asset, Symbol
 from ..smt import BitVec, BitVecVal, Model, Term, to_signed
-from .machine import Frame
+from .machine import Frame, concrete_term
 from .memory import SymbolicMemory
 
 __all__ = ["SeedLayout", "SymbolicParam", "scalar_width"]
@@ -29,6 +30,9 @@ _SCALAR_WIDTHS = {
 }
 # ABI types left in linear memory behind an i32 pointer (Table 2).
 _POINTER_TYPES = ("asset", "string", "bytes")
+# ABI float types and their Wasm value type.  The solver has no float
+# theory, so their Local slot holds the traced bits and no variable.
+_FLOAT_VALTYPES = {"float32": "f32", "float64": "f64"}
 
 
 def scalar_width(abi_type: str) -> int | None:
@@ -67,21 +71,22 @@ class SeedLayout:
                 content = _content_bytes(seed_values[i])
                 for b in range(len(content)):
                     sp.vars[f"byte{b}"] = BitVec(f"{prefix}_byte{b}", 8)
-            else:
+            elif param.type not in _FLOAT_VALTYPES:
                 raise ValueError(f"unsupported ABI type {param.type!r}")
             self.params.append(sp)
 
     # -- Table 2: initialise μ_l̂ and μ_m --------------------------------------
-    def init_frame(self, func_index: int, concrete_args: list[int],
+    def init_frame(self, func_index: int, concrete_args: list,
                    memory: SymbolicMemory) -> Frame:
         """Build the action function's frame.
 
-        ``concrete_args`` are the runtime argument values from the
+        ``concrete_args`` are the traced argument values of the
         dispatcher's indirect call: slot 0 is the receiver/context
         (kept concrete) and slot i+1 carries ρ_i — the deserialised
-        value for scalars, the i32 pointer for memory-resident types.
+        value for scalars and floats, the i32 pointer for
+        memory-resident types.
         """
-        locals_init: list[Term] = [BitVecVal(concrete_args[0], 64)
+        locals_init: list[Term] = [BitVecVal(int(concrete_args[0]), 64)
                                    if concrete_args else BitVecVal(0, 64)]
         for sp in self.params:
             slot = sp.index + 1
@@ -89,6 +94,10 @@ class SeedLayout:
             width = scalar_width(sp.abi_type)
             if width is not None:
                 locals_init.append(sp.vars["value"])
+                continue
+            if sp.abi_type in _FLOAT_VALTYPES:
+                locals_init.append(concrete_term(
+                    _FLOAT_VALTYPES[sp.abi_type], concrete))
                 continue
             pointer = int(concrete)
             locals_init.append(BitVecVal(pointer, 32))
@@ -109,6 +118,8 @@ class SeedLayout:
         to concretise all-but-one parameter during mutation)."""
         bindings: dict[Term, Term] = {}
         for sp in self.params:
+            if sp.abi_type in _FLOAT_VALTYPES:
+                continue    # concrete: no variable to bind
             value = self.seed_values[sp.index]
             width = scalar_width(sp.abi_type)
             if width is not None:
@@ -135,6 +146,8 @@ class SeedLayout:
         """Apply a solver model on top of the current seed values."""
         new_values = list(self.seed_values)
         for sp in self.params:
+            if sp.abi_type in _FLOAT_VALTYPES:
+                continue    # concrete: no model value names it
             width = scalar_width(sp.abi_type)
             if width is not None:
                 var = sp.vars["value"]

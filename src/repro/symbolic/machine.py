@@ -9,10 +9,13 @@ values appear as constant terms, so "symbolic or concrete" is uniform.
 
 from __future__ import annotations
 
+import struct
+
 from ..smt import BitVecVal, Term
 from .memory import SymbolicMemory
 
-__all__ = ["MachineState", "Frame", "as_term", "concrete_value"]
+__all__ = ["MachineState", "Frame", "as_term", "concrete_term",
+           "concrete_value"]
 
 
 def as_term(value: "Term | int", width: int) -> Term:
@@ -20,6 +23,26 @@ def as_term(value: "Term | int", width: int) -> Term:
     if isinstance(value, Term):
         return value
     return BitVecVal(int(value), width)
+
+
+def concrete_term(valtype_name: str, value) -> Term:
+    """A traced runtime value of Wasm type ``valtype_name`` as a
+    constant term; a float becomes its IEEE bit pattern."""
+    if valtype_name == "i32":
+        return BitVecVal(int(value), 32)
+    if valtype_name == "i64":
+        return BitVecVal(int(value), 64)
+    if valtype_name == "f32":
+        return BitVecVal(f32_bits(float(value)), 32)
+    return BitVecVal(f64_bits(float(value)), 64)
+
+
+def f32_bits(value: float) -> int:
+    return struct.unpack("<I", struct.pack("<f", value))[0]
+
+
+def f64_bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
 def concrete_value(value) -> int | None:

@@ -32,7 +32,8 @@ from ..smt import (BitVec, BitVecVal, Clz, Concat, Ctz, Eq, Extract, Ite, Ne,
 from ..wasm.module import Module
 from ..wasm.opcodes import Instr, is_load, is_store, memory_access_size
 from .calling import SeedLayout
-from .machine import Frame, MachineState, concrete_value
+from .machine import (Frame, MachineState, concrete_term, concrete_value,
+                      f32_bits, f64_bits)
 
 __all__ = ["BranchRecord", "ReplayResult", "replay_action",
            "locate_action_call", "has_unexplored_flip",
@@ -182,8 +183,7 @@ def replay_action(module: Module, sites: SiteTable,
     result.reached_action = True
     state = MachineState()
     result.state = state
-    frame = layout.init_frame(action_func, [int(a) for a in concrete_args],
-                              state.memory)
+    frame = layout.init_frame(action_func, concrete_args, state.memory)
     _extend_declared_locals(module, action_func, frame)
     state.frames.append(frame)
     replayer = _Replayer(module, sites, state, result, import_names,
@@ -326,7 +326,7 @@ class _Replayer:
             # (§3.4.3: no simulation of host bodies).
             results = self.module.function_type(call.target).results
             for valtype, value in zip(results, event.operands):
-                frame.push(_concrete(valtype.name, value))
+                frame.push(concrete_term(valtype.name, value))
         else:
             for value in self.state.pop_returns():
                 frame.push(value)
@@ -401,9 +401,9 @@ class _Replayer:
         elif op == "i64.const":
             frame.push(BitVecVal(instr.args[0], 64))
         elif op == "f32.const":
-            frame.push(BitVecVal(_f32_bits(instr.args[0]), 32))
+            frame.push(BitVecVal(f32_bits(instr.args[0]), 32))
         else:
-            frame.push(BitVecVal(_f64_bits(instr.args[0]), 64))
+            frame.push(BitVecVal(f64_bits(instr.args[0]), 64))
 
     def _h_local_get(self, site, instr, operands, frame):
         frame.push(frame.local_get(instr.args[0]))
@@ -649,16 +649,6 @@ def _as_bool(value) -> Term:
     return Ne(value, BitVecVal(0, value.width))
 
 
-def _concrete(valtype_name: str, value) -> Term:
-    if valtype_name == "i32":
-        return BitVecVal(int(value), 32)
-    if valtype_name == "i64":
-        return BitVecVal(int(value), 64)
-    if valtype_name == "f32":
-        return BitVecVal(_f32_bits(float(value)), 32)
-    return BitVecVal(_f64_bits(float(value)), 64)
-
-
 def _extend_loaded(op: str, value: Term) -> Term:
     """Apply the load's sign/zero extension to the target width."""
     target = 64 if op.startswith("i64") or op.startswith("f64") else 32
@@ -666,14 +656,6 @@ def _extend_loaded(op: str, value: Term) -> Term:
         return value
     extra = target - value.width
     return SignExt(extra, value) if op.endswith("_s") else ZeroExt(extra, value)
-
-
-def _f32_bits(value: float) -> int:
-    return struct.unpack("<I", struct.pack("<f", value))[0]
-
-
-def _f64_bits(value: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
 def _bits_f32(bits: int) -> float:
@@ -717,8 +699,8 @@ def _concrete_float_result(op: str, operands: tuple) -> Term:
         values = [_bits_f64(int(operands[0]))]
     result = _FLOAT_EVAL[name](*values)
     if prefix == "f32":
-        return BitVecVal(_f32_bits(result), 32)
-    return BitVecVal(_f64_bits(result), 64)
+        return BitVecVal(f32_bits(result), 32)
+    return BitVecVal(f64_bits(result), 64)
 
 
 _FLOAT_EVAL = {
@@ -746,7 +728,7 @@ def _concrete_convert(op: str, operands: tuple) -> Term:
     name = op.split(".", 1)[1]
     raw = operands[0]
     if name.startswith("reinterpret"):
-        bits = _f32_bits(float(raw)) if target == 32 else _f64_bits(float(raw))
+        bits = f32_bits(float(raw)) if target == 32 else f64_bits(float(raw))
         return BitVecVal(bits, target)
     truncated = math.trunc(float(raw))
     return BitVecVal(truncated, target)

@@ -101,6 +101,22 @@ def test_report_observations_of_filters():
     assert all(o.payload_kind == "legit" for o in legit)
 
 
+def test_float_param_action_does_not_end_the_campaign():
+    """A float64 action parameter, which the contract never dispatches,
+    used to end the campaign with ``unsupported ABI type 'float64'``:
+    the fuzzer built a seed layout for every observation, outside its
+    feedback containment."""
+    from repro.eosio import AbiAction, AbiParam
+    from repro.harness import run_wasai
+    generated = generate_contract(ContractConfig(seed=4))
+    generated.abi.actions["setrate"] = AbiAction(
+        "setrate", (AbiParam("rate", "float64"),))
+    run = run_wasai(generated.module, generated.abi, timeout_ms=4000)
+    assert any(o.action_name == "setrate"
+               for o in run.report.observations)
+    assert not run.report.contained
+
+
 def test_scan_integrates_with_fuzzer():
     generated, target, report = fuzz(
         ContractConfig(seed=12, fake_eos_guard=False))

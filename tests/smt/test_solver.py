@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import (And, BitVec, BitVecVal, Concat, Eq, Extract, Ne, Not,
-                       Or, Popcnt, SAT, SGT, SLT, Solver, SolverStats, UGE,
-                       ULT, UNSAT, ZeroExt, evaluate)
+from repro.smt import (And, BitVec, BitVecVal, BlastedPrefix, Concat, Eq,
+                       Extract, Ne, Not, Or, Popcnt, SAT, SGT, SLT, Solver,
+                       SolverStats, UGE, UGT, ULE, ULT, UNSAT, ZeroExt,
+                       evaluate)
+from repro.smt.terms import Term
 
 
 def check_sat_model(solver, *constraints):
@@ -45,12 +47,75 @@ def test_range_constraints_fast_path():
 
 
 def test_empty_range_unsat_fast_path():
-    x = BitVec("x", 16)
+    x, y, byte = BitVec("x", 16), BitVec("y", 16), BitVec("rb", 8)
+    for constraints in (
+            [ULT(x, BitVecVal(5, 16)), UGE(x, BitVecVal(5, 16))],
+            # Split between a zero-extended atom and a bare one.
+            [ULT(ZeroExt(24, byte), 0x85), UGE(byte, 0x90)],
+            # Readable atoms contradict beside ones the domain cannot
+            # read.
+            [Eq(x + y, 10), ULT(x, 5), UGE(x, 7)],
+            [UGE(ZeroExt(8, byte), 3), Eq(x + y, 10), Eq(byte, 2)]):
+        solver = Solver()
+        solver.add(*constraints)
+        assert solver.check() == UNSAT, constraints
+        assert solver.stats.fast_path_hits == 1, constraints
+        assert solver.stats.sat_calls == 0
+
+
+def _zeroext_atoms():
+    """Every shape of ``zeroext(var) <op> const`` the interval layer
+    reads, for constants inside and above the 8-bit variable's range."""
+    byte = BitVec("zb", 8)
+    wide = ZeroExt(24, byte)
+    for c in (0, 1, 0x85, 0xFF, 0x100, 0x1234, 0xFFFFFFFF):
+        const = BitVecVal(c, 32)
+        compares = [Term("eq", (wide, const)), Term("eq", (const, wide)),
+                    ULT(wide, c), ULE(wide, c), UGT(wide, c), UGE(wide, c)]
+        for atom in compares:
+            yield atom
+            yield Not(atom)
+
+
+@pytest.mark.parametrize("atom", list(_zeroext_atoms()))
+def test_zeroext_atom_bounds_its_variable(atom):
+    """Beside ``var == v``, a zero-extended atom is refuted by the
+    interval layer when v violates it, and otherwise left to the SAT
+    layer, which alone gives witnesses for such conjunctions."""
+    holds = {v for v in range(256) if evaluate(atom, {"zb": v})}
+    if not holds:
+        solver = Solver()
+        solver.add(atom)
+        assert solver.check() == UNSAT, atom
+        assert solver.stats.fast_path_hits == 1, atom
+    for v in (0, 1, 0x84, 0x85, 0x86, 0xFE, 0xFF):
+        solver = Solver()
+        solver.add(atom, Eq(BitVec("zb", 8), v))
+        if v in holds:
+            assert solver.check() == SAT, (atom, v)
+            assert solver.model()["zb"] == v
+            assert solver.stats.sat_calls == 1, (atom, v)
+        else:
+            assert solver.check() == UNSAT, (atom, v)
+            assert solver.stats.fast_path_hits == 1, (atom, v)
+            assert solver.stats.sat_calls == 0
+
+
+def test_zeroext_conjunction_gets_the_sat_layer_model():
+    """A satisfiable conjunction holding a zero-extended atom gets the
+    model a fresh blast gives, not an interval witness."""
+    byte, x = BitVec("gb", 8), BitVec("gx", 16)
+    constraints = [ULT(ZeroExt(24, byte), 0x85), UGE(byte, 0x20),
+                   Eq(x, 7)]
     solver = Solver()
-    solver.add(ULT(x, BitVecVal(5, 16)))
-    solver.add(UGE(x, BitVecVal(5, 16)))
-    assert solver.check() == UNSAT
-    assert solver.stats.sat_calls == 0
+    solver.add(*constraints)
+    assert solver.check() == SAT
+    assert solver.stats.sat_calls == 1
+    assert solver.stats.fast_path_hits == 0
+    sat_solver, blaster = BlastedPrefix().blast(constraints)
+    result = sat_solver.solve()
+    assert result.status == SAT
+    assert solver.model().as_dict() == blaster.decode(result.model)
 
 
 def test_arithmetic_needs_sat_layer():

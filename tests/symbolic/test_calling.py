@@ -1,8 +1,11 @@
 """Tests for the calling-convention input inference (C3, Table 2)."""
 
+import struct
+from types import SimpleNamespace
+
 import pytest
 
-from repro.eosio import Abi, Asset, Name, TRANSFER_SIGNATURE
+from repro.eosio import Abi, AbiAction, Asset, Name, TRANSFER_SIGNATURE
 from repro.smt import BitVecVal, Model, evaluate
 from repro.symbolic import SeedLayout, SymbolicMemory, scalar_width
 
@@ -111,7 +114,32 @@ def test_signed_int_round_trip():
     assert layout.seed_from_model(model)[0] == -9
 
 
+@pytest.mark.parametrize("abi_type, float_fmt, bits_fmt, width", [
+    ("float32", "<f", "<I", 32), ("float64", "<d", "<Q", 64)])
+def test_float_param_is_a_concrete_local(abi_type, float_fmt, bits_fmt,
+                                         width):
+    """No float theory: the slot holds the traced IEEE bits, and the
+    parameter has no variable to bind, flip or read off a model."""
+    abi = Abi.from_signatures({"setrate": (("who", "name"),
+                                           ("rate", abi_type))})
+    layout = SeedLayout(abi.action("setrate"), [Name("alice"), 2.5])
+    who = layout.params[0].vars["value"]
+    assert layout.params[1].vars == {}
+    assert layout.all_vars() == {who}
+    assert list(layout.binding_constraints()) == [who]
+    # The traced operand is a Python float; it must not be truncated.
+    frame = layout.init_frame(7, [111, 222, -1.75], SymbolicMemory())
+    assert frame.locals[1] is who
+    bits = struct.unpack(bits_fmt, struct.pack(float_fmt, -1.75))[0]
+    assert frame.locals[2].width == width
+    assert frame.locals[2].const_value() == bits
+    model = Model({"rho0": int(Name("bob")), "rho1": 7})
+    assert layout.seed_from_model(model) == [Name("bob"), 2.5]
+
+
 def test_unsupported_type_rejected():
-    abi = Abi.from_signatures({"odd": (("blob", "float32"),)})
+    # AbiParam admits only types with a layout, so the odd type is
+    # smuggled in through a stand-in parameter.
+    odd = AbiAction("odd", (SimpleNamespace(name="blob", type="float128"),))
     with pytest.raises(ValueError):
-        SeedLayout(abi.action("odd"), [1.0])
+        SeedLayout(odd, [1.0])
