@@ -9,6 +9,10 @@ error type and stage, and the sha256 of the trace-IR pack.  For one
 contract the whole campaign doc is pinned under three injected faults
 and as a breaker-forced black-box task.
 
+Three more slices are pinned per sample: the semantic twin corpus with
+all nine oracle families, an RQ4 slice of the wild corpus, and the
+ingestion outcome of every hostile-corpus input.
+
 A refactor that claims to change no verdict must leave this file
 untouched.  An intended change regenerates it and the diff shows what
 moved::
@@ -24,15 +28,19 @@ from pathlib import Path
 
 import pytest
 
-from repro import (Fault, build_table4_corpus, clear_fault_plan,
-                   install_fault_plan, obfuscated_variant,
+from repro import (Fault, build_table4_corpus, build_wild_corpus,
+                   clear_fault_plan, install_fault_plan, obfuscated_variant,
                    verification_variant)
-from repro.benchgen import VULN_TYPES
-from repro.harness import evaluate_corpus
+from repro.benchgen import VULN_TYPES, build_semantic_corpus
+from repro.benchgen.hostile import build_hostile_corpus
+from repro.harness import evaluate_corpus, run_wasai
 from repro.parallel import CampaignTask, run_campaign_task
-from repro.resilience import (CampaignJournal, campaign_result_to_doc,
-                              campaign_task_key)
+from repro.resilience import (CampaignError, CampaignJournal,
+                              campaign_result_to_doc, campaign_task_key)
+from repro.semoracle import ALL_FAMILIES
 from repro.smt import configure_solver_cache
+from repro.traceir import build_trace_pack, encode_pack
+from repro.wasm.hardening import load_untrusted_module
 
 GOLDEN = Path(__file__).with_name("batch_verdicts.json")
 SCALE = 0.004
@@ -49,6 +57,8 @@ FAULT_RUNS = {
     "deploy_error": (Fault(stage="deploy", kind="error"), False),
     "blackbox": (None, True),
 }
+WILD_SCALE = 0.01   # 10 contracts
+WILD_RNG_SEED = 3000  # as benchmarks/test_rq4_wild.py: contract i, 3000 + i
 
 
 @pytest.fixture(autouse=True)
@@ -140,3 +150,60 @@ def test_fault_campaign_docs_match_golden():
                 for tool, blob in doc["traces"].items()}
         actual[name] = doc
     _check("campaigns", actual)
+
+
+def _run_outcome(families, **campaign) -> str:
+    """One ``run_wasai`` campaign as one line, in the batch's format:
+    a bit per family in ``families``, and the trace-pack hash of any
+    campaign that did not degrade."""
+    try:
+        run = run_wasai(**campaign)
+    except CampaignError as exc:
+        return (f"detected=- covered=- degraded=0 "
+                f"error={type(exc).__name__}@{exc.stage} trace=-")
+    report = run.report
+    trace = "-" if report.degraded else hashlib.sha256(
+        encode_pack(build_trace_pack(report, run.target))).hexdigest()
+    detected = "".join(str(int(run.scan.detected(family)))
+                       for family in families)
+    return " ".join((f"detected={detected}",
+                     f"covered={len(report.covered)}",
+                     f"degraded={int(report.degraded)}",
+                     "error=-", f"trace={trace}"))
+
+
+def test_semantic_verdicts_match_golden():
+    actual = {"bit_order": list(ALL_FAMILIES), "samples": {}}
+    for index, sample in enumerate(build_semantic_corpus(pairs=1)):
+        contract = sample.contract
+        label = "buggy" if sample.label else "clean"
+        actual["samples"][f"{sample.vuln_type}-{label}[{index}]"] = \
+            _run_outcome(ALL_FAMILIES, module=contract.module,
+                         abi=contract.abi, account=contract.account,
+                         timeout_ms=TIMEOUT_MS, oracles="all")
+    _check("semantic", actual)
+
+
+def test_rq4_verdicts_match_golden():
+    actual = {"bit_order": list(VULN_TYPES), "samples": {}}
+    for index, entry in enumerate(build_wild_corpus(scale=WILD_SCALE)):
+        contract = entry.contract
+        actual["samples"][f"wild[{index}]"] = _run_outcome(
+            VULN_TYPES, module=contract.module, abi=contract.abi,
+            timeout_ms=TIMEOUT_MS, rng_seed=WILD_RNG_SEED + index)
+    _check("rq4", actual)
+
+
+def test_hostile_ingest_outcomes_match_golden():
+    """The hostile inputs never reach the solver or the fuzzer: each is
+    parsed, or refused with a typed error at one stage."""
+    outcomes = []
+    for sample in build_hostile_corpus():
+        try:
+            load_untrusted_module(sample.data)
+        except CampaignError as exc:
+            outcome = f"{type(exc).__name__}@{exc.stage}"
+        else:
+            outcome = "parsed"
+        outcomes.append(f"{sample.name} {outcome}")
+    _check("hostile", outcomes)
