@@ -5,9 +5,11 @@ Most constraints WASAI flips are of the shape ``input <op> constant``
 RQ3, asset-amount thresholds ...).  Those are decided here without
 touching the SAT back end, which is what keeps the fuzzer's throughput
 competitive — the same trade the paper makes by capping Z3 at 3,000 ms
-per query.  A query that also holds other atoms, most often a string
-byte compared through ``zeroext``, is still refuted here when the
-atoms the domain reads leave an input no value.
+per query.  The solver also reads a zero-extended input, most often a
+string byte, compared against a constant, so a query built only from
+such atoms is answered here too.  A query that also holds atoms the
+domain cannot read is still refuted here when the atoms it reads leave
+an input no value.
 """
 
 from __future__ import annotations

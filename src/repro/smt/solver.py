@@ -10,11 +10,11 @@ three layers, cheapest first:
 2. **Propagation** — single-variable comparisons against constants are
    decided in the unsigned interval domain
    (:mod:`repro.smt.interval`), which covers most constraints WASAI
-   flips during fuzzing.  The layer also refutes a conjunction whose
-   readable atoms (``var <op> const``, and ``zeroext(var) <op> const``
-   under eq/ne and the unsigned compares) leave some variable no value,
-   whatever its other atoms say; it gives a witness only when every
-   atom is a bare ``var <op> const``.
+   flips during fuzzing.  It reads ``var <op> const`` and, under eq/ne
+   and the unsigned compares, ``zeroext(var) <op> const``.  A
+   conjunction of such atoms gets a witness that names every free
+   variable; one whose readable atoms leave some variable no value is
+   refuted, whatever its other atoms say.
 3. **Bit-blasting + CDCL** — the complete fallback
    (:mod:`repro.smt.bitblast` + :mod:`repro.smt.sat`), budgeted by a
    conflict limit that plays the role of the paper's 3,000 ms cap.
@@ -311,10 +311,11 @@ class Solver:
 
         Every atom ``var <op> const`` or ``zeroext(var) <op> const``
         narrows ``var``'s interval, and an empty interval refutes the
-        whole conjunction, whatever the unread atoms say.  A witness is
-        given only when every atom is a bare ``var <op> const``, so a
-        conjunction holding any other atom is refuted here or punted
-        to the SAT layer (None), never answered SAT.
+        whole conjunction, whatever the unread atoms say.  When every
+        atom is read, the intervals' smallest values are the witness:
+        it names every free variable, as a SAT-layer model does.  A
+        conjunction holding an atom the domain cannot read is refuted
+        here or punted to the SAT layer (None), never answered SAT.
         """
         intervals: dict[str, Interval] = {}
         witness_shape = True
@@ -325,12 +326,13 @@ class Solver:
                 continue
             op, var, constant, var_on_left = parsed
             if var.op == "zeroext":
-                witness_shape = False
                 var = var.args[0]
                 if constant > mask(var.width):
                     # Above var's range: var < c, var <= c and var != c
                     # always hold, the other compares never do.
                     if op == "ne" or (var_on_left and op != "eq"):
+                        intervals.setdefault(var.payload[0],
+                                             Interval(var.width))
                         continue
                     return UNSAT
             name = var.payload[0]

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import (And, BitVec, BitVecVal, BlastedPrefix, Concat, Eq,
-                       Extract, Ne, Not, Or, Popcnt, SAT, SGT, SLT, Solver,
-                       SolverStats, UGE, UGT, ULE, ULT, UNSAT, ZeroExt,
-                       evaluate)
+from repro.smt import (FALSE, TRUE, And, BitVec, BitVecVal, BlastedPrefix,
+                       Concat, Eq, Extract, Ne, Not, Or, Popcnt, SAT, SGT,
+                       SLT, Solver, SolverStats, UGE, UGT, ULE, ULT, UNSAT,
+                       ZeroExt, configure_solver_cache, evaluate,
+                       free_variables, mask)
 from repro.smt.terms import Term
 
 
@@ -79,9 +80,9 @@ def _zeroext_atoms():
 
 @pytest.mark.parametrize("atom", list(_zeroext_atoms()))
 def test_zeroext_atom_bounds_its_variable(atom):
-    """Beside ``var == v``, a zero-extended atom is refuted by the
-    interval layer when v violates it, and otherwise left to the SAT
-    layer, which alone gives witnesses for such conjunctions."""
+    """Beside ``var == v``, a zero-extended atom is decided by the
+    interval layer: refuted when v violates it, and otherwise answered
+    with ``v`` as the witness."""
     holds = {v for v in range(256) if evaluate(atom, {"zb": v})}
     if not holds:
         solver = Solver()
@@ -94,28 +95,28 @@ def test_zeroext_atom_bounds_its_variable(atom):
         if v in holds:
             assert solver.check() == SAT, (atom, v)
             assert solver.model()["zb"] == v
-            assert solver.stats.sat_calls == 1, (atom, v)
         else:
             assert solver.check() == UNSAT, (atom, v)
-            assert solver.stats.fast_path_hits == 1, (atom, v)
-            assert solver.stats.sat_calls == 0
+        assert solver.stats.fast_path_hits == 1, (atom, v)
+        assert solver.stats.sat_calls == 0
 
 
-def test_zeroext_conjunction_gets_the_sat_layer_model():
-    """A satisfiable conjunction holding a zero-extended atom gets the
-    model a fresh blast gives, not an interval witness."""
-    byte, x = BitVec("gb", 8), BitVec("gx", 16)
+def test_zeroext_conjunction_gets_an_interval_witness():
+    """A satisfiable conjunction holding zero-extended atoms is answered
+    by the interval layer.  Its witness satisfies every constraint and
+    names every free variable, including one read only by an atom that
+    always holds, as a SAT-layer model does."""
+    byte, spare, x = BitVec("gb", 8), BitVec("gs", 8), BitVec("gx", 16)
     constraints = [ULT(ZeroExt(24, byte), 0x85), UGE(byte, 0x20),
-                   Eq(x, 7)]
+                   ULT(ZeroExt(24, spare), 0x100), Eq(x, 7)]
     solver = Solver()
     solver.add(*constraints)
     assert solver.check() == SAT
-    assert solver.stats.sat_calls == 1
-    assert solver.stats.fast_path_hits == 0
-    sat_solver, blaster = BlastedPrefix().blast(constraints)
-    result = sat_solver.solve()
-    assert result.status == SAT
-    assert solver.model().as_dict() == blaster.decode(result.model)
+    assert solver.stats.fast_path_hits == 1
+    assert solver.stats.sat_calls == 0
+    model = solver.model().as_dict()
+    assert set(model) == {"gb", "gs", "gx"}
+    assert all(evaluate(c, model) is True for c in constraints)
 
 
 def test_arithmetic_needs_sat_layer():
@@ -257,6 +258,61 @@ def test_property_interval_witness_in_range(lo, span):
     solver.add(ULE(x, BitVecVal(hi, 8)))
     assert solver.check() == SAT
     assert lo <= solver.model()[x] <= hi
+
+
+_READABLE_VARS = (BitVec("ra", 8), BitVec("rb", 8), BitVec("rw", 16))
+
+
+@st.composite
+def _readable_atom(draw):
+    """``var <op> const`` or ``zeroext(var) <op> const``, plain or
+    negated; a zero-extended variable also meets constants above its
+    range."""
+    var = draw(st.sampled_from(_READABLE_VARS))
+    top = mask(var.width)
+    constants = st.sampled_from((0, 1, top - 1, top)) | st.integers(0, top)
+    operand = var
+    if draw(st.booleans()):
+        operand = ZeroExt(32 - var.width, var)
+        constants |= st.sampled_from((top + 1, mask(32))) \
+            | st.integers(top + 1, mask(32))
+    compare = draw(st.sampled_from((Eq, Ne, ULT, ULE, UGT, UGE)))
+    atom = compare(operand, draw(constants))
+    return Not(atom) if draw(st.booleans()) else atom
+
+
+def _fresh_blast_status(constraints):
+    """The status a fresh blast of the conjunction gives, after the
+    solver's own TRUE/FALSE screening."""
+    if any(c is FALSE for c in constraints):
+        return UNSAT
+    constraints = [c for c in constraints if c is not TRUE]
+    if not constraints:
+        return SAT
+    sat_solver, _ = BlastedPrefix().blast(constraints)
+    return sat_solver.solve().status
+
+
+@settings(max_examples=150, deadline=None)
+@given(atoms=st.lists(_readable_atom(), min_size=1, max_size=6))
+def test_property_readable_conjunction_never_reaches_cdcl(atoms):
+    """Any conjunction of readable atoms is decided by the interval
+    layer, with the status a fresh blast gives; a witness satisfies
+    every atom and names every free variable."""
+    configure_solver_cache(enabled=False)
+    try:
+        solver = Solver()
+        solver.add(*atoms)
+        status = solver.check()
+    finally:
+        configure_solver_cache(enabled=True)
+    assert status == _fresh_blast_status(atoms)
+    assert solver.stats.sat_calls == 0
+    if status == SAT:
+        model = solver.model().as_dict()
+        assert set(model) == {var.payload[0] for var in
+                              set().union(*map(free_variables, atoms))}
+        assert all(evaluate(atom, model) is True for atom in atoms)
 
 
 @settings(max_examples=20, deadline=None)
