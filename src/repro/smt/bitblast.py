@@ -49,18 +49,6 @@ class BitBlaster:
         self._true_lit: int | None = None
         self.var_bits: dict[str, list[int]] = {}
 
-    def copy(self, solver: SatSolver) -> "BitBlaster":
-        """A blaster over ``solver``, a :meth:`SatSolver.copy` of this
-        one's solver, that reuses every encoding made so far.  Terms it
-        encodes later stay out of this blaster's caches; the encodings
-        themselves are never modified once made, so both share them."""
-        twin = BitBlaster(solver)
-        twin._bv_cache = dict(self._bv_cache)
-        twin._bool_cache = dict(self._bool_cache)
-        twin._true_lit = self._true_lit
-        twin.var_bits = dict(self.var_bits)
-        return twin
-
     # -- literal helpers -------------------------------------------------
     def true_lit(self) -> int:
         if self._true_lit is None:

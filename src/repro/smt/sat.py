@@ -19,7 +19,7 @@ literals ``v`` and ``-v``.
 
 Storage is a fixed handful of flat int lists, whatever the clause
 count, so a solver costs the garbage collector a few objects rather
-than a few per clause, and :meth:`SatSolver.copy` is a few list copies.
+than a few per clause.
 Inside, literal ``v`` is coded ``2v`` and ``-v`` is ``2v + 1`` (a code
 is negated by ``^ 1``); clauses are numbered in the order they are
 attached and live back to back in one literal arena.
@@ -71,10 +71,6 @@ class SatSolver:
         solver.add_clause([-a])
         result = solver.solve()
         assert result.status == SAT and result.model[b] is True
-
-    :meth:`solve` reorders watches and literals, learns clauses and
-    bumps activities, so a solver that is to be solved again from the
-    same state is :meth:`copy`-ed first.
     """
 
     __slots__ = ("_num_vars", "_value", "_level", "_reason", "_activity",
@@ -116,15 +112,6 @@ class SatSolver:
         # variable below _cursor is assigned.
         self._bumped = False
         self._cursor = 1
-
-    def copy(self) -> "SatSolver":
-        """An independent solver in exactly this state: clauses, watch
-        order, assignments, activities and learnt clauses."""
-        twin = SatSolver.__new__(SatSolver)
-        for name in SatSolver.__slots__:
-            value = getattr(self, name)
-            setattr(twin, name, value[:] if type(value) is list else value)
-        return twin
 
     # -- construction ----------------------------------------------------
     def new_var(self) -> int:

@@ -18,8 +18,9 @@ three layers, cheapest first:
 3. **Bit-blasting + CDCL** — the complete fallback
    (:mod:`repro.smt.bitblast` + :mod:`repro.smt.sat`), budgeted by a
    conflict limit that plays the role of the paper's 3,000 ms cap.
-   Solvers that share a :class:`BlastedPrefix` blast a common path
-   prefix once.
+   Each query that reaches it is blasted afresh (:func:`blast_query`):
+   atoms the interval layer cannot read, such as signed compares
+   across both sign halves, arithmetic and popcount chains.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .interval import Interval, propagate_comparison
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 from .terms import (FALSE, TRUE, Term, evaluate, free_variables, mask)
 
-__all__ = ["Solver", "BlastedPrefix", "Model", "SolverStats", "SolverCache",
-           "solver_cache", "configure_solver_cache",
-           "SAT", "UNSAT", "UNKNOWN"]
+__all__ = ["Solver", "Model", "SolverStats", "SolverCache", "solver_cache",
+           "configure_solver_cache", "blast_query", "SAT", "UNSAT", "UNKNOWN"]
 
 
 class Model:
@@ -166,76 +166,32 @@ def _declaration_order(constraints: list[Term]) -> list[Term]:
     return list(order)
 
 
-class BlastedPrefix:
-    """A path prefix bit-blasted once for a batch of queries.
+def blast_query(constraints: list[Term]) -> tuple[SatSolver, BitBlaster]:
+    """A fresh solver and blaster holding ``constraints``.
 
-    Symback (§3.4.4) poses one query per input-dependent branch of a
-    replayed trace, "path prefix ∧ flipped branch", each prefix
-    extending the one before.  Every :class:`Solver` given the same
-    instance blasts through it: a pristine :class:`SatSolver` and
-    :class:`BitBlaster` are extended by only the prefix constraints
-    they lack, and each query solves a :meth:`SatSolver.copy` with just
-    its last constraint asserted.
-
-    A SAT model follows from variable numbering, clause order and the
-    level-0 state, so the copy must hold exactly what a fresh blast of
-    the query holds.  A fresh blast numbers every free variable of the
-    query before it blasts any gate.  The state therefore starts over
-    whenever a query's declared-variable order differs from its own, or
-    its prefix does not extend the constraints already blasted.
-    ``builds`` counts those starts.
-    """
-
-    def __init__(self) -> None:
-        self.builds = 0
-        self._order: list[Term] | None = None
-        self._blasted: list[Term] = []
-        self._sat: SatSolver | None = None          # set by the first build
-        self._blaster: BitBlaster | None = None
-
-    def blast(self, constraints: list[Term]) -> tuple[SatSolver, BitBlaster]:
-        """A solver and blaster holding what a fresh blast of the
-        non-empty ``constraints`` holds; raises ``ValueError`` for a
-        term the blaster cannot encode, as the blaster does."""
-        order = _declaration_order(constraints)
-        prefix = constraints[:-1]
-        done = len(self._blasted)
-        if order != self._order or prefix[:done] != self._blasted:
-            self.builds += 1
-            self._sat = SatSolver()
-            self._blaster = BitBlaster(self._sat)
-            # Declared up front so the model covers every variable.
-            for var in order:
-                self._blaster.blast_bv(var)
-            self._blasted = []
-            done = 0
-        self._order = None      # unusable until the prefix is complete
-        for constraint in prefix[done:]:
-            self._blaster.assert_term(constraint)
-            self._blasted.append(constraint)
-        self._order = order
-        sat_solver = self._sat.copy()
-        blaster = self._blaster.copy(sat_solver)
-        blaster.assert_term(constraints[-1])
-        return sat_solver, blaster
+    Every free variable is declared first, in :func:`_declaration_order`,
+    so the model covers each of them; then every constraint is
+    asserted.  Raises ``ValueError`` for a term the blaster cannot
+    encode, as the blaster does."""
+    sat_solver = SatSolver()
+    blaster = BitBlaster(sat_solver)
+    for var in _declaration_order(constraints):
+        blaster.blast_bv(var)
+    for constraint in constraints:
+        blaster.assert_term(constraint)
+    return sat_solver, blaster
 
 
 class Solver:
-    """Check satisfiability of a conjunction of boolean terms.
-
-    ``prefix`` shares one :class:`BlastedPrefix` between the solvers of
-    a query batch; without it each check blasts its query afresh.
-    Either way the answer and model are the same."""
+    """Check satisfiability of a conjunction of boolean terms."""
 
     def __init__(self, max_conflicts: int = 20_000,
-                 stats: SolverStats | None = None,
-                 prefix: BlastedPrefix | None = None):
+                 stats: SolverStats | None = None):
         self._constraints: list[Term] = []
         self._stack: list[int] = []
         self.max_conflicts = max_conflicts
         self._model: Model | None = None
         self.stats = stats or SolverStats()
-        self._prefix = prefix
 
     # -- z3py-flavoured interface ------------------------------------------
     def add(self, *constraints: Term) -> None:
@@ -358,9 +314,8 @@ class Solver:
     # -- layer 3: bit-blasting -----------------------------------------------
     def _check_sat(self, constraints: list[Term]) -> str:
         self.stats.sat_calls += 1
-        prefix = self._prefix or BlastedPrefix()
         try:
-            sat_solver, blaster = prefix.blast(constraints)
+            sat_solver, blaster = blast_query(constraints)
         except ValueError:
             self.stats.unknowns += 1
             return UNKNOWN

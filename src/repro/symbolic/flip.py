@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..smt import (SAT, BlastedPrefix, Solver, SolverStats, Term,
-                   free_variables)
+from ..smt import SAT, Solver, SolverStats, Term, free_variables
 from .calling import SeedLayout
 from .simulate import BranchRecord, ReplayResult
 
@@ -72,17 +71,15 @@ def solve_flips(queries: list[FlipQuery], layout: SeedLayout,
 
     ``max_conflicts`` is the per-query budget standing in for the
     paper's 3,000 ms SMT cap; queries that exceed it return unknown and
-    produce no seed (the FN mechanism §5 describes).  The queries share
-    one :class:`~repro.smt.BlastedPrefix`, so the path is bit-blasted
-    once per batch rather than once per query.
+    produce no seed (the FN mechanism §5 describes).  Each query is
+    solved on its own: the interval layer answers most of them, and
+    the rest are bit-blasted afresh.
     """
     seeds: list[AdaptiveSeed] = []
-    prefix = BlastedPrefix()
     for query in queries:
         if max_seeds is not None and len(seeds) >= max_seeds:
             break
-        solver = Solver(max_conflicts=max_conflicts, stats=stats,
-                        prefix=prefix)
+        solver = Solver(max_conflicts=max_conflicts, stats=stats)
         for constraint in query.constraints:
             solver.add(constraint)
         if solver.check() != SAT:

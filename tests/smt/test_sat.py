@@ -188,20 +188,3 @@ def test_solver_owns_a_constant_number_of_gc_objects():
     hard = _random_3sat(60, 255, seed=11)
     assert hard.solve().conflicts > 0
     assert _tracked_objects(hard) <= 16
-
-
-def _outcome(result):
-    return result.status, result.conflicts, sorted(result.model.items())
-
-
-def test_solving_a_copy_leaves_the_original_unchanged():
-    reference = _random_3sat(45, 190, seed=5)
-    original = _random_3sat(45, 190, seed=5)
-    twin = original.copy()
-    # The copy searches exactly as the original would...
-    assert _outcome(twin.solve([1, -2])) == _outcome(reference.solve([1, -2]))
-    assert twin.solve().conflicts > 0
-    # ...and its learnt clauses, reordered watches and bumped activities
-    # stay its own.
-    fresh = _random_3sat(45, 190, seed=5)
-    assert _outcome(original.solve()) == _outcome(fresh.solve())

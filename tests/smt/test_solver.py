@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import (FALSE, TRUE, And, BitVec, BitVecVal, BlastedPrefix,
-                       Concat, Eq, Extract, Ne, Not, Or, Popcnt, SAT, SGT,
-                       SLT, Solver, SolverStats, UGE, UGT, ULE, ULT, UNSAT,
-                       ZeroExt, configure_solver_cache, evaluate,
-                       free_variables, mask)
+from repro.smt import (FALSE, TRUE, And, BitVec, BitVecVal, Concat, Eq,
+                       Extract, Ne, Not, Or, Popcnt, SAT, SGT, SLT, Solver,
+                       SolverStats, UGE, UGT, ULE, ULT, UNSAT, ZeroExt,
+                       configure_solver_cache, evaluate, free_variables,
+                       mask)
+from repro.smt.solver import blast_query
 from repro.smt.terms import Term
 
 
@@ -289,7 +290,7 @@ def _fresh_blast_status(constraints):
     constraints = [c for c in constraints if c is not TRUE]
     if not constraints:
         return SAT
-    sat_solver, _ = BlastedPrefix().blast(constraints)
+    sat_solver, _ = blast_query(constraints)
     return sat_solver.solve().status
 
 

@@ -1,17 +1,11 @@
 """Flip-query answers and models, query by query.
 
-:func:`~repro.symbolic.solve_flips` bit-blasts each batch's path once,
-through one :class:`~repro.smt.BlastedPrefix`, instead of once per
-query.  That may change no answer and no model: every query must get
-through the shared prefix the status and model a fresh
-:class:`~repro.smt.Solver` gives it.  Below the solver, the shared
-prefix must number the query's variables as a fresh blast does, and
-the two CNFs must search identically.
-
-The interval layer answers most flip queries before anything is
-blasted.  Each query it decides is checked against a fresh blast: the
-same status, and a model that satisfies every constraint and names
-every free variable.
+:func:`~repro.symbolic.solve_flips` solves each flip query on its own.
+The interval layer answers most of them before anything is blasted;
+the rest are blasted afresh (:func:`~repro.smt.solver.blast_query`).
+Each query the interval layer decides is checked against a fresh
+blast: the same status, and a model that satisfies every constraint
+and names every free variable.
 
 The corpus is every flip batch the fuzzer poses on four RQ1 maze
 contracts and on the Table 5 (obfuscated) slice at scale 0.004.
@@ -35,8 +29,9 @@ import pytest
 from repro import build_rq1_contracts, build_table4_corpus, obfuscated_variant
 from repro.engine import fuzzer
 from repro.harness import run_wasai
-from repro.smt import (SAT, TRUE, UNSAT, BlastedPrefix, Solver, SolverStats,
+from repro.smt import (SAT, TRUE, UNSAT, Solver, SolverStats,
                        configure_solver_cache, evaluate, free_variables)
+from repro.smt.solver import blast_query
 
 TIMEOUT_MS = 6_000
 PINNED = Path(__file__).with_name("flip_prefix_pinned.json")
@@ -78,49 +73,10 @@ def _variables(constraints):
     return set().union(*map(free_variables, constraints))
 
 
-def test_shared_prefix_matches_fresh_solves(batches, uncached):
-    cdcl = 0
-    for queries in batches:
-        prefix = BlastedPrefix()
-        for query in queries:
-            stats = SolverStats()
-            shared = Solver(stats=stats, prefix=prefix)
-            shared.add(*query.constraints)
-            status = shared.check()
-            cdcl += stats.sat_calls
-            fresh = Solver()
-            fresh.add(*query.constraints)
-            assert status == fresh.check(), query.branch_id
-            if status == SAT:
-                assert shared.model().as_dict() == fresh.model().as_dict(), \
-                    query.branch_id
-    assert cdcl >= 7
-
-
-def _blast_and_solve(prefix, constraints):
-    try:
-        sat_solver, blaster = prefix.blast(constraints)
-    except ValueError:
-        return "not blastable"
-    result = sat_solver.solve(max_conflicts=20_000)
-    return (sat_solver.num_vars, blaster.var_bits, result.status,
-            result.conflicts, result.model)
-
-
-def test_shared_prefix_blasts_what_a_fresh_blast_does(batches):
-    for queries in batches:
-        prefix = BlastedPrefix()
-        for query in queries:
-            constraints = [c for c in query.constraints if c is not TRUE]
-            assert _blast_and_solve(prefix, constraints) \
-                == _blast_and_solve(BlastedPrefix(), constraints), \
-                query.branch_id
-
-
 def test_fast_path_agrees_with_the_sat_layer(batches, uncached):
-    """The other half of the differential pair: every query the
-    interval fast path decides gets the same status from a blast, and
-    each side's model satisfies every constraint (the two models may
+    """The fast path vs full solver pair: every query the interval fast
+    path decides gets the same status from a fresh blast, and each
+    side's model satisfies every constraint (the two models may
     differ).  An interval model names every free variable of the query,
     as the blast's model does."""
     decided = {SAT: 0, UNSAT: 0}
@@ -134,7 +90,7 @@ def test_fast_path_agrees_with_the_sat_layer(batches, uncached):
                 continue
             decided[status] += 1
             constraints = [c for c in query.constraints if c is not TRUE]
-            sat_solver, blaster = BlastedPrefix().blast(constraints)
+            sat_solver, blaster = blast_query(constraints)
             result = sat_solver.solve(max_conflicts=fast.max_conflicts)
             assert result.status == status, query.branch_id
             if status == SAT:
@@ -150,13 +106,11 @@ def test_fast_path_agrees_with_the_sat_layer(batches, uncached):
 
 def _model_digests(batches):
     """One sha256 of (branch id, status, sorted model) per flip query,
-    whichever layer answers it, each batch sharing one prefix as
-    ``solve_flips`` does.  The result cache must be off."""
+    whichever layer answers it.  The result cache must be off."""
     digests = []
     for queries in batches:
-        prefix = BlastedPrefix()
         for query in queries:
-            solver = Solver(prefix=prefix)
+            solver = Solver()
             solver.add(*query.constraints)
             status = solver.check()
             model = (sorted(solver.model().as_dict().items())
