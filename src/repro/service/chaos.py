@@ -41,6 +41,7 @@ import shutil
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,6 +71,8 @@ CHAOS_SCHEDULES = {
 # time while still exercising the full concolic pipeline.
 _DRILL_TIMEOUT_MS = 2_500.0
 _WAIT_S = 90.0
+# The overload drill sends its burst from this many client threads.
+_BURST_CLIENTS = 8
 
 
 class ChaosViolation(AssertionError):
@@ -490,8 +493,8 @@ class _OverloadDrill(_Drill):
     """A deliberately small daemon burst at over 8x its admission bound.
 
     Two workers under a 12-job admission bound (queued + running) meet
-    a rapid burst of 100 submissions, with mixed caller deadlines,
-    clients and priorities.  The phases assert the overload contract
+    a burst of 100 submissions from 8 concurrent clients, with mixed
+    caller deadlines, clients and priorities.  The phases assert the overload contract
     end to end: deadlines are honored at every hand-off (never a full
     campaign for a caller whose clock ran out), every refusal is a
     typed 429 with a measured Retry-After, the brownout ladder climbs
@@ -569,12 +572,14 @@ class _OverloadDrill(_Drill):
         _expect(dead.get("result") is None,
                 "an expired-at-admission job still produced a verdict")
         # A live but unmeetable deadline: admitted, then cut while
-        # queued or between fuzz rounds — never run to completion.
+        # queued or between fuzz rounds — never run to completion.  A
+        # drill-sized campaign can finish inside 20 ms, so this one
+        # gets a budget 20x larger.
         data2, abi2 = self.contract(21)
         started = time.monotonic()
-        queued = self.client.submit(data2, abi2,
-                                    client="deadline-tight",
-                                    deadline_s=0.02)
+        queued = self.client.submit(
+            data2, abi2, client="deadline-tight", deadline_s=0.02,
+            config={"timeout_ms": 20 * _DRILL_TIMEOUT_MS})
         final = queued if queued["state"] == "deadline_exceeded" else \
             self.client.wait(queued["id"], timeout_s=_WAIT_S,
                              poll_s=0.02)
@@ -611,42 +616,52 @@ class _OverloadDrill(_Drill):
         # several job-times) — so deadline cuts are load-dependent,
         # not machine-dependent.
         patience_s = min(max(2.0 * self.baseline_exec_s, 0.02), 0.5)
-        # Pre-generate contracts so the submit loop outruns the drain.
-        batch = [(seed, *self.contract(seed))
-                 for seed in range(100, 100 + total)]
+        # Pre-generate contracts so the submits outrun the drain.
+        batch = [self.contract(seed) for seed in range(100, 100 + total)]
         fast = ServiceClient(self.client.base_url, timeout_s=30.0,
                              max_retries=0)
-        admitted: list[tuple[str, bool]] = []
-        cut_at_admission = 0
-        for index, (seed, data, abi) in enumerate(batch):
-            had_deadline = index % 3 == 0
+
+        def submit(index: int):
+            data, abi = batch[index]
             kwargs = {"client": f"tenant-{index % 4}",
                       "priority": -1 if index % 5 == 0 else 0}
-            if had_deadline:
+            if index % 3 == 0:
                 kwargs["deadline_s"] = patience_s
             try:
-                doc = fast.submit(data, abi, **kwargs)
+                return fast.submit(data, abi, **kwargs)
             except ServiceError as exc:
-                _expect(exc.status == 429,
-                        f"burst submit died with HTTP {exc.status}: "
-                        f"{exc.doc}")
-                kind = exc.doc.get("kind")
-                _expect(kind in SHED_KINDS,
-                        f"shed carries unknown kind {kind!r}")
-                _expect(float(exc.doc.get("retry_after_s") or 0) > 0,
-                        f"{kind!r} shed carries no measured "
-                        f"Retry-After: {exc.doc}")
-                self.observed_sheds[kind] = \
-                    self.observed_sheds.get(kind, 0) + 1
-            else:
-                if doc["state"] == "deadline_exceeded":
+                return exc
+
+        admitted: list[tuple[str, bool]] = []
+        cut_at_admission = 0
+        # One client sending the burst a request at a time arrives no
+        # faster than two workers drain it, so the queue never builds.
+        # Concurrent clients fill the queue, and deadline jobs then
+        # wait behind a backlog longer than their patience.
+        with ThreadPoolExecutor(max_workers=_BURST_CLIENTS) as clients:
+            for index, answer in enumerate(clients.map(submit,
+                                                       range(total))):
+                had_deadline = index % 3 == 0
+                if isinstance(answer, ServiceError):
+                    _expect(answer.status == 429,
+                            f"burst submit died with HTTP "
+                            f"{answer.status}: {answer.doc}")
+                    kind = answer.doc.get("kind")
+                    _expect(kind in SHED_KINDS,
+                            f"shed carries unknown kind {kind!r}")
+                    _expect(float(answer.doc.get("retry_after_s") or 0)
+                            > 0, f"{kind!r} shed carries no measured "
+                            f"Retry-After: {answer.doc}")
+                    self.observed_sheds[kind] = \
+                        self.observed_sheds.get(kind, 0) + 1
+                elif answer["state"] == "deadline_exceeded":
                     cut_at_admission += 1
-                    _expect(doc.get("result") is None,
+                    _expect(answer.get("result") is None,
                             "an admission-expired burst job produced "
                             "a verdict")
                 else:
-                    admitted.append((doc["id"], had_deadline))
-            self._note_pressure()
+                    admitted.append((answer["id"], had_deadline))
+                self._note_pressure()
         _expect(sum(self.observed_sheds.values()) >= 1,
                 f"a burst of {total} was fully admitted past the "
                 f"bound {capacity} — nothing was shed")
