@@ -41,7 +41,6 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -631,6 +630,10 @@ class _OverloadDrill(_Drill):
                 return fast.submit(data, abi, **kwargs)
             except ServiceError as exc:
                 return exc
+
+        # Imported here, not at the top: every daemon imports this
+        # module, and the executor machinery costs it about 0.5 MB.
+        from concurrent.futures import ThreadPoolExecutor
 
         admitted: list[tuple[str, bool]] = []
         cut_at_admission = 0
