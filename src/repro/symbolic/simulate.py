@@ -667,12 +667,6 @@ def _bits_f64(bits: int) -> float:
         "<Q", bits & 0xFFFFFFFFFFFFFFFF))[0]
 
 
-def _float_operand(op_prefix: str, raw) -> float:
-    """Interpret a traced float operand (the hooks deliver Python
-    floats for f32/f64 operands already)."""
-    return float(raw)
-
-
 def _concrete_float_result(op: str, operands: tuple) -> Term:
     """Compute a float instruction's result from its traced operands.
 
