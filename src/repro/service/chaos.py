@@ -493,12 +493,13 @@ class _OverloadDrill(_Drill):
 
     Two workers under a 12-job admission bound (queued + running) meet
     a burst of 100 submissions from 8 concurrent clients, with mixed
-    caller deadlines, clients and priorities.  The phases assert the overload contract
-    end to end: deadlines are honored at every hand-off (never a full
-    campaign for a caller whose clock ran out), every refusal is a
-    typed 429 with a measured Retry-After, the brownout ladder climbs
-    under the burst and walks back down to ``normal`` once it drains,
-    and the shed books in ``/stats`` match what clients actually saw.
+    caller deadlines, clients and priorities.  The phases assert the
+    overload contract end to end: deadlines are honored at every
+    hand-off (never a full campaign for a caller whose clock ran out),
+    every refusal is a typed 429 with a measured Retry-After, the
+    brownout ladder climbs under the burst and walks back down to
+    ``normal`` once it drains, and the shed books in ``/stats`` match
+    what clients actually saw.
 
     The AIMD target SLO starts at its generous default so the
     baseline phase runs at pressure ``normal``; the burst phase then
