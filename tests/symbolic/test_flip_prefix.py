@@ -94,11 +94,11 @@ def test_fast_path_agrees_with_the_sat_layer(batches, uncached):
             result = sat_solver.solve(max_conflicts=fast.max_conflicts)
             assert result.status == status, query.branch_id
             if status == SAT:
-                model = fast.model().as_dict()
-                assert set(model) == {var.payload[0] for var in
-                                      _variables(constraints)}, \
+                witness = fast.model().as_dict()
+                assert set(witness) == {var.payload[0] for var in
+                                        _variables(constraints)}, \
                     query.branch_id
-                for model in (model, blaster.decode(result.model)):
+                for model in (witness, blaster.decode(result.model)):
                     assert all(evaluate(c, model) is True
                                for c in constraints), query.branch_id
     assert decided[SAT] >= 82 and decided[UNSAT] >= 19, decided
@@ -121,6 +121,8 @@ def _model_digests(batches):
 
 
 def test_sat_layer_models_match_pinned_digests(batches, uncached):
+    """Every flip query's status and model, whichever layer answers
+    it, matches its pin."""
     pinned = json.loads(PINNED.read_text())["digests"]
     digests = _model_digests(batches)
     assert len(digests) == len(pinned)
