@@ -81,10 +81,6 @@ def main(argv: list[str] | None = None) -> int:
     scan.add_argument("--max-memory-pages", type=int, default=None,
                       help="cap on Wasm linear memory growth during "
                            "fuzzing, in 64 KiB pages (default 1024)")
-    scan.add_argument("--no-translate", dest="translate",
-                      action="store_false", default=True,
-                      help="run the generic reference interpreter instead "
-                           "of the direct-threaded translation layer")
     scan.add_argument("--no-divergence-check", dest="divergence_check",
                       action="store_false",
                       help="disable the concolic divergence sentinel "
@@ -133,10 +129,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="bench a sample after this many failed "
                             "attempts; it is reported as skipped "
                             "(default 3)")
-    bench.add_argument("--no-translate", dest="translate",
-                       action="store_false", default=True,
-                       help="run the generic reference interpreter instead "
-                            "of the direct-threaded translation layer")
     bench.add_argument("--no-divergence-check", dest="divergence_check",
                        action="store_false",
                        help="disable the concolic divergence sentinel")
@@ -319,11 +311,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="print each phase as it completes")
 
     args = parser.parse_args(argv)
-    # A process-wide performance knob: a plain module global, so
-    # forked parallel workers inherit it.
-    if getattr(args, "translate", True) is False:
-        from .wasm.interpreter import configure_translation
-        configure_translation(False)
     if args.command == "scan":
         return _cmd_scan(args)
     if args.command == "gen":

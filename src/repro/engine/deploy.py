@@ -60,23 +60,18 @@ class Instrumentation:
     pair: the first call rewrites :attr:`module` through
     ``instrument_module`` (looked up in this module at call time), and
     later calls return the same pair.  A failed rewrite is not kept,
-    so the next call tries again.  ``runs`` counts the rewrites tried
-    and ``reuses`` the calls served by the kept pair.  The pair is
-    shared read-only: execution state lives in per-transaction
-    ``Instance`` objects, never in the module itself.
+    so the next call tries again.  The pair is shared read-only:
+    execution state lives in per-transaction ``Instance`` objects,
+    never in the module itself.
     """
 
     def __init__(self, module: Module):
         self.module = module
-        self.runs = 0
-        self.reuses = 0
         self._pair: "tuple[Module, SiteTable] | None" = None
 
     def pair(self) -> tuple[Module, SiteTable]:
         if self._pair is not None:
-            self.reuses += 1
             return self._pair
-        self.runs += 1
         try:
             self._pair = instrument_module(self.module)
         except CampaignError:

@@ -215,7 +215,7 @@ def evaluate_corpus(samples: list[BenchmarkSample],
     ``journal`` set, completed campaigns are checkpointed as they
     finish; ``resume=True`` reuses journaled results verbatim instead
     of recomputing them.  ``perf``, when given, is filled with
-    throughput, failure/retry and cache-hit accounting for the freshly
+    throughput, failure/retry and latency accounting for the freshly
     computed (non-journaled) campaigns.
 
     A sample whose campaign tripped the concolic divergence sentinel

@@ -1,15 +1,14 @@
 """Detection metrics: confusion counts, precision / recall / F1.
 
 Used by the Table 4-6 benches to print the same rows the paper
-reports.  Also home to :class:`ThroughputStats`, the timing and
-cache-efficiency ledger the corpus-scale evaluation fills in so the
-perf trajectory (campaigns/sec, cache hit rates, per-stage wall-clock)
-is tracked across PRs via ``BENCH_throughput.json``.
+reports.  Also home to :class:`ThroughputStats`, the timing ledger
+the corpus-scale evaluation fills in so the perf trajectory
+(campaigns/sec, per-stage wall-clock, latency percentiles) is tracked
+in ``BENCH_throughput.json``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 __all__ = ["Confusion", "MetricsTable", "ThroughputStats", "percentile"]
@@ -88,12 +87,9 @@ class ThroughputStats:
     static scan per sample per tool); ``failures`` counts tasks whose
     worker crashed or timed out.  ``stage_seconds`` sums the per-stage
     wall-clock reported by the campaign workers ("setup" = chain +
-    instrumented deploy, "fuzz", "scan").  ``cache`` sums the per-task
-    cache counters under their verdict-doc keys (``instr_cache_hits``
-    ... ``solver_cache_misses``; see ``CampaignResult.cache``), so it
-    stays correct when workers run in separate processes with private
-    solver caches.  The scan service keeps its event counts itself (``GET
-    /stats``) and reads only the latency percentiles of its ledger.
+    instrumented deploy, "fuzz", "scan").  The scan service keeps its
+    event counts itself (``GET /stats``) and reads only the latency
+    percentiles of its ledger.
     """
 
     jobs: int = 1
@@ -103,11 +99,6 @@ class ThroughputStats:
     quarantined: int = 0
     wall_s: float = 0.0
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    cache: Counter = field(default_factory=Counter)
-    # Per-worker task count and cache counters, keyed by worker
-    # process id.  One cold worker in an otherwise warm pool is
-    # invisible in the summed counters but obvious here.
-    per_worker: dict[int, Counter] = field(default_factory=dict)
     # Per-task wall-clock samples, keyed by stage ("task" = whole
     # campaign task; "setup"/"fuzz"/"scan" = pipeline stages; the scan
     # service adds "job" for end-to-end job latency).  Samples feed the
@@ -118,13 +109,6 @@ class ThroughputStats:
     @property
     def campaigns_per_sec(self) -> float:
         return self.campaigns / self.wall_s if self.wall_s > 0 else 0.0
-
-    def hit_rate(self, tier: str) -> float:
-        """Hit rate of one cache (``instr_cache`` or ``solver_cache``)
-        over the summed counters."""
-        hits = self.cache[f"{tier}_hits"]
-        total = hits + self.cache[f"{tier}_misses"]
-        return hits / total if total else 0.0
 
     # -- aggregation (driven by the harness) ------------------------------
     def add_run(self, run, jobs: int, wall_s: float) -> None:
@@ -142,9 +126,8 @@ class ThroughputStats:
     def add_result(self, result, elapsed_s: float = 0.0) -> None:
         """Fold one freshly run :class:`~repro.parallel.CampaignResult`:
         its completed scans, retries, stage seconds and per-stage
-        latencies, its cache counters (also under its worker), and
-        (when given) the task's wall-clock ``elapsed_s`` as a ``task``
-        latency sample."""
+        latencies, and (when given) the task's wall-clock ``elapsed_s``
+        as a ``task`` latency sample."""
         self.campaigns += len(result.scans)
         self.retries += result.retries
         if elapsed_s > 0:
@@ -153,24 +136,6 @@ class ThroughputStats:
             self.stage_seconds[stage] = \
                 self.stage_seconds.get(stage, 0.0) + seconds
             self.record_latency(stage, seconds)
-        self.cache.update(result.cache)
-        if result.worker_id:
-            per = self.per_worker.setdefault(result.worker_id, Counter())
-            per["tasks"] += 1
-            per.update(result.cache)
-
-    def per_worker_hit_rates(self) -> dict[int, dict[str, float]]:
-        """Combined (instr + solver) cache hit rate per worker."""
-        out: dict[int, dict[str, float]] = {}
-        for worker_id, per in self.per_worker.items():
-            hits = per["instr_cache_hits"] + per["solver_cache_hits"]
-            total = hits + per["instr_cache_misses"] \
-                + per["solver_cache_misses"]
-            out[worker_id] = {
-                "tasks": per["tasks"],
-                "hit_rate": hits / total if total else 0.0,
-            }
-        return out
 
     def record_latency(self, stage: str, seconds: float) -> None:
         """Add one per-task wall-clock sample for ``stage``."""
@@ -191,7 +156,6 @@ class ThroughputStats:
         return out
 
     def as_dict(self) -> dict:
-        cache = self.cache
         return {
             "jobs": self.jobs,
             "campaigns": self.campaigns,
@@ -201,25 +165,10 @@ class ThroughputStats:
             "wall_s": self.wall_s,
             "campaigns_per_sec": self.campaigns_per_sec,
             "stage_seconds": dict(self.stage_seconds),
-            "instr_cache": {
-                "hits": cache["instr_cache_hits"],
-                "misses": cache["instr_cache_misses"],
-                "hit_rate": self.hit_rate("instr_cache"),
-            },
-            "solver_cache": {
-                "hits": cache["solver_cache_hits"],
-                "misses": cache["solver_cache_misses"],
-                "hit_rate": self.hit_rate("solver_cache"),
-            },
-            "per_worker": {
-                str(worker_id): stats for worker_id, stats
-                in sorted(self.per_worker_hit_rates().items())
-            },
             "latency": self.latency_percentiles(),
         }
 
     def format(self) -> str:
-        cache = self.cache
         extras = "".join(
             f", {count} {label}" for count, label in
             ((self.failures, "failed"), (self.retries, "retried"),
@@ -229,17 +178,7 @@ class ThroughputStats:
             f"  campaigns     {self.campaigns} "
             f"({self.campaigns_per_sec:.2f}/s over {self.wall_s:.2f}s"
             f"{extras})",
-            f"  instr cache   {cache['instr_cache_hits']} hits / "
-            f"{cache['instr_cache_misses']} misses "
-            f"({self.hit_rate('instr_cache'):.1%})",
-            f"  solver cache  {cache['solver_cache_hits']} hits / "
-            f"{cache['solver_cache_misses']} misses "
-            f"({self.hit_rate('solver_cache'):.1%})",
         ]
-        for worker_id, stats in sorted(self.per_worker_hit_rates().items()):
-            lines.append(
-                f"  worker {worker_id:<7} {stats['tasks']} tasks, "
-                f"cache hit rate {stats['hit_rate']:.1%}")
         for stage in sorted(self.stage_seconds):
             lines.append(f"  stage {stage:<8} "
                          f"{self.stage_seconds[stage]:8.2f}s")

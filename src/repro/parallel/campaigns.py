@@ -10,10 +10,7 @@ results; the harness folds worker outputs back in task order.
 A task instruments its contract at most once, on its first deploy,
 and every later deploy of the task (a retry, the second dynamic tool)
 reuses that :class:`~repro.engine.Instrumentation`; nothing outlives
-the task.  Workers report per-stage wall-clock, the task's own
-instrumentation counts, and its solver-cache counter deltas.  Deltas,
-not absolute counters: each worker process owns a private solver
-cache, so only differences can be summed meaningfully in the parent.
+the task.  Workers report per-stage wall-clock alongside the scans.
 
 Containment happens here, inside the worker: every tool run executes
 under the task's :class:`~repro.resilience.ResiliencePolicy` — typed
@@ -28,7 +25,6 @@ verdict with the failing stage in its error doc.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -93,16 +89,6 @@ class CampaignResult:
 
     scans: dict[str, ScanResult]
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    # Cache counters under the verdict-doc keys (CACHE_COUNTERS).
-    # instr_cache_misses counts the instrumentations this task ran and
-    # instr_cache_hits its deploys that reused one.  The solver pair is
-    # a delta of the process-wide solver cache: the daemon's scan
-    # threads share it, so when campaigns overlap a delta also counts
-    # its neighbours' work.
-    cache: dict[str, int] = field(default_factory=dict)
-    # The worker process that ran the task; lets the harness attribute
-    # cache efficiency per worker (a cold worker shows up immediately).
-    worker_id: int = 0
     errors: dict[str, dict] = field(default_factory=dict)
     degraded: tuple[str, ...] = ()
     retries: int = 0
@@ -115,13 +101,6 @@ class CampaignResult:
     # How the verdict came to be: oracle + trace-IR versions and
     # whether it was produced fresh or replayed from a stored trace.
     provenance: "dict | None" = None
-
-
-def _solver_counters() -> tuple[int, int]:
-    """(hits, misses) of the process-wide solver cache so far."""
-    from ..smt.solver import solver_cache
-    cache = solver_cache()
-    return (0, 0) if cache is None else (cache.hits, cache.misses)
 
 
 def _coverage_summary(report) -> dict:
@@ -212,7 +191,6 @@ def run_campaign_task(task: CampaignTask) -> CampaignResult:
     policy = task.policy or ResiliencePolicy()
     faultinject.set_fault_scope(task.sample_key)
     try:
-        solver_hits, solver_misses = _solver_counters()
         instrumentation = Instrumentation(task.module)
         stage_seconds: dict[str, float] = {}
         scans: dict[str, ScanResult] = {}
@@ -261,15 +239,9 @@ def run_campaign_task(task: CampaignTask) -> CampaignResult:
                 from ..traceir import build_trace_pack, encode_pack
                 traces[tool] = encode_pack(build_trace_pack(
                     outcome.report, outcome.target))
-        hits, misses = _solver_counters()
         return CampaignResult(
             scans=scans,
             stage_seconds=stage_seconds,
-            cache={"instr_cache_hits": instrumentation.reuses,
-                   "instr_cache_misses": instrumentation.runs,
-                   "solver_cache_hits": hits - solver_hits,
-                   "solver_cache_misses": misses - solver_misses},
-            worker_id=os.getpid(),
             errors=errors,
             degraded=tuple(degraded),
             retries=retries,

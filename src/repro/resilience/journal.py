@@ -26,15 +26,9 @@ import os
 from pathlib import Path
 
 __all__ = ["CampaignJournal", "campaign_task_key",
-           "campaign_result_to_doc", "campaign_result_from_doc",
-           "CACHE_COUNTERS"]
+           "campaign_result_to_doc", "campaign_result_from_doc"]
 
 _VERSION = 1
-
-# A campaign's cache counters (``CampaignResult.cache``), in the order
-# a verdict doc lists them.
-CACHE_COUNTERS = ("instr_cache_hits", "instr_cache_misses",
-                  "solver_cache_hits", "solver_cache_misses")
 
 
 class CampaignJournal:
@@ -162,8 +156,6 @@ def campaign_result_to_doc(result) -> dict:
         "scans": {tool: _scan_to_doc(scan)
                   for tool, scan in result.scans.items()},
         "stage_seconds": dict(result.stage_seconds),
-        **{key: result.cache.get(key, 0) for key in CACHE_COUNTERS},
-        "worker_id": result.worker_id,
         "errors": dict(result.errors),
         "degraded": list(result.degraded),
         "retries": result.retries,
@@ -182,8 +174,6 @@ def campaign_result_from_doc(doc: dict):
         scans={tool: _scan_from_doc(scan)
                for tool, scan in doc.get("scans", {}).items()},
         stage_seconds=dict(doc.get("stage_seconds", {})),
-        cache={key: doc.get(key, 0) for key in CACHE_COUNTERS},
-        worker_id=doc.get("worker_id", 0),
         errors=dict(doc.get("errors", {})),
         degraded=tuple(doc.get("degraded", ())),
         retries=doc.get("retries", 0),

@@ -21,13 +21,11 @@ three layers, cheapest first:
    Each query that reaches it is blasted afresh (:func:`blast_query`):
    atoms the interval layer cannot read, such as signed compares
    across both sign halves, arithmetic and popcount chains.
+
+Every check runs the layers afresh; no answer is kept between checks.
 """
 
 from __future__ import annotations
-
-import threading
-from collections import OrderedDict
-from types import SimpleNamespace
 
 from ..resilience import faultinject
 from ..resilience.errors import CampaignError, SolverError
@@ -36,7 +34,7 @@ from .interval import Interval, propagate_comparison
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 from .terms import (FALSE, TRUE, Term, evaluate, free_variables, mask)
 
-__all__ = ["Solver", "Model", "SolverStats", "SolverCache", "solver_cache",
+__all__ = ["Solver", "Model", "SolverStats", "solver_cache",
            "configure_solver_cache", "blast_query", "SAT", "UNSAT", "UNKNOWN"]
 
 
@@ -71,6 +69,10 @@ class SolverStats:
         self.sat_calls = 0
         self.sat_conflicts = 0
         self.unknowns = 0
+        # Always 0: every check is solved afresh.
+        # benchmarks/perf/tracer.py still reads it on every traced
+        # check.  Delete it together with that read (ROADMAP, "Smaller
+        # consolidation").
         self.cache_hits = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -80,80 +82,23 @@ class SolverStats:
             "sat_calls": self.sat_calls,
             "sat_conflicts": self.sat_conflicts,
             "unknowns": self.unknowns,
-            "cache_hits": self.cache_hits,
         }
 
 
-class SolverCache:
-    """A bounded memo of solved conjunctions.
-
-    The fuzzer re-poses near-identical flip queries across iterations
-    (same path prefix, same flipped branch); because terms are interned,
-    a repeated conjunction is the *same* tuple of term objects, so the
-    canonical key is simply the constraint tuple plus the conflict
-    budget.  Only decided results (sat with its model, unsat) are
-    cached — "unknown" depends on the budget and is always re-solved.
-    The key preserves constraint order, so a hit returns byte-for-byte
-    the model a fresh solve would have produced: caching can never
-    change a campaign's behaviour, only its speed.
-
-    The scan daemon's worker threads share the process-wide instance,
-    so a lock guards the entry table and counters; it is never held
-    while a query is solved.
-    """
-
-    # benchmarks/perf/tracer.py still reads ``solver_cache().disk.hits``
-    # on every traced check.  Delete this together with that read and
-    # its ``smt.check.disk`` layer (ROADMAP, "Smaller consolidation").
-    disk = SimpleNamespace(hits=0)
-
-    def __init__(self, max_entries: int = 4096):
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, tuple[str, dict | None]]" \
-            = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: tuple) -> "tuple[str, dict | None] | None":
-        with self._lock:
-            found = self._entries.get(key)
-            if found is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return found
-
-    def store(self, key: tuple, status: str,
-              model_values: dict | None) -> None:
-        with self._lock:
-            self._entries[key] = (status, model_values)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+def solver_cache() -> None:
+    """Always None: there is no solver result cache."""
+    # benchmarks/perf/tracer.py still calls this on every traced check.
+    # Delete it together with that call (ROADMAP, "Smaller
+    # consolidation").
+    return None
 
 
-# One cache per process; worker processes each grow their own.
-_SOLVER_CACHE: SolverCache | None = SolverCache()
-
-
-def solver_cache() -> SolverCache | None:
-    """The process-wide solver result cache (None when disabled)."""
-    return _SOLVER_CACHE
-
-
-def configure_solver_cache(enabled: bool = True) -> SolverCache | None:
-    """Replace the process-wide cache (or disable it); returns the new
-    cache.  Used by the determinism tests and the ablation benches."""
-    global _SOLVER_CACHE
-    _SOLVER_CACHE = SolverCache() if enabled else None
-    return _SOLVER_CACHE
+def configure_solver_cache(enabled: bool = True) -> None:
+    """Does nothing: every check is solved afresh, and there is no
+    result cache left to configure."""
+    # benchmarks/perf/workloads.py (``_reset_caches``) still calls this.
+    # Delete it together with that call (ROADMAP, "Smaller
+    # consolidation").
 
 
 def _declaration_order(constraints: list[Term]) -> list[Term]:
@@ -231,30 +176,16 @@ class Solver:
         if not constraints:
             self._model = Model({})
             return SAT
-        cache = _SOLVER_CACHE
-        key = (tuple(constraints), self.max_conflicts)
-        if cache is not None:
-            cached = cache.lookup(key)
-            if cached is not None:
-                status, values = cached
-                self.stats.cache_hits += 1
-                if status == SAT:
-                    self._model = Model(values)
-                return status
         try:
             result = self._try_fast_path(constraints)
             if result is not None:
                 self.stats.fast_path_hits += 1
-            else:
-                result = self._check_sat(constraints)
+                return result
+            return self._check_sat(constraints)
         except CampaignError:
             raise
         except Exception as exc:
             raise SolverError.wrap(exc)
-        if cache is not None and result in (SAT, UNSAT):
-            values = self._model.as_dict() if result == SAT else None
-            cache.store(key, result, values)
-        return result
 
     def model(self) -> Model:
         if self._model is None:

@@ -17,7 +17,7 @@ from .interpreter import (ExecutionLimits, HostFunc, Instance,
                           TrapIntegerOverflow, TrapMemoryOutOfBounds,
                           TrapOutOfFuel, TrapResourceLimit,
                           TrapStackOverflow, TrapUnreachable,
-                          configure_translation, translation_enabled)
+                          translation_enabled)
 from .module import (DataSegment, Element, Export, Function, Global, Import,
                      Module, PAGE_SIZE)
 from .opcodes import (Instr, MEMORY_INSTRUCTIONS, is_load, is_store,
@@ -31,7 +31,7 @@ from .validation import (InstructionTyping, ValidationError, type_function,
 __all__ = [
     "FunctionBuilder", "ModuleBuilder", "encode_module", "ExecutionLimits",
     "HostFunc", "DEFAULT_BUDGET", "IngestBudget", "Instance",
-    "InstanceTemplate", "configure_translation", "translation_enabled",
+    "InstanceTemplate", "translation_enabled",
     "load_untrusted_module",
     "Trap", "TrapDeadline", "TrapIndirectCall", "TrapIntegerDivide",
     "TrapIntegerOverflow", "TrapMemoryOutOfBounds", "TrapOutOfFuel",

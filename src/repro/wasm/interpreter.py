@@ -28,7 +28,7 @@ __all__ = ["Instance", "HostFunc", "Trap", "TrapUnreachable",
            "TrapIntegerDivide", "TrapMemoryOutOfBounds", "TrapStackOverflow",
            "TrapOutOfFuel", "TrapIndirectCall", "TrapIntegerOverflow",
            "TrapResourceLimit", "TrapDeadline", "ExecutionLimits",
-           "InstanceTemplate", "configure_translation", "translation_enabled"]
+           "InstanceTemplate", "translation_enabled"]
 
 MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -36,22 +36,16 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 # Process default for the direct-threaded translation layer
 # (:mod:`repro.wasm.translate`).  On by default — the differential
 # suite holds it to byte-identical behaviour — with two opt-outs: the
-# REPRO_WASM_TRANSLATE=0 environment kill-switch and the per-instance
+# REPRO_WASM_TRANSLATE=0 environment switch, read once at import (so
+# forked workers inherit it), and the per-instance
 # ``ExecutionLimits.translate`` override (the generic interpreter stays
 # the reference semantics either way).
 _TRANSLATE_DEFAULT = os.environ.get("REPRO_WASM_TRANSLATE", "1") != "0"
 
 
-def configure_translation(enabled: bool = True) -> bool:
-    """Set the process-wide default for direct-threaded translation
-    (``ExecutionLimits.translate=None`` resolves here).  Returns the
-    new default.  Forked workers inherit the parent's setting."""
-    global _TRANSLATE_DEFAULT
-    _TRANSLATE_DEFAULT = bool(enabled)
-    return _TRANSLATE_DEFAULT
-
-
 def translation_enabled() -> bool:
+    """The process default ``ExecutionLimits.translate=None`` resolves
+    to."""
     return _TRANSLATE_DEFAULT
 
 
@@ -132,7 +126,7 @@ class ExecutionLimits:
     deadline_s: float | None = None
     # Direct-threaded translation (repro.wasm.translate): True/False
     # force it on/off for instances run under these limits; None defers
-    # to the process default (see configure_translation).
+    # to the process default (see translation_enabled).
     translate: bool | None = None
 
 

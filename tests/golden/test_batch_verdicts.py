@@ -38,7 +38,6 @@ from repro.parallel import CampaignTask, run_campaign_task
 from repro.resilience import (CampaignError, CampaignJournal,
                               campaign_result_to_doc, campaign_task_key)
 from repro.semoracle import ALL_FAMILIES
-from repro.smt import configure_solver_cache
 from repro.traceir import build_trace_pack, encode_pack
 from repro.wasm.hardening import load_untrusted_module
 
@@ -62,14 +61,11 @@ WILD_RNG_SEED = 3000  # as benchmarks/test_rq4_wild.py: contract i, 3000 + i
 
 
 @pytest.fixture(autouse=True)
-def fresh_caches():
-    """Cache counters are part of a campaign doc: start every run cold
-    and restore afterwards."""
-    configure_solver_cache(enabled=True)
+def no_fault_plan():
+    """Start and end every test with no fault plan installed."""
     clear_fault_plan()
     yield
     clear_fault_plan()
-    configure_solver_cache(enabled=True)
 
 
 def _check(section: str, actual) -> None:
@@ -132,7 +128,6 @@ def test_fault_campaign_docs_match_golden():
     sample = build_table4_corpus(scale=SCALE)[0]
     actual = {}
     for name, (fault, blackbox) in FAULT_RUNS.items():
-        configure_solver_cache(enabled=True)
         task = CampaignTask(sample.module, sample.contract.abi, TOOLS,
                             TIMEOUT_MS, RNG_SEED,
                             sample_key=f"{sample.vuln_type}[0]",
@@ -143,7 +138,7 @@ def test_fault_campaign_docs_match_golden():
             doc = campaign_result_to_doc(run_campaign_task(task))
         finally:
             clear_fault_plan()
-        del doc["stage_seconds"], doc["worker_id"]
+        del doc["stage_seconds"]
         if "traces" in doc:
             doc["traces"] = {
                 tool: hashlib.sha256(base64.b64decode(blob)).hexdigest()

@@ -1,8 +1,8 @@
 """Determinism guarantees of the parallel evaluation subsystem.
 
-Serial and parallel runs must produce byte-identical metrics tables,
-the solver cache may not change any scan verdict (it is pure
-memoisation of a deterministic computation), and each campaign task
+Serial and parallel runs must produce byte-identical metrics tables, a
+campaign run twice in one process must do the same work both times
+(nothing it leaves behind answers for the next), and each campaign task
 instruments its contract once.
 """
 
@@ -12,20 +12,11 @@ import repro.engine.deploy as deploy
 from repro import (Fault, ThroughputStats, build_table4_corpus,
                    clear_fault_plan, evaluate_corpus, install_fault_plan)
 from repro.engine import module_content_hash
+from repro.harness import run_wasai
 from repro.parallel import CampaignTask, run_campaign_task
-from repro.smt import configure_solver_cache, solver_cache
 
 SCALE = 0.004
 TIMEOUT_MS = 6_000
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    """Give every test a pristine process-wide solver cache and restore
-    the default afterwards."""
-    configure_solver_cache(enabled=True)
-    yield
-    configure_solver_cache(enabled=True)
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +36,22 @@ def test_serial_and_parallel_tables_identical(samples):
     assert _formatted(serial) == _formatted(parallel)
 
 
-def test_caches_never_change_verdicts(samples):
-    subset = samples[:6]
-    cached = evaluate_corpus(subset, timeout_ms=TIMEOUT_MS, rng_seed=7)
-    configure_solver_cache(enabled=False)
-    uncached = evaluate_corpus(subset, timeout_ms=TIMEOUT_MS, rng_seed=7)
-    assert _formatted(cached) == _formatted(uncached)
+def _work(report) -> tuple:
+    return (report.solver_stats.as_dict(), report.iterations,
+            len(report.observations), report.adaptive_seeds,
+            sorted(report.covered))
+
+
+def test_repeated_campaign_does_the_same_work(samples):
+    """No campaign's solver work depends on what ran before it in the
+    process: the same campaign, run twice, poses and solves the same
+    queries through the same layers."""
+    sample = samples[0]
+    first, second = (run_wasai(sample.module, sample.contract.abi,
+                               timeout_ms=TIMEOUT_MS, rng_seed=7).report
+                     for _ in range(2))
+    assert first.solver_stats.checks > 0
+    assert _work(first) == _work(second)
 
 
 def test_instrumentation_cache_eliminates_repeat_instrumentation(
@@ -59,7 +60,7 @@ def test_instrumentation_cache_eliminates_repeat_instrumentation(
     second dynamic tool and a retried tool reuse that rewrite.  Nothing
     is shared between tasks, so two samples with the same binary are
     instrumented once each.  ``instrument_module`` is counted where the
-    benchmark tracer patches it."""
+    benchmark tracer patches it, failed attempts included."""
     calls = []
     original = deploy.instrument_module
 
@@ -72,9 +73,9 @@ def test_instrumentation_cache_eliminates_repeat_instrumentation(
     perf = ThroughputStats()
     evaluate_corpus(subset, tools=("wasai", "eosfuzzer"),
                     timeout_ms=TIMEOUT_MS, rng_seed=7, perf=perf)
-    assert len(calls) == len(subset)
-    assert perf.cache["instr_cache_misses"] == len(subset)
-    assert perf.cache["instr_cache_hits"] == len(subset)
+    assert perf.campaigns == 2 * len(subset)
+    assert sorted(calls) == sorted(module_content_hash(s.module)
+                                   for s in subset)
 
     calls.clear()
     install_fault_plan(Fault(stage="scan", kind="transient", times=1))
@@ -86,17 +87,16 @@ def test_instrumentation_cache_eliminates_repeat_instrumentation(
         clear_fault_plan()
     assert perf.retries == 1
     assert len(calls) == len(subset)
-    assert perf.cache["instr_cache_misses"] == len(subset)
-    assert perf.cache["instr_cache_hits"] == len(subset) + 1
 
     # A failed instrumentation is not kept: the task's next deploy
     # (here the second tool) instruments again.
     failures = [ValueError("rewrite failed")]
 
     def failing_once(module):
+        calls.append(module_content_hash(module))
         if failures:
             raise failures.pop()
-        return counting(module)
+        return original(module)
     calls.clear()
     monkeypatch.setattr(deploy, "instrument_module", failing_once)
     result = run_campaign_task(CampaignTask(
@@ -104,23 +104,13 @@ def test_instrumentation_cache_eliminates_repeat_instrumentation(
         TIMEOUT_MS, 7))
     assert result.errors["wasai"]["type"] == "InstrumentError"
     assert set(result.scans) == {"eosfuzzer"}
-    assert len(calls) == 1
-    assert (result.cache["instr_cache_misses"],
-            result.cache["instr_cache_hits"]) == (2, 0)
+    assert len(calls) == 2
 
 
 def test_module_fingerprint_is_stable_and_distinct(samples):
     a, b = samples[0].module, samples[1].module
     assert module_content_hash(a) == module_content_hash(a)
     assert module_content_hash(a) != module_content_hash(b)
-
-
-def test_solver_cache_hits_during_fuzzing(samples):
-    cache = configure_solver_cache(enabled=True)
-    evaluate_corpus(samples[:4], tools=("wasai",),
-                    timeout_ms=TIMEOUT_MS, rng_seed=7)
-    assert cache.hits + cache.misses > 0
-    assert solver_cache() is cache
 
 
 def test_perf_stats_populated(samples):
@@ -133,6 +123,6 @@ def test_perf_stats_populated(samples):
     assert perf.wall_s > 0
     assert perf.campaigns_per_sec > 0
     assert set(perf.stage_seconds) == {"setup", "fuzz", "scan"}
-    doc = perf.as_dict()
-    assert doc["instr_cache"]["hits"] + doc["instr_cache"]["misses"] > 0
+    assert set(perf.as_dict()["latency"]) == {"task", "setup", "fuzz",
+                                              "scan"}
     assert "throughput" in perf.format()

@@ -8,7 +8,6 @@ unrelated tests (or into a worker pool spawned later).
 import pytest
 
 from repro.resilience import clear_fault_plan, set_fault_scope
-from repro.smt import configure_solver_cache
 
 
 @pytest.fixture(autouse=True)
@@ -18,10 +17,3 @@ def clean_fault_state():
     yield
     clear_fault_plan()
     set_fault_scope("")
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    configure_solver_cache(enabled=True)
-    yield
-    configure_solver_cache(enabled=True)

@@ -22,7 +22,6 @@ def _scan() -> ScanResult:
 def _result() -> CampaignResult:
     return CampaignResult(scans={"wasai": _scan()},
                           stage_seconds={"fuzz": 1.5},
-                          cache={"instr_cache_hits": 2},
                           errors={"eosafe": {"type": "ScanError",
                                              "stage": "scan",
                                              "message": "[scan] boom"}},
@@ -107,11 +106,12 @@ def test_campaign_task_key_tracks_result_determinants():
     assert campaign_task_key(task(sample_key="renamed[0]")) == base
 
 
-# One decoded verdict doc with every field set, all cache counters
-# non-zero.  Stored verdicts, ``<store>.jsonl`` lines and ``--journal``
-# lines are this encoding, so it is pinned byte for byte.  The doc also
-# carries the four ``*_disk_*`` counters that older lines hold; they
-# load and re-encode without them.
+# One decoded verdict doc with every field set.  Stored verdicts,
+# ``<store>.jsonl`` lines and ``--journal`` lines are this encoding, so
+# it is pinned byte for byte.  The doc also carries keys that older
+# lines hold: the four ``*_cache_*`` counters and ``worker_id``, and
+# the four ``*_disk_*`` counters before them; it loads and re-encodes
+# without them.
 _FULL_DOC = {
     "scans": {"wasai": {"account": 42, "divergences": ["f3+7"],
                         "findings": {
@@ -142,12 +142,9 @@ def test_result_doc_encoding_is_pinned():
         '{"coverage": {"wasai": {"covered": 16, "iterations": 6, '
         '"timeline": [[43.0, 3]]}}, "degraded": ["wasai"], "errors": '
         '{"eosafe": {"message": "boom", "stage": "scan", "type": '
-        '"ScanError"}}, "instr_cache_hits": 1, "instr_cache_misses": 2, '
-        '"provenance": {"oracle_version": 2, "source": "fresh"}, '
-        '"retries": 1, "scans": {"wasai": {"account": 42, "divergences": '
-        '["f3+7"], "findings": {"fake_eos": {"detected": true, '
-        '"evidence": "transfer accepted"}, "rollback": {"detected": '
-        'false, "evidence": ""}}}}, "solver_cache_hits": 3, '
-        '"solver_cache_misses": 4, "stage_seconds": {"fuzz": 1.5, '
-        '"setup": 0.25}, "traces": {"wasai": "AHBhY2s="}, '
-        '"worker_id": 4242}')
+        '"ScanError"}}, "provenance": {"oracle_version": 2, "source": '
+        '"fresh"}, "retries": 1, "scans": {"wasai": {"account": 42, '
+        '"divergences": ["f3+7"], "findings": {"fake_eos": {"detected": '
+        'true, "evidence": "transfer accepted"}, "rollback": {"detected": '
+        'false, "evidence": ""}}}}, "stage_seconds": {"fuzz": 1.5, '
+        '"setup": 0.25}, "traces": {"wasai": "AHBhY2s="}}')

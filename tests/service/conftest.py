@@ -11,7 +11,6 @@ import pytest
 
 from repro.benchgen import ContractConfig, generate_contract
 from repro.resilience import clear_fault_plan, set_fault_scope
-from repro.smt import configure_solver_cache
 from repro.wasm import encode_module
 
 # A small real budget keeps one campaign well under a second while
@@ -27,13 +26,6 @@ def clean_fault_state():
     yield
     clear_fault_plan()
     set_fault_scope("")
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    configure_solver_cache(enabled=True)
-    yield
-    configure_solver_cache(enabled=True)
 
 
 def contract_bytes(seed: int = 0) -> tuple[bytes, str]:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from repro.smt import (FALSE, TRUE, And, BitVec, BitVecVal, Concat, Eq,
                        Extract, Ne, Not, Or, Popcnt, SAT, SGT, SLT, Solver,
                        SolverStats, UGE, UGT, ULE, ULT, UNSAT, ZeroExt,
-                       configure_solver_cache, evaluate, free_variables,
-                       mask)
+                       evaluate, free_variables, mask)
 from repro.smt.solver import blast_query
 from repro.smt.terms import Term
 
@@ -300,13 +299,9 @@ def test_property_readable_conjunction_never_reaches_cdcl(atoms):
     """Any conjunction of readable atoms is decided by the interval
     layer, with the status a fresh blast gives; a witness satisfies
     every atom and names every free variable."""
-    configure_solver_cache(enabled=False)
-    try:
-        solver = Solver()
-        solver.add(*atoms)
-        status = solver.check()
-    finally:
-        configure_solver_cache(enabled=True)
+    solver = Solver()
+    solver.add(*atoms)
+    status = solver.check()
     assert status == _fresh_blast_status(atoms)
     assert solver.stats.sat_calls == 0
     if status == SAT:

@@ -133,69 +133,3 @@ def test_pop_without_push_raises_runtime_error():
     solver.pop()
     with pytest.raises(RuntimeError):
         solver.pop()
-
-
-def test_solver_cache_returns_identical_results():
-    from repro.smt import configure_solver_cache
-    cache = configure_solver_cache(enabled=True)
-    try:
-        x = BitVec("cachex", 16)
-        constraint = Eq(x, BitVecVal(1234, 16))
-        first = Solver()
-        first.add(constraint)
-        assert first.check() == SAT
-        model = first.model().as_dict()
-        hits_before = cache.hits
-        second = Solver()
-        second.add(constraint)
-        assert second.check() == SAT
-        assert cache.hits == hits_before + 1
-        assert second.model().as_dict() == model
-        assert second.stats.cache_hits == 1
-    finally:
-        configure_solver_cache(enabled=True)
-
-
-def test_solver_cache_skips_unknown_and_respects_budget_key():
-    from repro.smt import configure_solver_cache
-    cache = configure_solver_cache(enabled=True)
-    try:
-        x = BitVec("budgx", 8)
-        constraint = Eq(x, BitVecVal(7, 8))
-        tight = Solver(max_conflicts=1)
-        tight.add(constraint)
-        tight.check()
-        loose = Solver(max_conflicts=20_000)
-        loose.add(constraint)
-        loose.check()
-        # Different budgets are distinct keys: no cross-budget hits.
-        assert cache.hits == 0
-        assert cache.misses == 2
-    finally:
-        configure_solver_cache(enabled=True)
-
-
-def test_solver_cache_can_be_disabled():
-    from repro.smt import configure_solver_cache, solver_cache
-    try:
-        assert configure_solver_cache(enabled=False) is None
-        assert solver_cache() is None
-        x = BitVec("nocache", 8)
-        solver = Solver()
-        solver.add(Eq(x, BitVecVal(3, 8)))
-        assert solver.check() == SAT
-        assert solver.stats.cache_hits == 0
-    finally:
-        configure_solver_cache(enabled=True)
-
-
-def test_solver_cache_lru_eviction():
-    from repro.smt import SolverCache
-    cache = SolverCache(max_entries=2)
-    cache.store(("a",), SAT, {})
-    cache.store(("b",), SAT, {})
-    cache.store(("c",), SAT, {})
-    assert len(cache) == 2
-    assert cache.evictions == 1
-    assert cache.lookup(("a",)) is None
-    assert cache.lookup(("c",)) is not None

@@ -29,8 +29,8 @@ import pytest
 from repro import build_rq1_contracts, build_table4_corpus, obfuscated_variant
 from repro.engine import fuzzer
 from repro.harness import run_wasai
-from repro.smt import (SAT, TRUE, UNSAT, Solver, SolverStats,
-                       configure_solver_cache, evaluate, free_variables)
+from repro.smt import (SAT, TRUE, UNSAT, Solver, SolverStats, evaluate,
+                       free_variables)
 from repro.smt.solver import blast_query
 
 TIMEOUT_MS = 6_000
@@ -61,19 +61,11 @@ def batches():
     return _record_batches()
 
 
-@pytest.fixture
-def uncached():
-    """Both sides really solve: no answer comes from the result cache."""
-    configure_solver_cache(enabled=False)
-    yield
-    configure_solver_cache(enabled=True)
-
-
 def _variables(constraints):
     return set().union(*map(free_variables, constraints))
 
 
-def test_fast_path_agrees_with_the_sat_layer(batches, uncached):
+def test_fast_path_agrees_with_the_sat_layer(batches):
     """The fast path vs full solver pair: every query the interval fast
     path decides gets the same status from a fresh blast, and each
     side's model satisfies every constraint (the two models may
@@ -106,7 +98,7 @@ def test_fast_path_agrees_with_the_sat_layer(batches, uncached):
 
 def _model_digests(batches):
     """One sha256 of (branch id, status, sorted model) per flip query,
-    whichever layer answers it.  The result cache must be off."""
+    whichever layer answers it."""
     digests = []
     for queries in batches:
         for query in queries:
@@ -120,7 +112,7 @@ def _model_digests(batches):
     return digests
 
 
-def test_sat_layer_models_match_pinned_digests(batches, uncached):
+def test_sat_layer_models_match_pinned_digests(batches):
     """Every flip query's status and model, whichever layer answers
     it, matches its pin."""
     pinned = json.loads(PINNED.read_text())["digests"]
@@ -132,7 +124,6 @@ def test_sat_layer_models_match_pinned_digests(batches, uncached):
 
 
 if __name__ == "__main__":
-    configure_solver_cache(enabled=False)
     digests = _model_digests(_record_batches())
     PINNED.write_text(json.dumps({"digests": digests}, indent=0) + "\n")
     print(f"wrote {len(digests)} digests to {PINNED}")

@@ -160,7 +160,7 @@ def test_unknown_oracle_family_is_usage_error(tmp_path, capsys):
 
 
 def test_no_shared_cache_directory(tmp_path, capsys):
-    """Caches live in memory only: ``--cache-dir`` is no option, and a
+    """There is no cache directory: ``--cache-dir`` is no option, and a
     scan run with ``REPRO_CACHE_DIR`` set writes nothing there."""
     import os
     import subprocess
@@ -188,6 +188,17 @@ def test_no_shared_cache_directory(tmp_path, capsys):
     subprocess.run([sys.executable, "-m", "repro.cli", *scan], env=env,
                    capture_output=True, timeout=120)
     assert list(cache_dir.iterdir()) == []
+
+
+def test_no_translate_option(capsys):
+    """``REPRO_WASM_TRANSLATE=0`` is the one process-wide switch for
+    the translator: ``--no-translate`` is no option of either command."""
+    for argv in (["scan", "victim.wasm", "--abi", "victim.abi.json"],
+                 ["bench", "table4", "--scale", "0.004"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--no-translate"])
+        assert excinfo.value.code == 2
+        assert "--no-translate" in capsys.readouterr().err
 
 
 def test_scan_with_semantic_oracles(tmp_path, capsys):

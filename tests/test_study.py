@@ -45,7 +45,7 @@ def test_study_formatting(study):
 
 def test_study_books_throughput_like_the_harness():
     # One campaign fails: it is skipped, not counted as completed, and
-    # every fresh result books its worker and its task latency.
+    # every fresh result books its task latency.
     perf = ThroughputStats()
     install_fault_plan(Fault(stage="fuzz", kind="error", match="wild[0]"))
     try:
@@ -54,5 +54,4 @@ def test_study_books_throughput_like_the_harness():
         clear_fault_plan()
     assert [key for key, _reason in result.skipped] == ["wild[0]"]
     assert perf.campaigns == result.total - len(result.skipped)
-    assert perf.per_worker
     assert "task" in perf.latency_percentiles()
