@@ -7,6 +7,21 @@ are bracketed with ``begin_function``/``end_function`` labels.  Calls
 additionally get a ``post`` hook capturing their return values — the
 five invocation hooks of the paper's Table 1.
 
+Every hook firing is written as one idiom: k ``local.set`` spills of
+its operands, ``i32.const`` of the site id (of the function index, for
+a label), k ``local.get`` loads, the ``call`` to the hook import and k
+``local.get`` reloads.  Each instrumented function records the start
+pc and k of every idiom it holds in ``Function.hook_idioms``, and the
+translator (:mod:`repro.wasm.translate`) runs exactly those idioms as
+one step each.
+
+Each body is rewritten in one pass.  Hooks are imported after the
+module's own imports, in first-use order, so a hook call is written
+with its final import index when the hook is first used, and one
+``call`` instruction per hook import serves every site.  Only the
+original calls to local functions are patched afterwards, once the
+number of hook imports they shift past is known.
+
 The rewrite is purely contract-level: the virtual machine is left
 untouched, which is exactly the property the paper claims makes WASAI
 portable across Wasm blockchains.
@@ -16,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..wasm.module import Function, Import, Module
+from ..wasm.module import (DataSegment, Element, Export, Function, Import,
+                           Module)
 from ..wasm.opcodes import Instr
-from ..wasm.types import FuncType, ValType
-from ..wasm.validation import InstructionTyping, type_function
+from ..wasm.types import ValType
+from ..wasm.validation import type_function
 from .hooks import (BEGIN_FUNCTION, END_FUNCTION, HOOK_MODULE,
                     hook_func_type, post_hook_name, trace_hook_name)
 
@@ -58,16 +74,6 @@ class SiteTable:
         return len(self.sites)
 
 
-class _HookCall(Instr):
-    """Placeholder call to a hook import, resolved in the fix-up pass."""
-
-    __slots__ = ("hook_name",)
-
-    def __init__(self, hook_name: str):
-        super().__init__("call", 0)
-        self.hook_name = hook_name
-
-
 def instrument_module(module: Module) -> tuple[Module, SiteTable]:
     """Return an instrumented copy of ``module`` plus its site table.
 
@@ -75,51 +81,45 @@ def instrument_module(module: Module) -> tuple[Module, SiteTable]:
     the existing imports; all function references are shifted
     accordingly.
     """
-    site_table = SiteTable()
-    hook_names: list[str] = []
-    hook_order: dict[str, int] = {}
-
-    def hook_index_of(name: str) -> None:
-        if name not in hook_order:
-            hook_order[name] = len(hook_names)
-            hook_names.append(name)
-
     import_count = module.num_imported_functions
-    new_functions: list[Function] = []
-    for local_index, func in enumerate(module.functions):
-        func_index = import_count + local_index
-        typings = type_function(module, func)
-        new_functions.append(
-            _instrument_function(module, func, func_index, typings,
-                                 site_table, hook_index_of))
+    site_table = SiteTable()
+    hook_calls: dict[str, Instr] = {}
 
-    # Assemble the new module: old imports + hook imports + functions.
-    out = Module()
-    out.types = list(module.types)
-    out.imports = list(module.imports)
-    hook_base = import_count
-    for name in hook_names:
-        type_index = out.add_type(hook_func_type(name))
-        out.imports.append(Import(HOOK_MODULE, name, "func", type_index))
-    shift = len(hook_names)
+    def hook_call(name: str) -> Instr:
+        """The one ``call`` of hook ``name``, imported on first use."""
+        call = hook_calls.get(name)
+        if call is None:
+            call = hook_calls[name] = Instr("call",
+                                            import_count + len(hook_calls))
+        return call
+
+    if module.functions:
+        # Every body opens and closes with a label, so the two label
+        # hooks take the first two hook indices.
+        hook_call(BEGIN_FUNCTION)
+        hook_call(END_FUNCTION)
+    local_calls: list[tuple[list[Instr], int]] = []
+    functions = [
+        _instrument_function(module, func, import_count + local_index,
+                             site_table, hook_call, local_calls)
+        for local_index, func in enumerate(module.functions)]
+    shift = len(hook_calls)
+    for body, pc in local_calls:
+        body[pc] = Instr("call", body[pc].args[0] + shift)
 
     def remap(func_index: int) -> int:
         return func_index + shift if func_index >= import_count else func_index
 
-    for func in new_functions:
-        body = []
-        for instr in func.body:
-            if isinstance(instr, _HookCall):
-                body.append(Instr("call", hook_base + hook_order[instr.hook_name]))
-            elif instr.op == "call":
-                body.append(Instr("call", remap(instr.args[0])))
-            else:
-                body.append(instr)
-        out.functions.append(Function(func.type_index, func.locals, body))
+    out = Module()
+    out.types = list(module.types)
+    out.imports = list(module.imports)
+    for name in hook_calls:
+        type_index = out.add_type(hook_func_type(name))
+        out.imports.append(Import(HOOK_MODULE, name, "func", type_index))
+    out.functions = functions
     out.tables = list(module.tables)
     out.memories = list(module.memories)
     out.globals = list(module.globals)
-    from ..wasm.module import DataSegment, Element, Export
     out.exports = [Export(e.name, e.kind,
                           remap(e.index) if e.kind == "func" else e.index)
                    for e in module.exports]
@@ -133,12 +133,17 @@ def instrument_module(module: Module) -> tuple[Module, SiteTable]:
 
 
 def _instrument_function(module: Module, func: Function, func_index: int,
-                         typings: list[InstructionTyping],
-                         site_table: SiteTable, declare_hook) -> Function:
-    func_type = module.types[func.type_index]
-    param_count = len(func_type.params)
+                         site_table: SiteTable, hook_call,
+                         local_calls: list) -> Function:
+    """The instrumented copy of ``func``.  Each original call to a
+    local function is noted in ``local_calls`` as (new body, pc), for
+    the caller to patch."""
+    import_count = module.num_imported_functions
+    param_count = len(module.types[func.type_index].params)
     new_locals = list(func.locals)
     scratch: dict[str, list[int]] = {}
+    body: list[Instr] = []
+    idioms: dict[int, int] = {}
 
     def scratch_locals(types: list[ValType]) -> list[int]:
         """Get per-type scratch local indices for a spill of ``types``."""
@@ -154,67 +159,40 @@ def _instrument_function(module: Module, func: Function, func_index: int,
             used[valtype.name] = position + 1
         return indices
 
-    body: list[Instr] = []
-    declare_hook(BEGIN_FUNCTION)
-    declare_hook(END_FUNCTION)
+    def emit(hook_name: str, value: int, types: list[ValType]) -> None:
+        """Write one hook idiom: spill operands of ``types`` off the
+        stack, pass ``value`` and them to the hook, then reload them."""
+        slots = scratch_locals(types)
+        idioms[len(body)] = len(slots)
+        # The stack top is the last operand, so spill in reverse.
+        body.extend(Instr("local.set", slot) for slot in reversed(slots))
+        body.append(Instr("i32.const", _as_s32(value)))
+        body.extend(Instr("local.get", slot) for slot in slots)
+        body.append(hook_call(hook_name))
+        body.extend(Instr("local.get", slot) for slot in slots)
 
-    def emit_label(which: str) -> None:
-        body.append(Instr("i32.const", _as_s32(func_index)))
-        body.append(_HookCall(which))
-
-    emit_label(BEGIN_FUNCTION)
-    for pc, (instr, typing) in enumerate(zip(func.body, typings)):
+    emit(BEGIN_FUNCTION, func_index, [])
+    for pc, (instr, typing) in enumerate(zip(func.body,
+                                             type_function(module, func))):
+        post = False
         if not typing.reachable or instr.op in ("end", "else"):
-            # Dead code never fires hooks; end/else are pure markers.
-            body.append(instr)
-            continue
-        if instr.op == "return":
-            emit_label(END_FUNCTION)
-            body.append(instr)
-            continue
-        pops = [t for t in typing.pops]
-        if any(not isinstance(t, ValType) for t in pops):
-            body.append(instr)  # polymorphic in dead code; skip hook
-            continue
-        site_id = site_table.add(Site("instr", func_index, pc, instr))
-        hook_name = trace_hook_name(pops)
-        declare_hook(hook_name)
-        if pops:
-            indices = scratch_locals(pops)
-            # Spill: stack top is pops[-1], so set in reverse order.
-            for local_index in reversed(indices):
-                body.append(Instr("local.set", local_index))
-            body.append(Instr("i32.const", _as_s32(site_id)))
-            for local_index in indices:
-                body.append(Instr("local.get", local_index))
-            body.append(_HookCall(hook_name))
-            for local_index in indices:
-                body.append(Instr("local.get", local_index))
-        else:
-            body.append(Instr("i32.const", _as_s32(site_id)))
-            body.append(_HookCall(hook_name))
+            pass  # dead code never fires hooks; end/else are pure markers
+        elif instr.op == "return":
+            emit(END_FUNCTION, func_index, [])
+        elif all(isinstance(t, ValType) for t in typing.pops):
+            # (An operand of unknown type is polymorphic: no hook.)
+            site_id = site_table.add(Site("instr", func_index, pc, instr))
+            emit(trace_hook_name(typing.pops), site_id, typing.pops)
+            post = instr.op in ("call", "call_indirect")
+        if instr.op == "call" and instr.args[0] >= import_count:
+            local_calls.append((body, len(body)))
         body.append(instr)
-        # Post hook after calls: duplicate the returned values.
-        if instr.op in ("call", "call_indirect"):
-            results = [t for t in typing.pushes]
-            post_site = site_table.add(Site("post", func_index, pc, instr))
-            post_name = post_hook_name(results)
-            declare_hook(post_name)
-            if results:
-                indices = scratch_locals(results)
-                for local_index in reversed(indices):
-                    body.append(Instr("local.set", local_index))
-                body.append(Instr("i32.const", _as_s32(post_site)))
-                for local_index in indices:
-                    body.append(Instr("local.get", local_index))
-                body.append(_HookCall(post_name))
-                for local_index in indices:
-                    body.append(Instr("local.get", local_index))
-            else:
-                body.append(Instr("i32.const", _as_s32(post_site)))
-                body.append(_HookCall(post_name))
-    emit_label(END_FUNCTION)
-    return Function(func.type_index, new_locals, body)
+        if post:
+            # Post hook after calls: duplicate the returned values.
+            site_id = site_table.add(Site("post", func_index, pc, instr))
+            emit(post_hook_name(typing.pushes), site_id, typing.pushes)
+    emit(END_FUNCTION, func_index, [])
+    return Function(func.type_index, new_locals, body, hook_idioms=idioms)
 
 
 def _as_s32(value: int) -> int:

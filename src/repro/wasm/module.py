@@ -39,11 +39,19 @@ class Export:
 @dataclass
 class Function:
     """A locally defined function: its type index, extra local variable
-    declarations, and the body instruction list (without trailing end)."""
+    declarations, and the body instruction list (without trailing end).
+
+    ``hook_idioms`` maps the start pc of each hook idiom the
+    instrumenter wrote into the body to its operand count; the
+    translator runs exactly those idioms as one step each.  It is not
+    part of the binary, so a parsed or built function has none and runs
+    one step per instruction, and equality ignores it."""
 
     type_index: int
     locals: list[ValType] = field(default_factory=list)
     body: list[Instr] = field(default_factory=list)
+    hook_idioms: dict[int, int] = field(default_factory=dict, compare=False,
+                                        repr=False)
 
 
 @dataclass
@@ -128,14 +136,4 @@ class Module:
         for export in self.exports:
             if export.name == name and export.kind == kind:
                 return export.index
-        return None
-
-    def import_function_index(self, module: str, name: str) -> int | None:
-        index = 0
-        for imp in self.imports:
-            if imp.kind != "func":
-                continue
-            if imp.module == module and imp.name == name:
-                return index
-            index += 1
         return None

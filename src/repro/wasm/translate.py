@@ -31,20 +31,25 @@ their semantics.
 
 Instrumented code is mostly hook idioms: the instrumenter wraps each
 instruction with k operands in k ``local.set`` spills, ``i32.const
-site``, k ``local.get``, a ``call`` to a result-less ``wasabi`` import
-and k ``local.get`` reloads.  Where no jump lands inside one, the whole
-idiom compiles to ONE step: it writes the scratch locals, leaves the
-operands on the stack, calls the import's ``impl(inst, [site,
-*operands])`` as ``_call_host`` does, and charges the fuel of all 3k+2
-instructions — the 2k+1 up to the call before ``impl`` runs, the k
-reloads after it — so ``inst.fuel`` is exact whenever ``impl`` can see
-it or trap.  The other 3k+1 pcs get no step of their own.  When the
-remaining fuel, or a ``fuel & 2047`` deadline probe, would fall inside
-the idiom, the fused step runs only the idiom's first instruction and
-raises :class:`_Split`; the driver then translates the rest and runs it
-one instruction at a time under its own metering, so every trap fires
-at the same instruction, with the same partial trace, as in the
-generic interpreter (which always runs the long form).
+site``, k ``local.get``, a ``call`` to a result-less hook import and k
+``local.get`` reloads, and records where each idiom starts and its k
+(``Function.hook_idioms``).  The translator compiles each recorded
+idiom to ONE step: it writes the scratch locals, leaves the operands on
+the stack, calls the import's ``impl(inst, [site, *operands])`` as
+``_call_host`` does, and charges the fuel of all 3k+2 instructions —
+the 2k+1 up to the call before ``impl`` runs, the k reloads after it —
+so ``inst.fuel`` is exact whenever ``impl`` can see it or trap.  The
+other 3k+1 pcs get no step of their own.  No branch lands on them: a
+branch lands just past a ``loop``, ``else`` or ``end``, where the
+instrumenter starts an idiom or copies an instruction, never inside
+one.  A function with no record (a parsed or built one) runs one step
+per instruction.  When the remaining fuel, or a ``fuel & 2047`` deadline
+probe, would fall inside the idiom, the fused step runs only the
+idiom's first instruction and raises :class:`_Split`; the driver then
+translates the rest and runs it one instruction at a time under its own
+metering, so every trap fires at the same instruction, with the same
+partial trace, as in the generic interpreter (which always runs the
+long form).
 
 Translations live on the :class:`~repro.wasm.interpreter.Instance` that
 runs them, beside its jump tables: each deployed contract translates a
@@ -71,11 +76,6 @@ __all__ = ["TranslatedFunction", "translated_function"]
 # The sentinel pc the generic interpreter uses for a branch that exits
 # the function body; any value >= the body length ends the driver loop.
 _RETURN_PC = 1 << 30
-
-# The import namespace of the instrumenter's hooks
-# (``repro.instrument.hooks.HOOK_MODULE``); calls into it are the only
-# ones fused with their operand spills and reloads.
-_HOOK_MODULE = "wasabi"
 
 
 def translated_function(module: Module,
@@ -621,68 +621,6 @@ def _fused_hookn(site, func_index, slots, next_pc):
     return step
 
 
-def _hook_idioms(module: Module, func: Function, jumps) -> dict:
-    """Start pc -> (fused step, pcs after the start) for every hook
-    idiom of ``func`` that can be fused: its callee is a result-less
-    ``wasabi`` import, its spills, loads and reloads name the same
-    distinct locals in the instrumenter's order, and no jump lands
-    inside it."""
-    hooks = {}  # function index -> operand count k
-    for index, imp in enumerate(module.imported_functions()):
-        if imp.module == _HOOK_MODULE:
-            func_type = module.types[imp.desc]
-            if func_type.params and not func_type.results:
-                hooks[index] = len(func_type.params) - 1
-    if not hooks:
-        return {}
-    body = func.body
-    size = len(body)
-    local_count = len(module.types[func.type_index].params) \
-        + len(func.locals)
-    targets = set()
-    for pc, (end_pc, else_pc) in jumps.items():
-        if body[pc].op == "loop":
-            targets.add(pc + 1)
-        else:
-            targets.add(end_pc + 1)
-            if else_pc is not None:
-                targets.add(else_pc + 1)
-    idioms = {}
-    for call_pc, instr in enumerate(body):
-        if instr.op != "call":
-            continue
-        func_index = instr.args[0]
-        count = hooks.get(func_index)
-        if count is None:
-            continue
-        start = call_pc - 2 * count - 1
-        end = call_pc + count + 1
-        if start < 0 or end > size:
-            continue
-        const = body[start + count]
-        if const.op != "i32.const":
-            continue
-        slots = []
-        for offset in range(count):
-            spill = body[start + count - 1 - offset]
-            load = body[start + count + 1 + offset]
-            reload = body[call_pc + 1 + offset]
-            if spill.op != "local.set" or load.op != "local.get" \
-                    or reload.op != "local.get":
-                break
-            slot = load.args[0]
-            if spill.args[0] != slot or reload.args[0] != slot \
-                    or not 0 <= slot < local_count or slot in slots:
-                break
-            slots.append(slot)
-        if len(slots) == count \
-                and targets.isdisjoint(range(start + 1, end)):
-            idioms[start] = (_fused_hook(const.args[0] & MASK32, func_index,
-                                         tuple(slots), end),
-                             end - start - 1)
-    return idioms
-
-
 # ---------------------------------------------------------------------------
 # Pure operator tables for the hand-specialised hot integer opcodes.
 # Trapping ops (div/rem), rotations and bit counts stay on the shared
@@ -727,19 +665,23 @@ _I64_BINOPS, _I64_RELOPS = _int_tables(64)
 def _translate(module: Module, func: Function) -> TranslatedFunction:
     body = func.body
     jumps = _build_jump_table(body)
-    idioms = _hook_idioms(module, func, jumps)
+    idioms = func.hook_idioms
     steps: list = []
     pc = 0
     while pc < len(body):
-        fused = idioms.get(pc)
-        if fused is None:
+        count = idioms.get(pc)
+        if count is None:
             steps.append(_translate_instr(module, jumps, pc, body[pc]))
             pc += 1
-        else:
-            step, inside = fused
-            steps.append(step)
-            steps.extend([_inside_idiom] * inside)
-            pc += 1 + inside
+            continue
+        # spills, site, loads, call, reloads: see _fused_hook0..n
+        call_pc = pc + 2 * count + 1
+        slots = tuple(load.args[0] for load in body[pc + count + 1:call_pc])
+        end = call_pc + count + 1
+        steps.append(_fused_hook(body[pc + count].args[0] & MASK32,
+                                 body[call_pc].args[0], slots, end))
+        steps.extend([_inside_idiom] * (end - pc - 1))
+        pc = end
     return TranslatedFunction(steps, module, body)
 
 
