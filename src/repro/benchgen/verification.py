@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..eosio.asset import Asset, EOS_SYMBOL
+from ..eosio.asset import EOS_SYMBOL
 from ..wasm.module import Module
 from ..wasm.opcodes import Instr
 from .obfuscate import _copy_module, _signed64
@@ -29,10 +29,6 @@ class VerificationSpec:
 
     amount: int = 100_000          # 10.0000 EOS, the paper's example
     symbol_raw: int = EOS_SYMBOL.raw   # 1397703940
-
-    @property
-    def required_quantity(self) -> Asset:
-        return Asset(self.amount, EOS_SYMBOL)
 
 
 def inject_verification(module: Module,

@@ -53,6 +53,3 @@ class DatabaseDependencyGraph:
             writers.update(self.writers_of(table_key))
         writers.discard(action_name)
         return sorted(writers)
-
-    def known_actions(self) -> list[str]:
-        return sorted(self._reads)

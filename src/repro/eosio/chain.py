@@ -88,9 +88,6 @@ class ActionRecord:
     # feedback depends on replaying failed executions too.
     error: str | None = None
 
-    def called_apis(self) -> set[str]:
-        return {call.api for call in self.host_calls}
-
     def __repr__(self) -> str:
         return (f"ActionRecord({name_to_string(self.action_name)}@"
                 f"{name_to_string(self.code)} -> "

@@ -154,19 +154,6 @@ class Database:
             before=None if previous is None else previous.data,
             after=bytes(data)))
 
-    def erase_row(self, code: int, scope: int, table: int, key: int) -> None:
-        table_key = (code, scope, table)
-        rows = self._tables.get(table_key, {})
-        previous = rows.pop(key, None)
-        self.journal.append(DbOperation(
-            "write", *table_key, pkey=key,
-            before=None if previous is None else previous.data,
-            after=None))
-
-    def table_rows(self, code: int, scope: int, table: int) -> dict[int, bytes]:
-        rows = self._tables.get((code, scope, table), {})
-        return {k: row.data for k, row in rows.items()}
-
     def export_state(self) -> dict[TableKey, dict[int, bytes]]:
         """A plain-bytes snapshot of every table, for invariant checks.
 

@@ -121,11 +121,6 @@ class MachineState:
         self.frames.append(frame)
         return frame
 
-    def pop_frame(self) -> Frame:
-        frame = self.frames.pop()
-        self.returns.append(list(frame.stack))
-        return frame
-
     def pop_returns(self) -> list:
         return self.returns.pop() if self.returns else []
 

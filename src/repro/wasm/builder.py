@@ -136,9 +136,6 @@ class ModuleBuilder:
     def export_function(self, name: str, target: FunctionBuilder) -> None:
         self._exports.append((name, "func", target))
 
-    def export_memory(self, name: str = "memory") -> None:
-        self._exports.append((name, "memory", 0))
-
     def add_table_entry(self, slot: int, target: FunctionBuilder) -> None:
         """Place a function into the indirect-call table at ``slot``."""
         self._table_entries[slot] = target

@@ -277,9 +277,6 @@ class Instance:
         func = self.module.local_function(func_index)
         return self._call_local(func, args)
 
-    def reset_fuel(self, fuel: int | None = None) -> None:
-        self.fuel = fuel if fuel is not None else self.limits.fuel
-
     # -- memory accessors (used by host functions) -------------------------
     def mem_read(self, addr: int, length: int) -> bytes:
         if addr < 0 or addr + length > len(self.memory):
