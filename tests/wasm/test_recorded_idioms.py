@@ -6,8 +6,9 @@ count k of every hook idiom it writes (``Function.hook_idioms``), and
 the translator fuses exactly those, reading the site, slots and callee
 from the body without checking them.  So the checks live here, once,
 over every module ``test_instrument_pinned.py`` pins: each record has
-the instrumenter's shape, every hook call lies inside one, and no
-branch lands strictly inside one.
+the instrumenter's shape, every hook call lies inside one, no branch
+lands strictly inside one, and the translator leaves exactly the
+recorded pcs inside fused steps.
 
 A module parsed back from its own bytes carries no record and runs one
 step per instruction; it must behave exactly as the recorded one under
@@ -88,10 +89,15 @@ def _idiom_problems(module, func, hooks) -> list[str]:
     return problems
 
 
-def test_recorded_idioms_keep_the_instrumenters_shape():
+@pytest.fixture(scope="module")
+def instrumented_pinned() -> dict:
+    return {name: instrument_module(module)[0]
+            for name, module in pinned_modules().items()}
+
+
+def test_recorded_idioms_keep_the_instrumenters_shape(instrumented_pinned):
     idioms = 0
-    for name, module in pinned_modules().items():
-        instrumented, _ = instrument_module(module)
+    for name, instrumented in instrumented_pinned.items():
         hooks = _hook_imports(instrumented)
         for index, func in enumerate(instrumented.functions):
             problems = _idiom_problems(instrumented, func, hooks)
@@ -100,17 +106,16 @@ def test_recorded_idioms_keep_the_instrumenters_shape():
     assert idioms > 10_000
 
 
-def test_translator_fuses_exactly_the_recorded_idioms():
-    module, _ = _straight_line_contract()
-    instrumented, _ = instrument_module(module)
-    for func in instrumented.functions:
-        steps = translated_function(instrumented, func).steps
-        inside = {pc for pc, step in enumerate(steps)
-                  if step is _inside_idiom}
-        expected = set()
-        for start, count in func.hook_idioms.items():
-            expected.update(range(start + 1, start + 3 * count + 2))
-        assert func.hook_idioms and inside == expected
+def test_translator_fuses_exactly_the_recorded_idioms(instrumented_pinned):
+    for name, instrumented in instrumented_pinned.items():
+        for index, func in enumerate(instrumented.functions):
+            steps = translated_function(instrumented, func).steps
+            inside = {pc for pc, step in enumerate(steps)
+                      if step is _inside_idiom}
+            recorded = set()
+            for start, count in func.hook_idioms.items():
+                recorded.update(range(start + 1, start + 3 * count + 2))
+            assert inside == recorded, f"{name} function {index}"
 
 
 @pytest.fixture(scope="module")
