@@ -11,13 +11,14 @@ events produced by the instrumented contract:
 * returns of library APIs are taken from the ``call_post`` hooks, so
   host function bodies are never simulated,
 * every conditional state (``br_if``/``if`` and ``eosio_assert``) is
-  recorded with its symbolic condition for the constraint flipper.
+  recorded with its symbolic condition for the constraint flipper,
+* float data flow is concretised: float results come from the
+  interpreter's own handlers, applied to the traced operands, and a
+  trap there ends the replay.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field
 
 from ..instrument.hooks import HookEvent
@@ -25,15 +26,15 @@ from ..instrument.instrumenter import Site, SiteTable
 from ..resilience import faultinject
 from ..resilience.errors import (CampaignError, DivergenceError,
                                  SymbackError)
-from ..smt import (BitVec, BitVecVal, Clz, Concat, Ctz, Eq, Extract, Ite, Ne,
-                   Not, Popcnt, Rotl, Rotr, SDiv, SGE, SGT, SLE, SLT, SRem,
-                   SignExt, Term, UDiv, UGE, UGT, ULE, ULT, URem, ZeroExt,
-                   AShr, to_signed)
+from ..smt import (BitVecVal, Clz, Ctz, Eq, Extract, Ite, Ne, Not, Popcnt,
+                   Rotl, Rotr, SDiv, SGE, SGT, SLE, SLT, SRem, SignExt, Term,
+                   UDiv, UGE, UGT, ULE, ULT, URem, ZeroExt, AShr)
+from ..wasm.interpreter import Trap, _SIMPLE_OPS
 from ..wasm.module import Module
-from ..wasm.opcodes import Instr, is_load, is_store, memory_access_size
+from ..wasm.opcodes import MEMORY_INSTRUCTIONS, is_load, memory_access_size
+from ..wasm.validation import _SIGNATURES
 from .calling import SeedLayout
-from .machine import (Frame, MachineState, concrete_term, concrete_value,
-                      f32_bits, f64_bits)
+from .machine import Frame, MachineState, concrete_term, concrete_value
 
 __all__ = ["BranchRecord", "ReplayResult", "replay_action",
            "locate_action_call", "has_unexplored_flip",
@@ -158,8 +159,9 @@ def replay_action(module: Module, sites: SiteTable,
                   divergence_check: bool = True) -> ReplayResult:
     """Symbolically replay the action-function window of a trace.
 
-    A malformed trace window aborts only this replay (recorded in
-    ``ReplayResult.error``); an unexpected simulator bug surfaces as a
+    A malformed trace window, or a trap where the traced run stopped,
+    ends only this replay (recorded in ``ReplayResult.error``, with the
+    branches before it kept); an unexpected simulator bug surfaces as a
     typed :class:`~repro.resilience.SymbackError` so the fuzzing loop
     can contain it and degrade to black-box mode.
 
@@ -223,7 +225,8 @@ def branch_coverage_ids(sites: SiteTable,
 
 
 class _ReplayAbort(Exception):
-    """Internal: the replay cannot continue (malformed trace window)."""
+    """Internal: the replay cannot continue (malformed trace window,
+    or the traced run trapped)."""
 
 
 @dataclass
@@ -343,11 +346,8 @@ class _Replayer:
         if handler_name is not None:
             getattr(self, handler_name)(site, instr, operands, frame)
             return
-        prefix = op.split(".", 1)[0]
-        if prefix in ("i32", "i64"):
+        if op.startswith(("i32.", "i64.")):
             self._int_op(site, instr, operands, frame)
-        elif prefix in ("f32", "f64"):
-            self._float_op(site, instr, operands, frame)
         else:
             raise _ReplayAbort(f"no replay rule for {op}")
 
@@ -395,15 +395,7 @@ class _Replayer:
 
     # -- structured / variable instructions ------------------------------------------
     def _h_const(self, site, instr, operands, frame):
-        op = instr.op
-        if op == "i32.const":
-            frame.push(BitVecVal(instr.args[0], 32))
-        elif op == "i64.const":
-            frame.push(BitVecVal(instr.args[0], 64))
-        elif op == "f32.const":
-            frame.push(BitVecVal(f32_bits(instr.args[0]), 32))
-        else:
-            frame.push(BitVecVal(f64_bits(instr.args[0]), 64))
+        frame.push(concrete_term(instr.op[:3], instr.args[0]))
 
     def _h_local_get(self, site, instr, operands, frame):
         frame.push(frame.local_get(instr.args[0]))
@@ -544,20 +536,23 @@ class _Replayer:
             frame.push(SignExt(32, x) if name.endswith("_s")
                        else ZeroExt(32, x))
             return
-        if name.startswith("trunc_") or name.startswith("reinterpret_"):
-            # Float source: compute concretely from the traced operand.
-            frame.pop()
-            frame.push(_concrete_convert(op, operands))
-            return
         raise _ReplayAbort(f"no integer replay rule for {op}")
 
-    # -- floats: computed concretely from traced operands ----------------------------------------
-    def _float_op(self, site, instr, operands, frame):
-        op = instr.op
-        pops = _FLOAT_POPS.get(op.split(".", 1)[1], 2)
-        for _ in range(pops):
-            frame.pop()
-        frame.push(_concrete_float_result(op, operands))
+    # -- float data flow: concrete, from the traced operands -------------------------------
+    def _h_concrete(self, site, instr, operands, frame):
+        """Run the interpreter's handler on the traced operands, so a
+        float result is the one execution computed (the SMT layer has
+        no FP theory)."""
+        pops, pushes = _SIGNATURES[instr.op]
+        frame.pop_n(len(pops))
+        stack = list(operands)
+        try:
+            _SIMPLE_OPS[instr.op](None, instr, stack, None)
+        except Trap as trap:
+            # The traced run stopped here too: end the replay and keep
+            # the branches recorded before it.
+            raise _ReplayAbort(f"{instr.op} traps: {trap}") from None
+        frame.push(concrete_term(pushes[0].name, stack.pop()))
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +572,13 @@ _HANDLERS = {
     "memory.grow": "_h_memory_grow",
     "block": "_h_nop", "loop": "_h_nop",
 }
-for _op in ("i32.load", "i64.load", "f32.load", "f64.load",
-            "i32.load8_s", "i32.load8_u", "i32.load16_s", "i32.load16_u",
-            "i64.load8_s", "i64.load8_u", "i64.load16_s", "i64.load16_u",
-            "i64.load32_s", "i64.load32_u"):
-    _HANDLERS[_op] = "_h_load"
-for _op in ("i32.store", "i64.store", "f32.store", "f64.store",
-            "i32.store8", "i32.store16", "i64.store8", "i64.store16",
-            "i64.store32"):
-    _HANDLERS[_op] = "_h_store"
+for _op in MEMORY_INSTRUCTIONS:
+    _HANDLERS[_op] = "_h_load" if is_load(_op) else "_h_store"
+# Every other instruction a float flows into or out of keeps its
+# result concrete.
+for _op, (_pops, _pushes) in _SIGNATURES.items():
+    if any(valtype.is_float for valtype in _pops + _pushes):
+        _HANDLERS.setdefault(_op, "_h_concrete")
 
 _BINOPS = {
     "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
@@ -598,13 +591,6 @@ _BINOPS = {
 _RELOPS = {
     "eq": Eq, "ne": Ne, "lt_u": ULT, "gt_u": UGT, "le_u": ULE,
     "ge_u": UGE, "lt_s": SLT, "gt_s": SGT, "le_s": SLE, "ge_s": SGE,
-}
-_FLOAT_POPS = {
-    "abs": 1, "neg": 1, "ceil": 1, "floor": 1, "trunc": 1, "nearest": 1,
-    "sqrt": 1, "demote_f64": 1, "promote_f32": 1,
-    "convert_i32_s": 1, "convert_i32_u": 1,
-    "convert_i64_s": 1, "convert_i64_u": 1,
-    "reinterpret_i32": 1, "reinterpret_i64": 1,
 }
 
 
@@ -658,76 +644,6 @@ def _extend_loaded(op: str, value: Term) -> Term:
     return SignExt(extra, value) if op.endswith("_s") else ZeroExt(extra, value)
 
 
-def _bits_f32(bits: int) -> float:
-    return struct.unpack("<f", struct.pack("<I", bits & 0xFFFFFFFF))[0]
-
-
-def _bits_f64(bits: int) -> float:
-    return struct.unpack("<d", struct.pack(
-        "<Q", bits & 0xFFFFFFFFFFFFFFFF))[0]
-
-
-def _concrete_float_result(op: str, operands: tuple) -> Term:
-    """Compute a float instruction's result from its traced operands.
-
-    WASAI proper carries Z3 FPVal expressions; our SMT layer has no FP
-    theory, so float data flow is concretised (documented in
-    DESIGN.md).  Conditional flips never involve float inputs in the
-    benchmark families.
-    """
-    prefix, _, name = op.partition(".")
-    values = [float(v) for v in operands]
-    if name in ("eq", "ne", "lt", "gt", "le", "ge"):
-        a, b = values
-        result = {"eq": a == b, "ne": a != b, "lt": a < b,
-                  "gt": a > b, "le": a <= b, "ge": a >= b}[name]
-        return BitVecVal(1 if result else 0, 32)
-    if name in ("convert_i32_s", "convert_i64_s"):
-        bits = 32 if name.endswith("i32_s") else 64
-        values = [to_signed(int(operands[0]), bits)]
-    elif name in ("convert_i32_u", "convert_i64_u"):
-        values = [int(operands[0])]
-    elif name == "reinterpret_i32":
-        values = [_bits_f32(int(operands[0]))]
-    elif name == "reinterpret_i64":
-        values = [_bits_f64(int(operands[0]))]
-    result = _FLOAT_EVAL[name](*values)
-    if prefix == "f32":
-        return BitVecVal(f32_bits(result), 32)
-    return BitVecVal(f64_bits(result), 64)
-
-
-_FLOAT_EVAL = {
-    "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b if b else math.copysign(math.inf, a or 1.0),
-    "min": min, "max": max,
-    "copysign": lambda a, b: math.copysign(a, b),
-    "abs": abs, "neg": lambda a: -a,
-    "ceil": lambda a: float(math.ceil(a)),
-    "floor": lambda a: float(math.floor(a)),
-    "trunc": lambda a: float(math.trunc(a)),
-    "nearest": lambda a: float(round(a)),
-    "sqrt": math.sqrt,
-    "demote_f64": lambda a: a, "promote_f32": lambda a: a,
-    "convert_i32_s": float, "convert_i32_u": float,
-    "convert_i64_s": float, "convert_i64_u": float,
-    "reinterpret_i32": lambda a: a, "reinterpret_i64": lambda a: a,
-}
-
-
-def _concrete_convert(op: str, operands: tuple) -> Term:
-    """i32/i64 results of float-source conversions, concretised."""
-    target = 64 if op.startswith("i64") else 32
-    name = op.split(".", 1)[1]
-    raw = operands[0]
-    if name.startswith("reinterpret"):
-        bits = f32_bits(float(raw)) if target == 32 else f64_bits(float(raw))
-        return BitVecVal(bits, target)
-    truncated = math.trunc(float(raw))
-    return BitVecVal(truncated, target)
-
-
 def _extend_declared_locals(module: Module, func_index: int,
                             frame: Frame) -> None:
     """Append the function's declared (non-param) locals as zeroes of
@@ -742,5 +658,3 @@ def _extend_declared_locals(module: Module, func_index: int,
     for i, valtype in enumerate(params):
         if i < len(frame.locals):
             frame.locals[i] = _fit(frame.locals[i], valtype.bits)
-
-

@@ -166,8 +166,12 @@ def _signed(value: int, bits: int) -> int:
 
 
 def _f32(value: float) -> float:
-    """Round a float through the 32-bit representation."""
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+    """Round a float through the 32-bit representation; a result past
+    the f32 range rounds to infinity of its sign."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 class Instance:
@@ -848,11 +852,11 @@ def _register_float_ops():
     float_unops = {
         "abs": lambda s: abs(s.pop()),
         "neg": lambda s: -s.pop(),
-        "ceil": lambda s: float(math.ceil(s.pop())),
-        "floor": lambda s: float(math.floor(s.pop())),
-        "trunc": lambda s: float(math.trunc(s.pop())),
+        "ceil": lambda s: _ceil(s.pop()),
+        "floor": lambda s: _floor(s.pop()),
+        "trunc": lambda s: _trunc(s.pop()),
         "nearest": lambda s: _nearest(s.pop()),
-        "sqrt": lambda s: math.sqrt(s.pop()),
+        "sqrt": lambda s: _sqrt(s.pop()),
     }
     float_relops = {
         "eq": lambda a, b: a == b,
@@ -888,24 +892,37 @@ def _fdiv(a: float, b: float) -> float:
 def _fmin(a: float, b: float) -> float:
     if math.isnan(a) or math.isnan(b):
         return math.nan
+    if a == b:  # equal but for the sign of zero: -0 is the smaller
+        return a if math.copysign(1.0, a) < 0 else b
     return min(a, b)
 
 
 def _fmax(a: float, b: float) -> float:
     if math.isnan(a) or math.isnan(b):
         return math.nan
+    if a == b:  # equal but for the sign of zero: +0 is the larger
+        return b if math.copysign(1.0, a) < 0 else a
     return max(a, b)
 
 
-def _nearest(value: float) -> float:
-    """Round-to-nearest, ties to even (Wasm semantics)."""
-    floor_v = math.floor(value)
-    diff = value - floor_v
-    if diff < 0.5:
-        return float(floor_v)
-    if diff > 0.5:
-        return float(floor_v + 1)
-    return float(floor_v if floor_v % 2 == 0 else floor_v + 1)
+def _rounding(to_integer):
+    """A Wasm rounding op: ±inf and NaN pass through, and the result
+    keeps the operand's sign, so -0.5 rounds to -0.0."""
+    def rounded(value: float) -> float:
+        if not math.isfinite(value):
+            return value
+        return math.copysign(to_integer(value), value)
+    return rounded
+
+
+_ceil = _rounding(math.ceil)
+_floor = _rounding(math.floor)
+_trunc = _rounding(math.trunc)
+_nearest = _rounding(round)   # round() breaks ties to even
+
+
+def _sqrt(value: float) -> float:
+    return math.sqrt(value) if value >= 0.0 else math.nan
 
 
 _register_float_ops()

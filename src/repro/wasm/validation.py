@@ -89,7 +89,8 @@ class _Typer:
         if not self.ctrls:
             raise ValidationError("control stack underflow")
         frame = self.ctrls[-1]
-        popped = [self.pop_val(t) for t in reversed(frame.end_types)]
+        for t in reversed(frame.end_types):
+            self.pop_val(t)
         if len(self.vals) != frame.height:
             raise ValidationError("values left on stack at block end")
         self.ctrls.pop()
@@ -114,13 +115,10 @@ class _Typer:
         for instr in self.func.body:
             reachable = not self.ctrls[-1].unreachable
             typing = InstructionTyping(reachable=reachable)
-            before = list(self.vals)
             self._step(instr, typing)
-            # Record pops/pushes by diffing against the explicit lists
-            # the step recorded (populated by _step).
             self.typings.append(typing)
         # Implicit final end.
-        frame = self.pop_ctrl()
+        self.pop_ctrl()
         if self.ctrls:
             raise ValidationError("unbalanced control structure")
         return self.typings
