@@ -852,10 +852,11 @@ def _register_float_ops():
     float_unops = {
         "abs": lambda s: abs(s.pop()),
         "neg": lambda s: -s.pop(),
-        "ceil": lambda s: _ceil(s.pop()),
-        "floor": lambda s: _floor(s.pop()),
-        "trunc": lambda s: _trunc(s.pop()),
-        "nearest": lambda s: _nearest(s.pop()),
+        "ceil": lambda s: _rounded(math.ceil, s.pop()),
+        "floor": lambda s: _rounded(math.floor, s.pop()),
+        "trunc": lambda s: _rounded(math.trunc, s.pop()),
+        # round() breaks ties to even
+        "nearest": lambda s: _rounded(round, s.pop()),
         "sqrt": lambda s: _sqrt(s.pop()),
     }
     float_relops = {
@@ -905,20 +906,12 @@ def _fmax(a: float, b: float) -> float:
     return max(a, b)
 
 
-def _rounding(to_integer):
+def _rounded(to_integer, value: float) -> float:
     """A Wasm rounding op: ±inf and NaN pass through, and the result
     keeps the operand's sign, so -0.5 rounds to -0.0."""
-    def rounded(value: float) -> float:
-        if not math.isfinite(value):
-            return value
-        return math.copysign(to_integer(value), value)
-    return rounded
-
-
-_ceil = _rounding(math.ceil)
-_floor = _rounding(math.floor)
-_trunc = _rounding(math.trunc)
-_nearest = _rounding(round)   # round() breaks ties to even
+    if not math.isfinite(value):
+        return value
+    return math.copysign(to_integer(value), value)
 
 
 def _sqrt(value: float) -> float:

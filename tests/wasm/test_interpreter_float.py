@@ -10,12 +10,12 @@ from repro.wasm import (ExecutionLimits, Instance, ModuleBuilder,
                         TrapIntegerOverflow)
 
 
-def run(emit, results=("f64",), params=(), args=()):
+def run(emit, results=("f64",), params=(), args=(), limits=None):
     builder = ModuleBuilder()
     f = builder.function("f", params=params, results=results)
     emit(f)
     builder.export_function("f", f)
-    return Instance(builder.build()).invoke("f", args)[0]
+    return Instance(builder.build(), limits=limits).invoke("f", args)[0]
 
 
 def test_nearest_ties_to_even():
@@ -147,14 +147,8 @@ def test_f32_store_narrows():
 
 @pytest.fixture(params=[False, True], ids=["interpreter", "translator"])
 def engine(request):
-    def run_on(emit, results=("f64",)):
-        builder = ModuleBuilder()
-        f = builder.function("f", results=results)
-        emit(f)
-        builder.export_function("f", f)
-        limits = ExecutionLimits(translate=request.param)
-        return Instance(builder.build(), limits=limits).invoke("f")[0]
-    return run_on
+    limits = ExecutionLimits(translate=request.param)
+    return lambda emit, results=("f64",): run(emit, results, limits=limits)
 
 
 def negative_zero(value: float) -> bool:
