@@ -171,7 +171,7 @@ class WasmContract(Contract):
     ``site_table`` is present for instrumented binaries; its hook
     imports (module namespace ``wasabi``) are bound to the apply
     context's trace buffer, which records one :class:`HookEvent` per
-    hook firing.
+    hook firing (equal firings of one binding share one event).
     """
 
     def __init__(self, module: Module, abi: Abi | None = None,
@@ -242,7 +242,11 @@ class WasmContract(Contract):
         # event only the two threshold compares and the append of one
         # HookEvent into the per-action buffer remain (the buffer lands
         # on the ActionRecord wholesale, so there is no flush copy or
-        # decode pass either).
+        # decode pass either).  The recorder made here keeps one event
+        # per distinct firing for as long as this binding lives
+        # (``unbind`` drops it), so equal firings append the same
+        # HookEvent, which must never be mutated; the budgets still
+        # count firings, not distinct events.
         cell = ctx if isinstance(ctx, ContextCell) else ContextCell(ctx)
         limits = ExecutionLimits(**chain.execution_limits)
         max_events = limits.max_trace_events

@@ -19,7 +19,10 @@ Hook kinds:
 A hook firing is recorded as one :class:`HookEvent`.  The chain's hook
 sink resolves each import's event shape once, when it binds the import
 (:func:`hook_event_builder`), so a trace is recorded already decoded:
-there is no raw ``(hook_name, args)`` form to decode afterwards.
+there is no raw ``(hook_name, args)`` form to decode afterwards.  The
+recorder it binds keeps one event per distinct firing, so equal
+firings through one binding append the same event object: an event is
+shared and must never be mutated.
 """
 
 from __future__ import annotations
@@ -80,15 +83,48 @@ def parse_hook_name(hook_name: str) -> tuple[str, tuple[ValType, ...]]:
 
 
 def hook_event_builder(hook_name: str):
-    """The function from one firing's ``args`` (``[site or function id,
+    """A recorder from one firing's ``args`` (``[site or function id,
     *operands]``) to its :class:`HookEvent`, with the event kind
-    resolved here, once per hook import, instead of per event."""
+    resolved here, once per hook import, instead of per event.
+
+    Each recorder keeps its own table of the events it made, and
+    returns the one already made for an equal firing.  The key is the
+    site or function id for an operand-free hook and the ``args`` tuple
+    otherwise.  A hook with a float operand records a fresh event per
+    firing: ``0.0 == -0.0`` and a NaN equals nothing, so a value key
+    would merge signed zeros and never find a NaN again."""
     if hook_name in (BEGIN_FUNCTION, END_FUNCTION):
         label = "begin" if hook_name == BEGIN_FUNCTION else "end"
-        return lambda args: HookEvent(label, None, args[0], ())
-    kind, _ = parse_hook_name(hook_name)
+        return _by_target(lambda target: HookEvent(label, None, target, ()))
+    kind, types = parse_hook_name(hook_name)
     label = "instr" if kind == "trace" else "post"
-    return lambda args: HookEvent(label, args[0], None, tuple(args[1:]))
+    if not types:
+        return _by_target(lambda target: HookEvent(label, target, None, ()))
+    if any(valtype.is_float for valtype in types):
+        return lambda args: HookEvent(label, args[0], None, tuple(args[1:]))
+    events: dict[tuple, HookEvent] = {}
+
+    def record(args) -> HookEvent:
+        key = tuple(args)
+        event = events.get(key)
+        if event is None:
+            event = events[key] = HookEvent(label, args[0], None, key[1:])
+        return event
+    return record
+
+
+def _by_target(make):
+    """A recorder for an operand-free hook: one event per site or
+    function id, made by ``make(target)``."""
+    events: dict[int, HookEvent] = {}
+
+    def record(args) -> HookEvent:
+        target = args[0]
+        event = events.get(target)
+        if event is None:
+            event = events[target] = make(target)
+        return event
+    return record
 
 
 class HookEvent:
@@ -98,6 +134,10 @@ class HookEvent:
     "begin" or "end".  For "instr"/"post", ``site_id`` indexes the
     instrumentation site table; for "begin"/"end" ``func_id`` is the
     original function index.  Events compare (and hash) by value.
+
+    The recorder of one hook binding hands the same event to every
+    equal firing (:func:`hook_event_builder`), so one event may stand
+    at many places in many traces: never mutate one.
     """
 
     __slots__ = ("kind", "site_id", "func_id", "operands")

@@ -18,9 +18,12 @@ one step each.
 Each body is rewritten in one pass.  Hooks are imported after the
 module's own imports, in first-use order, so a hook call is written
 with its final import index when the hook is first used, and one
-``call`` instruction per hook import serves every site.  Only the
-original calls to local functions are patched afterwards, once the
-number of hook imports they shift past is known.
+``call`` instruction per hook import serves every site.  Likewise one
+``local.set k`` and one ``local.get k`` per scratch slot serve every
+spill, load and reload of the module: an ``Instr`` is never mutated,
+so the rewrite shares them.  Only the original calls to local
+functions are patched afterwards, once the number of hook imports
+they shift past is known.
 
 The rewrite is purely contract-level: the virtual machine is left
 untouched, which is exactly the property the paper claims makes WASAI
@@ -93,6 +96,15 @@ def instrument_module(module: Module) -> tuple[Module, SiteTable]:
                                             import_count + len(hook_calls))
         return call
 
+    scratch_instrs: dict[tuple[str, int], Instr] = {}
+
+    def scratch_instr(op: str, slot: int) -> Instr:
+        """The one ``local.set``/``local.get`` of scratch local ``slot``."""
+        instr = scratch_instrs.get((op, slot))
+        if instr is None:
+            instr = scratch_instrs[op, slot] = Instr(op, slot)
+        return instr
+
     if module.functions:
         # Every body opens and closes with a label, so the two label
         # hooks take the first two hook indices.
@@ -101,7 +113,8 @@ def instrument_module(module: Module) -> tuple[Module, SiteTable]:
     local_calls: list[tuple[list[Instr], int]] = []
     functions = [
         _instrument_function(module, func, import_count + local_index,
-                             site_table, hook_call, local_calls)
+                             site_table, hook_call, scratch_instr,
+                             local_calls)
         for local_index, func in enumerate(module.functions)]
     shift = len(hook_calls)
     for body, pc in local_calls:
@@ -133,7 +146,7 @@ def instrument_module(module: Module) -> tuple[Module, SiteTable]:
 
 
 def _instrument_function(module: Module, func: Function, func_index: int,
-                         site_table: SiteTable, hook_call,
+                         site_table: SiteTable, hook_call, scratch_instr,
                          local_calls: list) -> Function:
     """The instrumented copy of ``func``.  Each original call to a
     local function is noted in ``local_calls`` as (new body, pc), for
@@ -165,11 +178,13 @@ def _instrument_function(module: Module, func: Function, func_index: int,
         slots = scratch_locals(types)
         idioms[len(body)] = len(slots)
         # The stack top is the last operand, so spill in reverse.
-        body.extend(Instr("local.set", slot) for slot in reversed(slots))
+        body.extend(scratch_instr("local.set", slot)
+                    for slot in reversed(slots))
         body.append(Instr("i32.const", _as_s32(value)))
-        body.extend(Instr("local.get", slot) for slot in slots)
+        loads = [scratch_instr("local.get", slot) for slot in slots]
+        body.extend(loads)
         body.append(hook_call(hook_name))
-        body.extend(Instr("local.get", slot) for slot in slots)
+        body.extend(loads)
 
     emit(BEGIN_FUNCTION, func_index, [])
     for pc, (instr, typing) in enumerate(zip(func.body,

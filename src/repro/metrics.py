@@ -19,7 +19,11 @@ def percentile(samples: "list[float]", q: float) -> float:
     interpolation between closest ranks; 0.0 for an empty list."""
     if not samples:
         return 0.0
-    ordered = sorted(samples)
+    return _ranked(sorted(samples), q)
+
+
+def _ranked(ordered: "list[float]", q: float) -> float:
+    """:func:`percentile` of the sorted, non-empty ``ordered``."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -142,16 +146,18 @@ class ThroughputStats:
         self.latency_samples.setdefault(stage, []).append(seconds)
 
     def latency_percentiles(self) -> dict[str, dict[str, float]]:
-        """p50/p95/max (plus sample count) per recorded stage."""
+        """p50/p95/max (plus sample count) per recorded stage, from
+        one sort of each stage's samples."""
         out: dict[str, dict[str, float]] = {}
         for stage, samples in self.latency_samples.items():
             if not samples:
                 continue
+            ordered = sorted(samples)
             out[stage] = {
-                "n": len(samples),
-                "p50_s": percentile(samples, 50),
-                "p95_s": percentile(samples, 95),
-                "max_s": max(samples),
+                "n": len(ordered),
+                "p50_s": _ranked(ordered, 50),
+                "p95_s": _ranked(ordered, 95),
+                "max_s": ordered[-1],
             }
         return out
 

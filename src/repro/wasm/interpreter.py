@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .module import Function, Module, PAGE_SIZE
 from .opcodes import Instr, memory_access_size
-from .types import F32, F64, FuncType, I32, I64, ValType
+from .types import FuncType
 
 __all__ = ["Instance", "HostFunc", "Trap", "TrapUnreachable",
            "TrapIntegerDivide", "TrapMemoryOutOfBounds", "TrapStackOverflow",

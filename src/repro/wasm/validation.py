@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .module import Function, Module
-from .opcodes import Instr, memory_access_size
-from .types import F32, F64, FuncType, I32, I64, ValType
+from .opcodes import Instr
+from .types import F32, F64, I32, I64, ValType
 
 __all__ = ["ValidationError", "validate_module", "type_function",
            "InstructionTyping"]

@@ -8,6 +8,8 @@ from repro.instrument import (BEGIN_FUNCTION, END_FUNCTION, HOOK_MODULE,
 from repro.wasm import (FuncType, HostFunc, I32, I64, Instance, ModuleBuilder,
                         encode_module, parse_module, validate_module)
 
+from .test_instrument_pinned import pinned_modules
+
 
 def build_adder():
     builder = ModuleBuilder()
@@ -198,3 +200,25 @@ def test_table_entries_remapped():
     hook_count = sum(1 for i in instrumented.imports
                      if i.module == HOOK_MODULE)
     assert instrumented.elements[0].func_indices == [hook_count]
+
+
+def test_scratch_locals_share_one_instr_per_slot():
+    """Every spill, load and reload of a module's hook idioms uses the
+    one ``local.set k`` or ``local.get k`` of its scratch slot k."""
+    for name, module in pinned_modules().items():
+        instrumented, _ = instrument_module(module)
+        objects: dict[tuple[str, int], set[int]] = {}
+        for func in instrumented.functions:
+            body = func.body
+            for start, count in func.hook_idioms.items():
+                call = start + 2 * count + 1
+                for instr in (*body[start:start + count],
+                              *body[start + count + 1:call],
+                              *body[call + 1:call + 1 + count]):
+                    assert instr.op in ("local.set", "local.get")
+                    objects.setdefault((instr.op, instr.args[0]),
+                                       set()).add(id(instr))
+        assert objects, name
+        split = {key: len(ids) for key, ids in objects.items()
+                 if len(ids) > 1}
+        assert not split, f"{name}: {split}"

@@ -99,6 +99,24 @@ def test_throughput_latency_percentiles():
     assert "p95=" in text
 
 
+@settings(max_examples=100, deadline=None)
+@given(stages=st.dictionaries(
+    st.sampled_from(["task", "setup", "fuzz", "scan", "job"]),
+    st.lists(st.floats(0.0, 1e4, allow_nan=False), max_size=40)))
+def test_property_latency_percentiles_match_percentile(stages):
+    """One sort per stage gives exactly what a ``percentile`` call per
+    tile gives."""
+    from repro.metrics import ThroughputStats, percentile
+    stats = ThroughputStats()
+    for stage, samples in stages.items():
+        for sample in samples:
+            stats.record_latency(stage, sample)
+    assert stats.latency_percentiles() == {
+        stage: {"n": len(samples), "p50_s": percentile(samples, 50),
+                "p95_s": percentile(samples, 95), "max_s": max(samples)}
+        for stage, samples in stages.items() if samples}
+
+
 def test_metrics_table_family_fp_query():
     table = MetricsTable("wasai", ("token_arith", "permission"))
     table.record("token_arith", True, True)    # TP
